@@ -26,7 +26,7 @@ from .lie import (
     su2_algebra,
     validate,
 )
-from .poly import Polynomial, parse_polynomial
+from .poly import parse_polynomial
 from .realization import (
     dual_realization,
     t_realization,
@@ -92,71 +92,6 @@ def _load_phi(path: str, n: int) -> OpMatrix:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("phi file matrix is not n x n")
     return OpMatrix(n, rows)
-
-
-# -- LaTeX rendering ---------------------------------------------------------
-
-
-def _latex_rat(q) -> str:
-    num, den = str(q).split("/") if "/" in str(q) else (str(q), "1")
-    if den == "1":
-        return num
-    sign = "-" if num.startswith("-") else ""
-    return f"{sign}\\frac{{{num.lstrip('-')}}}{{{den}}}"
-
-
-def _latex_scalar(c: Scalar, wrap: bool = True) -> str:
-    if not c.im:
-        return _latex_rat(c.re)
-    if not c.re:
-        r = _latex_rat(c.im)
-        return "i" if r == "1" else "-i" if r == "-1" else f"{r}i"
-    im = _latex_rat(abs(c.im))
-    body = f"{_latex_rat(c.re)} {'+' if c.im > 0 else '-'} {im}i"
-    return f"\\left({body}\\right)" if wrap else body
-
-
-def _latex_factors(exps, symbol) -> list:
-    return [
-        symbol.format(mu + 1) + (f"^{{{e}}}" if e > 1 else "")
-        for mu, e in enumerate(exps)
-        if e
-    ]
-
-
-def latex_weylop(op: WeylOp) -> str:
-    """Render an operator; terms are ordered by (derivative degree, lex)."""
-    if not op.terms:
-        return "0"
-    parts = []
-    for (a, b), c in op.sorted_terms():
-        factors = _latex_factors(a, "x_{{{}}}") + _latex_factors(b, "\\partial_{{{}}}")
-        if not factors:
-            parts.append(_latex_scalar(c, wrap=False))
-        elif c == Scalar(1):
-            parts.append(" ".join(factors))
-        elif c == Scalar(-1):
-            parts.append("-" + " ".join(factors))
-        else:
-            parts.append(_latex_scalar(c) + " " + " ".join(factors))
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def latex_polynomial(f: Polynomial) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for exps, c in f.sorted_terms():
-        factors = _latex_factors(exps, "x_{{{}}}")
-        if not factors:
-            parts.append(_latex_scalar(c, wrap=False))
-        elif c == Scalar(1):
-            parts.append(" ".join(factors))
-        elif c == Scalar(-1):
-            parts.append("-" + " ".join(factors))
-        else:
-            parts.append(_latex_scalar(c) + " " + " ".join(factors))
-    return " + ".join(parts).replace("+ -", "- ")
 
 
 # -- report rendering --------------------------------------------------------
@@ -247,12 +182,11 @@ def cmd_realize(args) -> int:
                 }
             )
         )
-    elif args.format == "latex":
-        for mu, op in enumerate(real.xhat):
-            print(f"\\hat{{{sym}}}_{{{mu + 1}}} = {latex_weylop(op)}")
     else:
+        latex = args.format == "latex"
         for mu, op in enumerate(real.xhat):
-            print(f"{sym}hat{mu + 1} = {op}")
+            name = f"\\hat{{{sym}}}_{{{mu + 1}}}" if latex else f"{sym}hat{mu + 1}"
+            print(f"{name} = {op.render(latex)}")
     return EXIT_OK
 
 
@@ -274,7 +208,7 @@ def cmd_star(args) -> int:
         if args.check_duality and not data["duality"]:
             return EXIT_FAIL
         return EXIT_OK
-    print(latex_polynomial(out) if args.format == "latex" else str(out))
+    print(out.render(latex=args.format == "latex"))
     if args.check_duality:
         ok = duality_check(ctx, f, h)
         print("duality:", "PASS" if ok else "FAIL")
@@ -299,14 +233,16 @@ def cmd_tmatrix(args) -> int:
             )
         )
         return EXIT_OK
+    latex = args.format == "latex"
     for label, M in (("T", T), ("Tinv", Tinv)):
         for mu in range(g.n):
             for nu in range(g.n):
-                if args.format == "latex":
+                if latex:
                     name = "\\hat{T}" if label == "T" else "\\hat{T}^{-1}"
-                    print(f"{name}_{{{mu + 1}{nu + 1}}} = {latex_weylop(M[mu, nu])}")
+                    name += f"_{{{mu + 1}{nu + 1}}}"
                 else:
-                    print(f"{label}[{mu + 1},{nu + 1}] = {M[mu, nu]}")
+                    name = f"{label}[{mu + 1},{nu + 1}]"
+                print(f"{name} = {M[mu, nu].render(latex)}")
     return EXIT_OK
 
 

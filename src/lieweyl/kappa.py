@@ -11,10 +11,9 @@ entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .lie import LieAlgebra, kappa_algebra
-from .poly import Polynomial, mi_add, mi_degree
+from .poly import Polynomial, merge, mi_add, mi_degree
 from .realization import Realization, adjoint_matrix, dual_realization, weyl_realization
 from .scalars import Scalar
 from .series import TruncSeries, series_coeffs
@@ -170,14 +169,8 @@ def kappa_t_closed(p: KappaParams, order: int):
     exp_neg = series_in_op(series_coeffs("exp_neg", order), A)
     exp_pos = series_in_op(series_coeffs("exp", order), A)
     # (e^{-t} - 1)/t and (e^t - 1)/t
-    em1_neg = TruncSeries(
-        [Scalar((-1) ** (k + 1)) / Scalar(factorial(k + 1)) for k in range(order + 1)]
-    )
-    em1_pos = TruncSeries(
-        [Scalar(1) / Scalar(factorial(k + 1)) for k in range(order + 1)]
-    )
-    f_neg = series_in_op(em1_neg, A)
-    f_pos = series_in_op(em1_pos, A)
+    f_neg = series_in_op(-series_coeffs("dexp_neg", order), A)
+    f_pos = series_in_op(series_coeffs("dexp", order), A)
 
     def build(diag, f):
         rows = []
@@ -297,11 +290,7 @@ def _power_expansion(b, p: int) -> dict:
                 if not b[mu]:
                     continue
                 key = exps[:mu] + (exps[mu] + 1,) + exps[mu + 1 :]
-                s = nxt.get(key, Scalar(0)) + c * b[mu]
-                if s:
-                    nxt[key] = s
-                else:
-                    nxt.pop(key, None)
+                merge(nxt, key, c * b[mu])
         out = nxt
     return out
 

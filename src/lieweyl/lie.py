@@ -36,9 +36,6 @@ class LieAlgebra:
     # excluded from equality/hash
     _caches: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def bracket_constants(self, mu: int, nu: int):
-        return self.c[mu][nu]
-
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.n == other.n and self.c == other.c
 

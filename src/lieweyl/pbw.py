@@ -9,42 +9,18 @@ degree-lexicographic order and is memoized per algebra.
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .poly import mi_degree, mi_unit
+from .poly import TermMap, merge, mi_degree, mi_unit
 from .scalars import Scalar
 
 __all__ = ["PBWElement", "pbw_mul", "t_action", "tinv_action", "y_action"]
 
 
-def _merge(dst, key, coeff):
-    s = dst.get(key)
-    s = coeff if s is None else s + coeff
-    if s:
-        dst[key] = s
-    else:
-        dst.pop(key, None)
-
-
-class PBWElement:
+class PBWElement(TermMap):
     """Finite linear combination of ordered PBW monomials."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = Scalar.coerce(c)
-                if c:
-                    _merge(self.terms, tuple(k), c)
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, {(0,) * n: Scalar(1)})
+    KEY_PARTS = (("exps", "X", "X"),)
 
     @classmethod
     def generator(cls, n, mu):
@@ -53,78 +29,6 @@ class PBWElement:
     @classmethod
     def monomial(cls, n, exps, coeff=1):
         return cls(n, {tuple(exps): Scalar.coerce(coeff)})
-
-    def degree(self) -> int:
-        return max((mi_degree(k) for k in self.terms), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merge(out, k, c)
-        e = PBWElement(self.n)
-        e.terms = out
-        return e
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merge(out, k, -c)
-        e = PBWElement(self.n)
-        e.terms = out
-        return e
-
-    def __neg__(self):
-        e = PBWElement(self.n)
-        e.terms = {k: -c for k, c in self.terms.items()}
-        return e
-
-    def scale(self, c) -> "PBWElement":
-        c = Scalar.coerce(c)
-        e = PBWElement(self.n)
-        if c:
-            e.terms = {k: v * c for k, v in self.terms.items()}
-        return e
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PBWElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (mi_degree(kv[0]), kv[0]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in self.sorted_terms():
-            factors = [
-                f"X{mu + 1}" + (f"^{e}" if e > 1 else "")
-                for mu, e in enumerate(k)
-                if e
-            ]
-            if not factors:
-                parts.append(str(c))
-            elif c == Scalar(1):
-                parts.append("*".join(factors))
-            elif c == Scalar(-1):
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(str(c) + "*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return [{"exps": list(k), "coeff": str(c)} for k, c in self.sorted_terms()]
 
 
 def _word_of(exps):
@@ -151,7 +55,7 @@ def _straighten(g: LieAlgebra, word) -> dict:
                 c = cab[lam]
                 if c:
                     for k, v in _straighten(g, word[:i] + (lam,) + word[i + 2 :]).items():
-                        _merge(out, k, v * c)
+                        merge(out, k, v * c)
             cache[word] = out
             return out
     exps = [0] * n
@@ -172,10 +76,8 @@ def pbw_mul(g: LieAlgebra, A: PBWElement, B: PBWElement) -> PBWElement:
         for kb, cb in B.terms.items():
             c = ca * cb
             for k, v in _straighten(g, wa + _word_of(kb)).items():
-                _merge(out, k, v * c)
-    e = PBWElement(g.n)
-    e.terms = out
-    return e
+                merge(out, k, v * c)
+    return A._like(out)
 
 
 def _mul_gen_left(g: LieAlgebra, mu: int, terms: dict) -> dict:
@@ -183,7 +85,7 @@ def _mul_gen_left(g: LieAlgebra, mu: int, terms: dict) -> dict:
     out = {}
     for k, c in terms.items():
         for kk, v in _straighten(g, (mu,) + _word_of(k)).items():
-            _merge(out, kk, v * c)
+            merge(out, kk, v * c)
     return out
 
 
@@ -193,31 +95,17 @@ def _check_index(g, *idx):
             raise IndexError(f"generator index {k} out of range 0..{g.n - 1}")
 
 
-def _t_mono(g: LieAlgebra, mu: int, nu: int, exps) -> dict:
-    """T_{mu nu} action on a single PBW monomial (term map result)."""
-    cache = g.cache("t_action")
-    key = (mu, nu, exps)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if mi_degree(exps) == 0:
-        out = {exps: Scalar(1)} if mu == nu else {}
-    else:
-        # peel the leftmost generator: X = X_al * rest
-        al = next(i for i, e in enumerate(exps) if e)
-        rest = exps[:al] + (exps[al] - 1,) + exps[al + 1 :]
-        out = _mul_gen_left(g, al, _t_mono(g, mu, nu, rest))
-        for rho in range(g.n):
-            c = g.c[mu][al][rho]
-            if c:
-                for k, v in _t_mono(g, rho, nu, rest).items():
-                    _merge(out, k, v * c)
-    cache[key] = out
-    return out
+def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> dict:
+    """T_{mu nu}, or T^{-1}_{mu nu} if `inverse`, on one PBW monomial.
 
-
-def _tinv_mono(g: LieAlgebra, mu: int, nu: int, exps) -> dict:
-    cache = g.cache("tinv_action")
+    Peels the leftmost generator, X = X_al * rest, so that
+      T_{mu nu} |> X = X_al (T_{mu nu} |> rest)
+                       + sum_rho C_{mu al rho} T_{rho nu} |> rest,
+      T^{-1}_{mu nu} |> X = X_al (T^{-1}_{mu nu} |> rest)
+                            - sum_rho C_{rho al nu} T^{-1}_{mu rho} |> rest.
+    The two actions are memoized in separate caches of the algebra.
+    """
+    cache = g.cache("tinv_action" if inverse else "t_action")
     key = (mu, nu, exps)
     hit = cache.get(key)
     if hit is not None:
@@ -227,40 +115,38 @@ def _tinv_mono(g: LieAlgebra, mu: int, nu: int, exps) -> dict:
     else:
         al = next(i for i, e in enumerate(exps) if e)
         rest = exps[:al] + (exps[al] - 1,) + exps[al + 1 :]
-        out = _mul_gen_left(g, al, _tinv_mono(g, mu, nu, rest))
+        out = _mul_gen_left(g, al, _shift_mono(g, inverse, mu, nu, rest))
         for rho in range(g.n):
-            c = g.c[rho][al][nu]
+            if inverse:
+                c = -g.c[rho][al][nu]
+                inner = (mu, rho)
+            else:
+                c = g.c[mu][al][rho]
+                inner = (rho, nu)
             if c:
-                for k, v in _tinv_mono(g, mu, rho, rest).items():
-                    _merge(out, k, -(v * c))
+                for k, v in _shift_mono(g, inverse, *inner, rest).items():
+                    merge(out, k, v * c)
     cache[key] = out
     return out
 
 
-def _lift(n, terms) -> PBWElement:
-    e = PBWElement(n)
-    e.terms = dict(terms)
-    return e
+def _shift_action(g: LieAlgebra, inverse: bool, mu: int, nu: int, X: PBWElement):
+    _check_index(g, mu, nu)
+    out = {}
+    for k, c in X.terms.items():
+        for kk, v in _shift_mono(g, inverse, mu, nu, k).items():
+            merge(out, kk, v * c)
+    return X._like(out)
 
 
 def t_action(g: LieAlgebra, mu: int, nu: int, X: PBWElement) -> PBWElement:
     """T_{mu nu} acting on X (0-based indices)."""
-    _check_index(g, mu, nu)
-    out = {}
-    for k, c in X.terms.items():
-        for kk, v in _t_mono(g, mu, nu, k).items():
-            _merge(out, kk, v * c)
-    return _lift(g.n, out)
+    return _shift_action(g, False, mu, nu, X)
 
 
 def tinv_action(g: LieAlgebra, mu: int, nu: int, X: PBWElement) -> PBWElement:
     """T^{-1}_{mu nu} acting on X (0-based indices)."""
-    _check_index(g, mu, nu)
-    out = {}
-    for k, c in X.terms.items():
-        for kk, v in _tinv_mono(g, mu, nu, k).items():
-            _merge(out, kk, v * c)
-    return _lift(g.n, out)
+    return _shift_action(g, True, mu, nu, X)
 
 
 def y_action(g: LieAlgebra, mu: int, X: PBWElement) -> PBWElement:
@@ -276,7 +162,7 @@ def y_action(g: LieAlgebra, mu: int, X: PBWElement) -> PBWElement:
     for al in range(g.n):
         part = tinv_action(g, mu, al, X)
         if not part.is_zero():
-            via_shift = via_shift + _lift(g.n, _mul_gen_left(g, al, part.terms))
+            via_shift = via_shift + X._like(_mul_gen_left(g, al, part.terms))
     if direct != via_shift:
         raise AssertionError(
             f"y_action self-check failed for mu={mu + 1} on {X}"

@@ -13,12 +13,12 @@ P = psi(C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 from .lie import LieAlgebra
 from .poly import Polynomial, mi_degree
 from .scalars import Scalar
-from .series import TruncSeries, series_coeffs
+from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series
 
 __all__ = [
@@ -368,14 +368,7 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     # derivative of the matrix exponential
     T_hi = matrix_series(series_coeffs("exp", order + 1), C)
     T = matrix_series(series_coeffs("exp", order), C)
-    # (1 - e^{-t})/t = sum_m (-1)^m t^m/(m+1)!
-    phi1 = TruncSeries(
-        [
-            Scalar((-1) ** m) / Scalar(factorial(m + 1))
-            for m in range(order + 1)
-        ]
-    )
-    F = matrix_series(phi1, C)
+    F = matrix_series(series_coeffs("dexp_neg", order), C)
     ok = True
     witness = None
     for lam in range(n):

@@ -11,12 +11,7 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Q
 
-__all__ = ["Q", "Scalar", "ZERO", "ONE", "I", "rational_str"]
-
-
-def rational_str(q) -> str:
-    """Render a rational as "p" or "p/q" with positive denominator."""
-    return str(q)
+__all__ = ["Q", "Scalar", "ZERO", "ONE", "I"]
 
 
 class Scalar:
@@ -151,9 +146,9 @@ class Scalar:
 
     def __str__(self):
         if not self.im:
-            return rational_str(self.re)
+            return str(self.re)
         sign = "+" if self.im >= 0 else "-"
-        return f"{rational_str(self.re)}{sign}{rational_str(abs(self.im))}i"
+        return f"{self.re}{sign}{abs(self.im)}i"
 
     def __repr__(self):
         return f"Scalar({self})"

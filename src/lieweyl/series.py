@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from math import comb
 
+from .poly import merge
 from .scalars import Q, Scalar
 
 __all__ = ["bernoulli", "TruncSeries", "BiTruncSeries", "series_coeffs"]
@@ -129,12 +130,13 @@ class TruncSeries:
 def series_coeffs(kind: str, order: int) -> TruncSeries:
     """Standard generating-function series through the given order.
 
-    kinds: psi, psi_tilde, exp, exp_neg.
+    kinds: psi, psi_tilde, exp, exp_neg, dexp = (e^t - 1)/t and
+    dexp_neg = (1 - e^{-t})/t.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    fact = [1] * (order + 1)
-    for k in range(1, order + 1):
+    fact = [1] * (order + 2)
+    for k in range(1, order + 2):
         fact[k] = fact[k - 1] * k
     if kind == "psi":
         cs = [Q((-1) ** k) * bernoulli(k, "minus") / fact[k] for k in range(order + 1)]
@@ -144,6 +146,10 @@ def series_coeffs(kind: str, order: int) -> TruncSeries:
         cs = [Q(1, fact[k]) for k in range(order + 1)]
     elif kind == "exp_neg":
         cs = [Q((-1) ** k, fact[k]) for k in range(order + 1)]
+    elif kind == "dexp":
+        cs = [Q(1, fact[k + 1]) for k in range(order + 1)]
+    elif kind == "dexp_neg":
+        cs = [Q((-1) ** k, fact[k + 1]) for k in range(order + 1)]
     else:
         raise ValueError(f"unknown series kind {kind!r}")
     return TruncSeries(cs)
@@ -192,11 +198,7 @@ class BiTruncSeries:
         order = min(self.order, other.order)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Scalar(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            merge(out, k, c)
         return BiTruncSeries(out, order)
 
     def __sub__(self, other):
@@ -212,12 +214,7 @@ class BiTruncSeries:
                 i, j = i1 + i2, j1 + j2
                 if i + j > order:
                     continue
-                key = (i, j)
-                s = out.get(key, Scalar(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                merge(out, (i, j), c1 * c2)
         return BiTruncSeries(out, order)
 
     def __truediv__(self, other):
@@ -243,6 +240,3 @@ class BiTruncSeries:
                 if c:
                     out[key] = c
         return BiTruncSeries(out, order)
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0, 0), Scalar(0))

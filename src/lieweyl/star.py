@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lie import LieAlgebra, dual_algebra
-from .pbw import PBWElement, pbw_mul, t_action
+from .pbw import PBWElement, pbw_mul
 from .poly import Polynomial, mi_degree
-from .realization import Realization, dual_realization, t_realization, weyl_realization
+from .realization import Realization, dual_realization, weyl_realization
 from .scalars import Scalar
 from .weyl import InsufficientOrder
 
@@ -27,7 +27,6 @@ __all__ = [
     "verify_duality",
     "poisson_first_order",
     "first_order_check",
-    "omega_t_intertwining",
 ]
 
 
@@ -221,13 +220,3 @@ def first_order_check(ctx: StarContext, f: Polynomial, g: Polynomial) -> bool:
                 return False
     return True
 
-
-def omega_t_intertwining(ctx: StarContext, mu: int, nu: int, X: PBWElement) -> bool:
-    """Experimental: compare omega(T_{mu nu} |> X) with That_{mu nu} |> omega(X).
-
-    Not an invariant of the construction; exposed for exploration only.
-    """
-    T, _ = t_realization(ctx.algebra, ctx.order)
-    lhs = omega(ctx, t_action(ctx.algebra, mu, nu, X))
-    rhs = T[mu, nu].apply(omega(ctx, X))
-    return lhs == rhs

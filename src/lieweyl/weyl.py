@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from math import comb
 
-from .poly import Polynomial, mi_add, mi_degree
+from .poly import Polynomial, TermMap, merge, mi_add, mi_degree
 from .scalars import Scalar
 from .series import TruncSeries
 
@@ -37,15 +37,6 @@ class InsufficientOrder(Exception):
         )
 
 
-def _merge(dst, key, coeff):
-    s = dst.get(key)
-    s = coeff if s is None else s + coeff
-    if s:
-        dst[key] = s
-    else:
-        dst.pop(key, None)
-
-
 def _falling(c, j):
     out = 1
     for k in range(j):
@@ -53,20 +44,32 @@ def _falling(c, j):
     return out
 
 
-class WeylOp:
+class WeylOp(TermMap):
     """Normal-ordered operator: {(a, b): coeff} meaning sum c * x^a d^b."""
 
-    __slots__ = ("n", "terms", "valid_order")
+    __slots__ = ("valid_order",)
+
+    KEY_PARTS = (("x", "x", "x"), ("d", "d", "\\partial"))
 
     def __init__(self, n: int, terms=None, valid_order=INF):
-        self.n = n
         self.valid_order = valid_order
-        self.terms = {}
-        if terms:
-            for (a, b), c in terms.items():
-                c = Scalar.coerce(c)
-                if c and mi_degree(b) <= valid_order:
-                    _merge(self.terms, (tuple(a), tuple(b)), c)
+        if terms and valid_order < INF:
+            terms = {k: c for k, c in terms.items() if mi_degree(k[1]) <= valid_order}
+        super().__init__(n, terms)
+
+    def _like(self, terms, valid_order=None):
+        out = TermMap._like(self, terms)
+        out.valid_order = self.valid_order if valid_order is None else valid_order
+        return out
+
+    @staticmethod
+    def _split(key):
+        return key
+
+    @staticmethod
+    def _sort_key(item):
+        a, b = item[0]
+        return (mi_degree(b), b, a)
 
     # -- constructors ------------------------------------------------------
 
@@ -96,23 +99,27 @@ class WeylOp:
         z = (0,) * n
         return cls(n, {(z, z): Scalar.coerce(c)})
 
+    @classmethod
+    def from_json(cls, n, data, valid_order=INF):
+        return cls(
+            n,
+            {
+                (tuple(t["x"]), tuple(t["d"])): Scalar.parse(t["coeff"])
+                for t in data
+            },
+            valid_order=valid_order,
+        )
+
     # -- structure ---------------------------------------------------------
 
     def xdeg(self) -> int:
         return max((mi_degree(a) for a, _ in self.terms), default=0)
 
-    def ddeg(self) -> int:
-        return max((mi_degree(b) for _, b in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def truncate(self, order) -> "WeylOp":
-        out = WeylOp(self.n, valid_order=min(self.valid_order, order))
-        out.terms = {
-            k: c for k, c in self.terms.items() if mi_degree(k[1]) <= order
-        }
-        return out
+        return self._like(
+            {k: c for k, c in self.terms.items() if mi_degree(k[1]) <= order},
+            min(self.valid_order, order),
+        )
 
     def d_part_degree_le(self, order):
         """Terms with derivative degree <= order (for exact comparisons)."""
@@ -120,35 +127,15 @@ class WeylOp:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
     def __add__(self, other):
+        """Sum, truncated to the lower valid order of the two operands."""
         self._check(other)
         vo = min(self.valid_order, other.valid_order)
-        out = WeylOp(self.n, valid_order=vo)
         terms = {k: c for k, c in self.terms.items() if mi_degree(k[1]) <= vo}
         for k, c in other.terms.items():
             if mi_degree(k[1]) <= vo:
-                _merge(terms, k, c)
-        out.terms = terms
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        out = WeylOp(self.n, valid_order=self.valid_order)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def scale(self, c) -> "WeylOp":
-        c = Scalar.coerce(c)
-        out = WeylOp(self.n, valid_order=self.valid_order)
-        if c:
-            out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
+                merge(terms, k, c)
+        return self._like(terms, vo)
 
     def __mul__(self, other):
         """Normal-ordered product with tracked truncation."""
@@ -176,11 +163,7 @@ class WeylOp:
                 for c_exp, d_exp, cb in buckets[bk]:
                     coeff = ca * cb
                     _normal_order_term(out, a, b, c_exp, d_exp, coeff, vo)
-        op = WeylOp(self.n, valid_order=vo)
-        op.terms = out
-        return op
-
-    __rmul__ = scale
+        return self._like(out, vo)
 
     def commutator(self, other) -> "WeylOp":
         return self * other - other * self
@@ -190,14 +173,12 @@ class WeylOp:
         vo = self.valid_order
         if vo is not INF:
             vo = max(vo - 1, 0)
-        out = WeylOp(self.n, valid_order=vo)
         terms = {}
         for (a, b), c in self.terms.items():
             e = b[lam]
             if e:
-                _merge(terms, (a, b[:lam] + (e - 1,) + b[lam + 1 :]), c * e)
-        out.terms = terms
-        return out
+                merge(terms, (a, b[:lam] + (e - 1,) + b[lam + 1 :]), c * e)
+        return self._like(terms, vo)
 
     # -- action on polynomials ----------------------------------------------
 
@@ -218,74 +199,8 @@ class WeylOp:
                     if be:
                         factor *= _falling(xe, be)
                 key = mi_add(a, tuple(xe - be for xe, be in zip(exps, b)))
-                _merge(out, key, fc * c * factor)
-        p = Polynomial(self.n)
-        p.terms = out
-        return p
-
-    # -- comparison / rendering ---------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylOp)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (mi_degree(kv[0][1]), kv[0][1], kv[0][0]),
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b), c in self.sorted_terms():
-            factors = [
-                f"x{mu + 1}" + (f"^{e}" if e > 1 else "")
-                for mu, e in enumerate(a)
-                if e
-            ] + [
-                f"d{mu + 1}" + (f"^{e}" if e > 1 else "")
-                for mu, e in enumerate(b)
-                if e
-            ]
-            if not factors:
-                parts.append(str(c))
-            elif c == Scalar(1):
-                parts.append("*".join(factors))
-            elif c == Scalar(-1):
-                parts.append("-" + "*".join(factors))
-            else:
-                cs = str(c)
-                if not (c.is_real() or c.re == 0):
-                    cs = f"({cs})"
-                parts.append(cs + "*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return [
-            {"x": list(a), "d": list(b), "coeff": str(c)}
-            for (a, b), c in self.sorted_terms()
-        ]
-
-    @classmethod
-    def from_json(cls, n, data, valid_order=INF):
-        return cls(
-            n,
-            {
-                (tuple(t["x"]), tuple(t["d"])): Scalar.parse(t["coeff"])
-                for t in data
-            },
-            valid_order=valid_order,
-        )
+                merge(out, key, fc * c * factor)
+        return f._like(out)
 
 
 def _normal_order_term(out, a, b, c_exp, d_exp, coeff, vo):
@@ -306,7 +221,7 @@ def _normal_order_term(out, a, b, c_exp, d_exp, coeff, vo):
         new_b = tuple(b[mu] - j[mu] + d_exp[mu] for mu in range(n))
         if mi_degree(new_b) <= vo:
             new_a = tuple(a[mu] + c_exp[mu] - j[mu] for mu in range(n))
-            _merge(out, (new_a, new_b), coeff * factor)
+            merge(out, (new_a, new_b), coeff * factor)
         # advance the odometer
         for mu in range(n):
             if j[mu] < lims[mu]:
@@ -384,12 +299,6 @@ class OpMatrix:
     def truncate(self, order) -> "OpMatrix":
         return OpMatrix(
             self.n, [[op.truncate(order) for op in row] for row in self.entries]
-        )
-
-    def transpose(self) -> "OpMatrix":
-        return OpMatrix(
-            self.n,
-            [[self.entries[nu][mu] for nu in range(self.n)] for mu in range(self.n)],
         )
 
     def __eq__(self, other):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,44 @@ def test_star_examples(capsys):
 def test_star_degree_exceeds_order(capsys):
     code, _, err = run(capsys, "star", "g2", "x1^4", "x2^4", "--order", "6")
     assert code == 2 and "order" in err
+
+
+# Exact stdout of the renderers on an algebra with Gaussian and pure-imaginary
+# coefficients; the file holds one "=== <case>/<format>" header per output.
+GOLDEN = Path(__file__).with_name("golden_render_kappa.txt")
+KAPPA_1I_1 = ["kappa", "--kappa-b", "1i,1", "--order", "3"]
+GOLDEN_CASES = {
+    "realize-weyl": ["realize", *KAPPA_1I_1],
+    "realize-dual": ["realize", *KAPPA_1I_1, "--ordering", "dual"],
+    "tmatrix": ["tmatrix", *KAPPA_1I_1],
+    "star": ["star", *KAPPA_1I_1, "x1*x2", "x1 + x2"],
+    "star-dual": ["star", *KAPPA_1I_1, "x1*x2", "x1 + x2", "--dual"],
+}
+
+
+def _golden():
+    cases, name = {}, None
+    for line in GOLDEN.read_text().splitlines(keepends=True):
+        if line.startswith("=== "):
+            name = line[4:].strip()
+            cases[name] = ""
+        else:
+            cases[name] += line
+    return cases
+
+
+def test_golden_covers_every_case():
+    assert set(_golden()) == {
+        f"{case}/{fmt}" for case in GOLDEN_CASES for fmt in ("text", "latex", "json")
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_rendering(capsys, case, fmt):
+    code, out, _ = run(capsys, *GOLDEN_CASES[case], "--format", fmt)
+    assert code == 0
+    assert out == _golden()[f"{case}/{fmt}"]
 
 
 def test_tmatrix_json(capsys):

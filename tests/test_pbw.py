@@ -195,3 +195,17 @@ def test_index_errors():
         t_action(g, 0, 5, PBWElement.one(2))
     with pytest.raises(IndexError):
         tinv_action(g, 5, 0, PBWElement.one(2))
+
+
+def test_str_brackets_gaussian_coefficients():
+    X = PBWElement(
+        2, {(1, 0): Scalar(1, 2), (0, 1): Scalar(0, -1), (0, 0): Scalar(3, 1)}
+    )
+    assert str(X) == "3+1i + 0-1i*X2 + (1+2i)*X1"
+
+
+def test_add_sub_check_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        PBWElement.generator(2, 0) + PBWElement.generator(3, 0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        PBWElement.generator(2, 0) - PBWElement.generator(3, 0)

@@ -90,3 +90,13 @@ def test_bi_series_ratio():
     u = BiTruncSeries.from_univariate(psi, "u", order)
     ratio = uv / u
     assert ratio * u == uv
+
+
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_dexp_kinds(order):
+    # (e^t - 1)/t and (1 - e^{-t})/t, from the exponential series one order up
+    one = TruncSeries([Scalar(1)] + [Scalar(0)] * (order + 1))
+    dexp = (series_coeffs("exp", order + 1) - one).shift_down()
+    dexp_neg = (one - series_coeffs("exp_neg", order + 1)).shift_down()
+    assert series_coeffs("dexp", order) == dexp
+    assert series_coeffs("dexp_neg", order) == dexp_neg
