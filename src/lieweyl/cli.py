@@ -17,6 +17,7 @@ import sys
 
 from .kappa import KappaParams, verify_kappa
 from .lie import (
+    MAX_DIMENSION,
     AlgebraSpecError,
     LieAlgebra,
     abelian,
@@ -28,7 +29,9 @@ from .lie import (
 )
 from .poly import parse_polynomial
 from .realization import (
+    check,
     dual_realization,
+    suite,
     t_realization,
     verify_appendix,
     verify_realization,
@@ -49,16 +52,24 @@ class InputError(Exception):
     pass
 
 
+def _dimension(n: int) -> int:
+    if not 1 <= n <= MAX_DIMENSION:
+        raise InputError(f"dimension n={n} is outside 1..{MAX_DIMENSION}")
+    return n
+
+
 def _parse_kappa_b(text: str):
     try:
-        return [Scalar.parse(part) for part in text.split(",")]
+        b = [Scalar.parse(part) for part in text.split(",")]
     except ValueError as exc:
         raise InputError(f"bad --kappa-b value: {exc}") from exc
+    _dimension(len(b))
+    return b
 
 
 def _resolve_algebra(name: str, kappa_b) -> LieAlgebra:
     if name.startswith("abelian") and name[7:].isdigit():
-        return abelian(int(name[7:]))
+        return abelian(_dimension(int(name[7:])))
     if name == "g2":
         return g2_algebra()
     if name == "su2":
@@ -74,7 +85,11 @@ def _resolve_algebra(name: str, kappa_b) -> LieAlgebra:
 
 
 def _load_phi(path: str, n: int) -> OpMatrix:
-    """Read a coefficient matrix: {"n", "order", "phi": OpMatrix.to_json()}."""
+    """Read a coefficient matrix: {"n", "order", "phi": OpMatrix.to_json()}.
+
+    Every entry must be an x-free operator whose exponent vectors are n
+    non-negative integers.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -91,6 +106,12 @@ def _load_phi(path: str, n: int) -> OpMatrix:
         raise InputError(f"cannot load phi file {path!r}: {exc}") from exc
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("phi file matrix is not n x n")
+    for a, b in (key for row in rows for op in row for key in op.terms):
+        bad = (len(a), len(b)) != (n, n)
+        if bad or any(type(e) is not int or e < 0 for e in a + b):
+            raise InputError(f"phi file exponents must be {n} non-negative integers")
+        if any(a):
+            raise InputError("phi file entries must be x-free")
     return OpMatrix(n, rows)
 
 
@@ -127,20 +148,12 @@ def _structure_report(g: LieAlgebra) -> dict:
     """Adapt the raw structure report to the common suite shape."""
     raw = validate(g)
     checks = [
-        {"identity": "antisymmetry", "order_checked": 0, "pass": raw["antisymmetry"]},
-        {"identity": "jacobi", "order_checked": 0, "pass": raw["jacobi"]},
+        check("antisymmetry", 0, raw["antisymmetry"]),
+        check("jacobi", 0, raw["jacobi"]),
     ]
     if raw["witnesses"]:
-        checks.append(
-            {
-                "identity": "witnesses",
-                "order_checked": 0,
-                "pass": False,
-                "witness": raw["witnesses"][:3],
-            }
-        )
-    ok = raw["antisymmetry"] and raw["jacobi"]
-    return {"pass": ok, "order_checked": 0, "checks": checks}
+        checks.append(check("witnesses", 0, False, raw["witnesses"][:3]))
+    return suite(0, checks)
 
 
 def cmd_validate(args) -> int:
@@ -274,9 +287,7 @@ def _run_suites(g, args):
     if want("appendix"):
         rep = verify_appendix(g, order, min(5, order))
         shifts = verify_shift_relations(g, order)
-        rep["checks"].extend(shifts["checks"])
-        rep["pass"] = rep["pass"] and shifts["pass"]
-        suites["appendix"] = rep
+        suites["appendix"] = suite(order, rep["checks"] + shifts["checks"])
     if want("kappa"):
         if args.kappa_b is None:
             if wanted == "kappa":

@@ -23,6 +23,7 @@ __all__ = [
     "rescale",
     "custom_algebra",
     "load_algebra",
+    "MAX_DIMENSION",
     "algebra_to_json",
 ]
 
@@ -178,13 +179,17 @@ class AlgebraSpecError(ValueError):
     pass
 
 
+# largest dimension a spec may declare; custom_algebra allocates n^3 entries
+MAX_DIMENSION = 32
+
+
 def load_algebra(source) -> LieAlgebra:
     """Load from the JSON spec format (a path, file object, or dict).
 
     {"n": int, "constants": [{"mu": 1-based, "nu": ..., "lambda": ...,
     "c": "scalar-text"}, ...]}.  Only nonzero entries are listed; the
     antisymmetric completion is applied automatically and conflicting
-    entries are rejected.
+    entries are rejected.  n must lie in 1..MAX_DIMENSION.
     """
     if isinstance(source, dict):
         data = source
@@ -198,12 +203,16 @@ def load_algebra(source) -> LieAlgebra:
         raw = data["constants"]
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraSpecError(f"malformed algebra spec: {exc}") from exc
+    if not 1 <= n <= MAX_DIMENSION:
+        raise AlgebraSpecError(f"dimension n={n} is outside 1..{MAX_DIMENSION}")
+    if not isinstance(raw, list):
+        raise AlgebraSpecError("malformed algebra spec: constants must be a list")
     entries = {}
     for item in raw:
         try:
             mu, nu, lam = int(item["mu"]) - 1, int(item["nu"]) - 1, int(item["lambda"]) - 1
             c = Scalar.parse(str(item["c"]))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise AlgebraSpecError(f"malformed constant entry {item!r}: {exc}") from exc
         if not all(0 <= k < n for k in (mu, nu, lam)):
             raise AlgebraSpecError(f"index out of range in {item!r}")

@@ -260,12 +260,6 @@ class Polynomial(TermMap):
 
     __rmul__ = __mul__
 
-    def __pow__(self, m: int):
-        out = Polynomial.one(self.n)
-        for _ in range(m):
-            out = out * self
-        return out
-
     def partial(self, mu: int) -> "Polynomial":
         """Partial derivative with respect to x_mu (0-based)."""
         out = {}

@@ -13,10 +13,12 @@ P = psi(C).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations, product
 from math import comb
 
 from .lie import LieAlgebra
-from .poly import Polynomial, mi_degree
+from .poly import Polynomial
 from .scalars import Scalar
 from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series
@@ -34,6 +36,10 @@ __all__ = [
     "verify_appendix",
     "random_rational",
     "random_polynomial",
+    "check",
+    "suite",
+    "residual_check",
+    "closure_residual",
 ]
 
 
@@ -110,59 +116,81 @@ def t_realization(g: LieAlgebra, order: int):
 
 
 # -- verification suites -----------------------------------------------------
+#
+# A report is plain data that the CLI prints as it is: a suite is
+# {"pass", "order_checked", "checks"} and each check is
+# {"identity", "order_checked", "pass"}, plus a "witness" if it failed and
+# can name where.
 
 
-def _closure_residual(g: LieAlgebra, xhat, constants=None):
-    """[xhat_mu, xhat_nu] - sum_al C_{mu nu al} xhat_al for mu < nu."""
-    c = constants if constants is not None else g.c
-    for mu in range(g.n):
-        for nu in range(mu + 1, g.n):
-            res = xhat[mu].commutator(xhat[nu])
-            for al in range(g.n):
-                if c[mu][nu][al]:
-                    res = res - xhat[al].scale(c[mu][nu][al])
-            yield mu, nu, res
-
-
-def _first_witness(op: WeylOp, order):
-    for (a, b), coeff in op.sorted_terms():
-        if mi_degree(b) <= order:
-            return {"x": list(a), "d": list(b), "coeff": str(coeff)}
-    return None
-
-
-def _check(identity, order, ok, witness=None):
+def check(identity, order, ok, witness=None) -> dict:
     out = {"identity": identity, "order_checked": order, "pass": bool(ok)}
     if witness is not None:
         out["witness"] = witness
     return out
 
 
+def suite(order, checks) -> dict:
+    return {
+        "pass": all(c["pass"] for c in checks),
+        "order_checked": order,
+        "checks": checks,
+    }
+
+
+def residual_check(identity, order, residuals, cut=None) -> dict:
+    """Pass when every residual vanishes through derivative order `cut`.
+
+    `residuals` yields (label, WeylOp) pairs and is consumed up to the first
+    residual that does not vanish; the witness is that label followed by the
+    residual's first term.  `cut` defaults to `order`.
+    """
+    cut = order if cut is None else cut
+    for label, res in residuals:
+        res = res.truncate(cut)
+        if not res.is_zero():
+            (a, b), coeff = res.sorted_terms()[0]
+            witness = {**label, "x": list(a), "d": list(b), "coeff": str(coeff)}
+            return check(identity, order, False, witness)
+    return check(identity, order, True)
+
+
+def _minus(res: WeylOp, terms) -> WeylOp:
+    """res - sum c * op over the (c, op) pairs with c != 0."""
+    for c, op in terms:
+        if c:
+            res = res - op.scale(c)
+    return res
+
+
+def _over_cube(n, residual, **label):
+    """(label with 1-based "indices", residual(i, j, k)) for every index triple."""
+    for ijk in product(range(n), repeat=3):
+        yield {**label, "indices": [i + 1 for i in ijk]}, residual(*ijk)
+
+
+def closure_residual(g: LieAlgebra, xhat):
+    """[xhat_mu, xhat_nu] - sum_al C_{mu nu al} xhat_al for mu < nu."""
+    for mu, nu in combinations(range(g.n), 2):
+        comm = xhat[mu].commutator(xhat[nu])
+        yield mu, nu, _minus(comm, zip(g.c[mu][nu], xhat))
+
+
 def verify_realization(g: LieAlgebra, phi: OpMatrix, order) -> dict:
     """Check that xhat_mu = sum_al x_al phi[mu][al] closes the bracket.
 
     The check is a coefficientwise statement through the guaranteed order
-    (one less than the coefficient order, by the truncation rule).
+    (one less than the coefficient order, by the truncation rule).  Every
+    failing pair is reported after the overall verdict.
     """
     real = realization_from_phi(g, phi)
     guaranteed = min(real.guaranteed_order, order - 1 if order is not INF else INF)
-    checks = []
-    ok_all = True
-    for mu, nu, res in _closure_residual(g, real.xhat):
-        res = res.truncate(guaranteed)
-        ok = res.is_zero()
-        ok_all = ok_all and ok
-        if not ok:
-            checks.append(
-                _check(
-                    f"closure[{mu + 1},{nu + 1}]",
-                    guaranteed,
-                    False,
-                    _first_witness(res, guaranteed),
-                )
-            )
-    checks.insert(0, _check("closure", guaranteed, ok_all))
-    return {"pass": ok_all, "order_checked": guaranteed, "checks": checks}
+    pairs = [
+        residual_check(f"closure[{mu + 1},{nu + 1}]", guaranteed, [({}, res)])
+        for mu, nu, res in closure_residual(g, real.xhat)
+    ]
+    failed = [c for c in pairs if not c["pass"]]
+    return suite(guaranteed, [check("closure", guaranteed, not failed), *failed])
 
 
 def random_rational(rng) -> Scalar:
@@ -189,7 +217,6 @@ def verify_symmetrization(g: LieAlgebra, order, m_max, trials, rng) -> dict:
     real = weyl_realization(g, order)
     n = g.n
     checks = []
-    ok_all = True
     for trial in range(trials):
         ks = [random_rational(rng) for _ in range(n)]
         op = WeylOp.zero(n, valid_order=order)
@@ -197,24 +224,14 @@ def verify_symmetrization(g: LieAlgebra, order, m_max, trials, rng) -> dict:
         for mu in range(n):
             op = op + real.xhat[mu].scale(ks[mu])
             lin = lin + Polynomial.variable(n, mu).scale(ks[mu])
-        acted = Polynomial.one(n)
-        expected = Polynomial.one(n)
-        ok = True
-        for m in range(1, m_max + 1):
-            acted = op.apply(acted)
-            expected = expected * lin
+        acted = expected = Polynomial.one(n)
+        for _ in range(m_max):
+            acted, expected = op.apply(acted), expected * lin
             if acted != expected:
-                ok = False
                 break
-        ok_all = ok_all and ok
-        checks.append(
-            _check(
-                f"symmetrization[trial={trial},k={','.join(map(str, ks))}]",
-                m_max,
-                ok,
-            )
-        )
-    return {"pass": ok_all, "order_checked": m_max, "checks": checks}
+        identity = f"symmetrization[trial={trial},k={','.join(map(str, ks))}]"
+        checks.append(check(identity, m_max, acted == expected))
+    return suite(m_max, checks)
 
 
 def verify_shift_relations(g: LieAlgebra, order) -> dict:
@@ -222,59 +239,29 @@ def verify_shift_relations(g: LieAlgebra, order) -> dict:
     n = g.n
     real = weyl_realization(g, order)
     T, Tinv = t_realization(g, order)
-    checks = []
 
     # [That_{mu nu}, That_{al be}] = 0: entries are x-free series, which
     # commute exactly; checked on a representative pair
     comm = T[0, 0].commutator(T[n - 1, n - 1]).truncate(order)
-    checks.append(_check("T-commutativity", order, comm.is_zero()))
+    checks = [check("T-commutativity", order, comm.is_zero())]
 
     # [That_{mu nu}, xhat_lam] = sum_be C_{mu lam be} That_{be nu}
-    ok = True
-    witness = None
-    for mu in range(n):
-        for nu in range(n):
-            for lam in range(n):
-                res = T[mu, nu].commutator(real.xhat[lam])
-                for be in range(n):
-                    c = g.c[mu][lam][be]
-                    if c:
-                        res = res - T[be, nu].scale(c)
-                res = res.truncate(order - 1)
-                if not res.is_zero():
-                    ok = False
-                    witness = witness or {
-                        "indices": [mu + 1, nu + 1, lam + 1],
-                        **_first_witness(res, order - 1),
-                    }
-    checks.append(_check("T-x-commutator", order - 1, ok, witness))
+    def t_x(mu, nu, lam):
+        comm = T[mu, nu].commutator(real.xhat[lam])
+        return _minus(comm, ((g.c[mu][lam][be], T[be, nu]) for be in range(n)))
 
     # [Tinv_{mu nu}, xhat_lam] = sum_al C_{lam al nu} Tinv_{mu al}
-    ok = True
-    witness = None
-    for mu in range(n):
-        for nu in range(n):
-            for lam in range(n):
-                res = Tinv[mu, nu].commutator(real.xhat[lam])
-                for al in range(n):
-                    c = g.c[lam][al][nu]
-                    if c:
-                        res = res - Tinv[mu, al].scale(c)
-                res = res.truncate(order - 1)
-                if not res.is_zero():
-                    ok = False
-                    witness = witness or {
-                        "indices": [mu + 1, nu + 1, lam + 1],
-                        **_first_witness(res, order - 1),
-                    }
-    checks.append(_check("Tinv-x-commutator", order - 1, ok, witness))
+    def tinv_x(mu, nu, lam):
+        comm = Tinv[mu, nu].commutator(real.xhat[lam])
+        return _minus(comm, ((g.c[lam][al][nu], Tinv[mu, al]) for al in range(n)))
+
+    checks.append(residual_check("T-x-commutator", order - 1, _over_cube(n, t_x)))
+    checks.append(residual_check("Tinv-x-commutator", order - 1, _over_cube(n, tinv_x)))
 
     # sum_al T_{mu al} Tinv_{al nu} = delta_{mu nu}, both orders
     ident = OpMatrix.identity(n)
-    ok = (T * Tinv).agrees_through(ident, order) and (Tinv * T).agrees_through(
-        ident, order
-    )
-    checks.append(_check("T-Tinv-inverse", order, ok))
+    ok = all((A * B).agrees_through(ident, order) for A, B in ((T, Tinv), (Tinv, T)))
+    checks.append(check("T-Tinv-inverse", order, ok))
 
     # normalization: That_{mu nu} |> 1 = delta_{mu nu}
     one = Polynomial.one(n)
@@ -284,10 +271,8 @@ def verify_shift_relations(g: LieAlgebra, order) -> dict:
         for mu in range(n)
         for nu in range(n)
     )
-    checks.append(_check("T-normalization", order, ok))
-
-    ok_all = all(c["pass"] for c in checks)
-    return {"pass": ok_all, "order_checked": order - 1, "checks": checks}
+    checks.append(check("T-normalization", order, ok))
+    return suite(order - 1, checks)
 
 
 def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
@@ -297,123 +282,76 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     powers = [OpMatrix.identity(n)]
     for _ in range(max(m_max, 1)):
         powers.append(powers[-1] * C)
-    checks = []
+
+    def contract(m, first, mu, lam, nu):
+        """sum_{al be} C_{mu al be} sum_{k >= first} (-1)^(k - first) binom(m, k)
+        C^(k - first)_{lam al} C^(m - k)_{be nu}."""
+        rhs = WeylOp.zero(n)
+        for al, be in product(range(n), repeat=2):
+            c = g.c[mu][al][be]
+            if c:
+                inner = WeylOp.zero(n)
+                for k in range(first, m + 1):
+                    term = powers[k - first][lam, al] * powers[m - k][be, nu]
+                    inner = inner + term.scale(Scalar((-1) ** (k - first) * comb(m, k)))
+                rhs = rhs + inner.scale(c)
+        return rhs
 
     # identity relating C^m to the structure constants (power m)
-    ok = True
-    witness = None
-    for m in range(1, m_max + 1):
-        for mu in range(n):
-            for lam in range(n):
-                for nu in range(n):
-                    lhs = WeylOp.zero(n)
-                    for al in range(n):
-                        c = g.c[al][lam][nu]
-                        if c:
-                            lhs = lhs + powers[m][mu, al].scale(c)
-                    rhs = WeylOp.zero(n)
-                    for al in range(n):
-                        for be in range(n):
-                            c = g.c[mu][al][be]
-                            if not c:
-                                continue
-                            inner = WeylOp.zero(n)
-                            for k in range(m + 1):
-                                term = powers[k][lam, al] * powers[m - k][be, nu]
-                                inner = inner + term.scale(
-                                    Scalar((-1) ** k * comb(m, k))
-                                )
-                            rhs = rhs + inner.scale(c)
-                    res = lhs - rhs
-                    if not res.is_zero():
-                        ok = False
-                        witness = witness or {
-                            "m": m,
-                            "indices": [mu + 1, lam + 1, nu + 1],
-                            **_first_witness(res, INF),
-                        }
-    checks.append(_check("power-contraction", m_max, ok, witness))
+    def power_contraction(m, mu, lam, nu):
+        lhs = WeylOp.zero(n)
+        for al in range(n):
+            c = g.c[al][lam][nu]
+            if c:
+                lhs = lhs + powers[m][mu, al].scale(c)
+        return lhs - contract(m, 0, mu, lam, nu)
 
     # formal derivative of C^m
-    ok = True
-    witness = None
-    for m in range(1, m_max + 1):
-        for lam in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    lhs = powers[m][mu, nu].deriv_d(lam)
-                    rhs = WeylOp.zero(n)
-                    for al in range(n):
-                        for be in range(n):
-                            c = g.c[mu][al][be]
-                            if not c:
-                                continue
-                            inner = WeylOp.zero(n)
-                            for k in range(1, m + 1):
-                                term = powers[k - 1][lam, al] * powers[m - k][be, nu]
-                                inner = inner + term.scale(
-                                    Scalar((-1) ** (k - 1) * comb(m, k))
-                                )
-                            rhs = rhs + inner.scale(c)
-                    res = lhs - rhs
-                    if not res.is_zero():
-                        ok = False
-                        witness = witness or {
-                            "m": m,
-                            "indices": [lam + 1, mu + 1, nu + 1],
-                            **_first_witness(res, INF),
-                        }
-    checks.append(_check("power-derivative", m_max, ok, witness))
+    def power_derivative(m, lam, mu, nu):
+        return powers[m][mu, nu].deriv_d(lam) - contract(m, 1, mu, lam, nu)
+
+    def over_powers(residual):
+        for m in range(1, m_max + 1):
+            yield from _over_cube(n, partial(residual, m), m=m)
+
+    checks = [
+        residual_check(identity, m_max, over_powers(residual), cut=INF)
+        for identity, residual in (
+            ("power-contraction", power_contraction),
+            ("power-derivative", power_derivative),
+        )
+    ]
 
     # derivative of the matrix exponential
     T_hi = matrix_series(series_coeffs("exp", order + 1), C)
     T = matrix_series(series_coeffs("exp", order), C)
     F = matrix_series(series_coeffs("dexp_neg", order), C)
-    ok = True
-    witness = None
-    for lam in range(n):
-        for mu in range(n):
-            for nu in range(n):
-                lhs = T_hi[mu, nu].deriv_d(lam).truncate(order)
-                rhs = WeylOp.zero(n, valid_order=order)
-                for al in range(n):
-                    for be in range(n):
-                        c = g.c[mu][al][be]
-                        if c:
-                            rhs = rhs + (F[lam, al] * T[be, nu]).scale(c)
-                res = (lhs - rhs).truncate(order)
-                if not res.is_zero():
-                    ok = False
-                    witness = witness or {
-                        "indices": [lam + 1, mu + 1, nu + 1],
-                        **_first_witness(res, order),
-                    }
-    checks.append(_check("exp-derivative", order, ok, witness))
+
+    def exp_derivative(lam, mu, nu):
+        lhs = T_hi[mu, nu].deriv_d(lam).truncate(order)
+        rhs = WeylOp.zero(n, valid_order=order)
+        for al, be in product(range(n), repeat=2):
+            c = g.c[mu][al][be]
+            if c:
+                rhs = rhs + (F[lam, al] * T[be, nu]).scale(c)
+        return lhs - rhs
+
+    checks.append(
+        residual_check("exp-derivative", order, _over_cube(n, exp_derivative))
+    )
 
     # triple contraction equals the negated structure constants
     Tinv = matrix_series(series_coeffs("exp_neg", order), C)
-    ok = True
-    witness = None
-    for mu in range(n):
-        for nu in range(n):
-            for kap in range(n):
-                acc = WeylOp.zero(n, valid_order=order)
-                for al in range(n):
-                    for be in range(n):
-                        for rho in range(n):
-                            c = g.c[be][rho][al]
-                            if c:
-                                acc = acc + (
-                                    T[al, kap] * Tinv[mu, rho] * Tinv[nu, be]
-                                ).scale(c)
-                res = (acc + WeylOp.constant(n, g.c[mu][nu][kap])).truncate(order)
-                if not res.is_zero():
-                    ok = False
-                    witness = witness or {
-                        "indices": [mu + 1, nu + 1, kap + 1],
-                        **_first_witness(res, order),
-                    }
-    checks.append(_check("triple-contraction", order, ok, witness))
 
-    ok_all = all(c["pass"] for c in checks)
-    return {"pass": ok_all, "order_checked": order, "checks": checks}
+    def triple_contraction(mu, nu, kap):
+        acc = WeylOp.zero(n, valid_order=order)
+        for al, be, rho in product(range(n), repeat=3):
+            c = g.c[be][rho][al]
+            if c:
+                acc = acc + (T[al, kap] * Tinv[mu, rho] * Tinv[nu, be]).scale(c)
+        return acc + WeylOp.constant(n, g.c[mu][nu][kap])
+
+    checks.append(
+        residual_check("triple-contraction", order, _over_cube(n, triple_contraction))
+    )
+    return suite(order, checks)

@@ -125,9 +125,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def __eq__(self, other):
         if isinstance(other, (int, str)):
             other = Scalar.coerce(other)

@@ -5,10 +5,14 @@ lines.  Every check is exact rational arithmetic with tolerance zero.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+import lieweyl
 
 from lieweyl import (
     I,
@@ -284,8 +288,12 @@ def test_criterion_10_deterministic_reports():
         "verify", "g2", "--suite", "all", "--seed", "42",
         "--order", "5", "--format", "json",
     ]
-    r1 = subprocess.run(args, capture_output=True)
-    r2 = subprocess.run(args, capture_output=True)
+    # the child imports the same lieweyl sources as this process
+    src = str(Path(lieweyl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    r1 = subprocess.run(args, capture_output=True, env=env)
+    r2 = subprocess.run(args, capture_output=True, env=env)
     ok = (
         r1.returncode == 0
         and r2.returncode == 0

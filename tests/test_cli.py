@@ -3,7 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from lieweyl import lie
 from lieweyl.cli import main
+
+# a 3-dimensional antisymmetric spec that violates the Jacobi identity
+NON_JACOBI = str(Path(__file__).with_name("non_jacobi.json"))
 
 
 def run(capsys, *argv):
@@ -31,20 +35,54 @@ def test_validate_bad_spec(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
-def test_validate_non_jacobi(capsys, tmp_path):
-    path = tmp_path / "nj.json"
-    path.write_text(
-        json.dumps(
-            {
-                "n": 3,
-                "constants": [
-                    {"mu": 1, "nu": 2, "lambda": 3, "c": "1"},
-                    {"mu": 1, "nu": 3, "lambda": 1, "c": "1"},
-                ],
-            }
-        )
-    )
-    code, out, _ = run(capsys, "validate", str(path))
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"n": 2, "constants": "x"},
+        {"n": 2, "constants": [1]},
+        {"n": 2, "constants": None},
+        {"n": 2, "constants": [{"mu": None, "nu": 2, "lambda": 1, "c": "1"}]},
+        {"n": 0, "constants": []},
+        {"n": -1, "constants": []},
+    ],
+    ids=["constants-str", "entry-int", "constants-null", "index-null", "n-0", "n-neg"],
+)
+def test_malformed_spec_exits_2(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "verify", str(path), "--order", "2")
+    assert code == 2 and "cannot load algebra" in err
+
+
+def test_huge_dimension_rejected_before_allocation(capsys, tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("custom_algebra reached")
+
+    monkeypatch.setattr(lie, "custom_algebra", unreachable)
+    path = tmp_path / "spec.json"
+    # a valid n does reach the (patched) builder
+    path.write_text(json.dumps({"n": 2, "constants": []}))
+    with pytest.raises(AssertionError, match="custom_algebra reached"):
+        main(["validate", str(path)])
+    path.write_text(json.dumps({"n": 10**9, "constants": []}))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and f"outside 1..{lie.MAX_DIMENSION}" in err
+
+
+@pytest.mark.parametrize("name", ["abelian0", f"abelian{lie.MAX_DIMENSION + 1}"])
+def test_builtin_dimension_bounded(capsys, name):
+    code, _, err = run(capsys, "validate", name)
+    assert code == 2 and "dimension" in err
+
+
+def test_kappa_b_dimension_bounded(capsys):
+    b = ",".join(["1"] * (lie.MAX_DIMENSION + 1))
+    code, _, err = run(capsys, "validate", "kappa", "--kappa-b", b)
+    assert code == 2 and "dimension" in err
+
+
+def test_validate_non_jacobi(capsys):
+    code, out, _ = run(capsys, "validate", NON_JACOBI)
     assert code == 1 and "FAIL" in out
 
 
@@ -85,41 +123,66 @@ def test_star_degree_exceeds_order(capsys):
     assert code == 2 and "order" in err
 
 
-# Exact stdout of the renderers on an algebra with Gaussian and pure-imaginary
-# coefficients; the file holds one "=== <case>/<format>" header per output.
-GOLDEN = Path(__file__).with_name("golden_render_kappa.txt")
+# Exact stdout of the CLI: the renderers on an algebra with Gaussian and
+# pure-imaginary coefficients, and whole verify reports, passing and failing.
+# Each golden_*.txt file holds one "=== <case>/<format>" header per output.
+GOLDEN_FILES = sorted(Path(__file__).parent.glob("golden_*.txt"))
 KAPPA_1I_1 = ["kappa", "--kappa-b", "1i,1", "--order", "3"]
+RENDER, REPORT = ("text", "latex", "json"), ("text", "json")
+# case: (argv, formats, exit code)
 GOLDEN_CASES = {
-    "realize-weyl": ["realize", *KAPPA_1I_1],
-    "realize-dual": ["realize", *KAPPA_1I_1, "--ordering", "dual"],
-    "tmatrix": ["tmatrix", *KAPPA_1I_1],
-    "star": ["star", *KAPPA_1I_1, "x1*x2", "x1 + x2"],
-    "star-dual": ["star", *KAPPA_1I_1, "x1*x2", "x1 + x2", "--dual"],
+    "realize-weyl": (["realize", *KAPPA_1I_1], RENDER, 0),
+    "realize-dual": (["realize", *KAPPA_1I_1, "--ordering", "dual"], RENDER, 0),
+    "tmatrix": (["tmatrix", *KAPPA_1I_1], RENDER, 0),
+    "star": (["star", *KAPPA_1I_1, "x1*x2", "x1 + x2"], RENDER, 0),
+    "star-dual": (["star", *KAPPA_1I_1, "x1*x2", "x1 + x2", "--dual"], RENDER, 0),
+    "verify-g2": (
+        ["verify", "g2", "--suite", "all", "--order", "5", "--seed", "42"],
+        REPORT,
+        0,
+    ),
+    "verify-kappa": (
+        ["verify", "kappa", "--kappa-b", "1i,0", "--suite", "all", "--order", "4",
+         "--seed", "3"],
+        REPORT,
+        0,
+    ),
+    # fails jacobi, closure, duality and most of appendix, with witnesses
+    "verify-non-jacobi": (
+        ["verify", NON_JACOBI, "--suite", "all", "--order", "4", "--seed", "0"],
+        REPORT,
+        1,
+    ),
 }
 
 
 def _golden():
     cases, name = {}, None
-    for line in GOLDEN.read_text().splitlines(keepends=True):
-        if line.startswith("=== "):
-            name = line[4:].strip()
-            cases[name] = ""
-        else:
-            cases[name] += line
+    for path in GOLDEN_FILES:
+        for line in path.read_text().splitlines(keepends=True):
+            if line.startswith("=== "):
+                name = line[4:].strip()
+                cases[name] = ""
+            else:
+                cases[name] += line
     return cases
 
 
 def test_golden_covers_every_case():
     assert set(_golden()) == {
-        f"{case}/{fmt}" for case in GOLDEN_CASES for fmt in ("text", "latex", "json")
+        f"{case}/{fmt}" for case, (_, fmts, _) in GOLDEN_CASES.items() for fmt in fmts
     }
 
 
-@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
-@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize(
+    "case,fmt",
+    [(case, fmt) for case in sorted(GOLDEN_CASES) for fmt in GOLDEN_CASES[case][1]],
+    ids=lambda v: v,
+)
 def test_golden_rendering(capsys, case, fmt):
-    code, out, _ = run(capsys, *GOLDEN_CASES[case], "--format", fmt)
-    assert code == 0
+    argv, _, expected_code = GOLDEN_CASES[case]
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == expected_code
     assert out == _golden()[f"{case}/{fmt}"]
 
 
@@ -159,20 +222,43 @@ def test_verify_kappa_suite_needs_b(capsys):
     assert code == 2 and "kappa-b" in err
 
 
-def test_verify_corrupted_phi(capsys, tmp_path):
+def _write_phi(capsys, tmp_path, corrupt):
     _, out, _ = run(capsys, "realize", "g2", "--order", "4", "--format", "json")
     data = json.loads(out)
-    data["phi"][0][0].append({"x": [0, 0], "d": [1, 0], "coeff": "1/3"})
+    corrupt(data["phi"])
     path = tmp_path / "phi.json"
     path.write_text(
         json.dumps({"n": data["n"], "order": data["order"], "phi": data["phi"]})
     )
+    return str(path)
+
+
+def test_verify_corrupted_phi(capsys, tmp_path):
+    term = {"x": [0, 0], "d": [1, 0], "coeff": "1/3"}
+    path = _write_phi(capsys, tmp_path, lambda phi: phi[0][0].append(term))
     code, out, _ = run(
-        capsys,
-        "verify", "g2", "--suite", "closure", "--order", "4",
-        "--phi-file", str(path),
+        capsys, "verify", "g2", "--suite", "closure", "--order", "4", "--phi-file", path
     )
     assert code == 1 and "witness" in out
+
+
+@pytest.mark.parametrize(
+    "term,message",
+    [
+        ({"x": [0, 0, 0], "d": [1, 0], "coeff": "1"}, "exponents must be"),
+        ({"x": [0], "d": [1, 0], "coeff": "1"}, "exponents must be"),
+        ({"x": [0, 0, 0], "d": [1], "coeff": "1"}, "exponents must be"),
+        ({"x": [0, 0], "d": [-1, 0], "coeff": "1"}, "exponents must be"),
+        ({"x": [1, 0], "d": [0, 0], "coeff": "1"}, "x-free"),
+    ],
+    ids=["x-too-long", "x-too-short", "x-d-shifted", "d-negative", "x-dependent"],
+)
+def test_verify_malformed_phi_exits_2(capsys, tmp_path, term, message):
+    path = _write_phi(capsys, tmp_path, lambda phi: phi[1][0].append(term))
+    code, _, err = run(
+        capsys, "verify", "g2", "--suite", "closure", "--order", "4", "--phi-file", path
+    )
+    assert code == 2 and message in err
 
 
 def test_unknown_algebra(capsys):
