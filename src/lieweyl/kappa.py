@@ -2,10 +2,10 @@
 generic engine.
 
 The algebra has brackets [X_mu, X_nu] = b_mu X_nu - b_nu X_mu with
-b_mu = i a_mu as exact Gaussian rationals.  All closed-form objects are
-expressed through the single derivative operator A = b . d, whose series
-substitutions reproduce the generic matrix-series realizations entry by
-entry.
+b_mu = i a_mu as exact Gaussian rationals.  Every closed-form matrix is one
+function f(C) of the adjoint matrix, written through the single derivative
+operator A = b . d (see `_function_of_c`); the results reproduce the generic
+matrix-series realizations entry by entry.
 """
 
 from __future__ import annotations
@@ -14,19 +14,20 @@ from dataclasses import dataclass
 from functools import partial
 
 from .lie import LieAlgebra, kappa_algebra
-from .poly import Polynomial, merge, mi_add, mi_degree
+from .poly import Polynomial, TermMap, merge, mi_add, mi_degree, mi_unit
 from .realization import (
     Realization,
     adjoint_matrix,
     check,
     dual_realization,
     random_polynomial,
+    realization_from_phi,
     suite,
     t_realization,
     weyl_realization,
 )
 from .scalars import Scalar
-from .series import TruncSeries, series_coeffs
+from .series import BiTruncSeries, TruncSeries, series_coeffs
 from .star import first_order_matches, make_context, star
 from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op
 
@@ -66,219 +67,130 @@ class KappaParams:
                 op = op + WeylOp.d(n, mu).scale(self.b[mu])
         return op
 
-    def b_outer_d(self) -> OpMatrix:
-        """The matrix (b x d)_{mu nu} = b_mu d_nu."""
-        n = self.n
-        return OpMatrix(
-            n,
-            [
-                [WeylOp.d(n, nu).scale(self.b[mu]) for nu in range(n)]
-                for mu in range(n)
-            ],
-        )
+
+def _function_of_c(p: KappaParams, f: TruncSeries) -> OpMatrix:
+    """f(C) = f(-A) I + (b x d) (f(-A) - f(0))/(-A), exact through order(f) - 1.
+
+    The adjoint matrix is C = (b x d) - A I with (b x d)_{mu nu} = b_mu d_nu,
+    and (b x d)^2 = A (b x d), so every power of C splits into these two parts.
+    """
+    n = p.n
+    order = f.order - 1
+    minus_a = -p.a_op()
+    diag = series_in_op(f.truncate(order), minus_a)
+    corr = series_in_op(TruncSeries(f.coeffs[1:]), minus_a)
+    d_corr = [(WeylOp.d(n, nu) * corr).truncate(order) for nu in range(n)]
+    rows = [[d_corr[nu].scale(b_mu) for nu in range(n)] for b_mu in p.b]
+    for mu in range(n):
+        rows[mu][mu] = rows[mu][mu] + diag
+    return OpMatrix(n, rows)
 
 
 def kappa_power_check(p: KappaParams, k: int, order: int) -> bool:
     """C^k == (-1)^{k-1} A^{k-1} (b x d) + (-1)^k A^k I, through the order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = p.n
     C = adjoint_matrix(p.algebra())
-    direct = OpMatrix.identity(n)
+    direct = OpMatrix.identity(p.n)
     for _ in range(k):
         direct = (direct * C).truncate(order)
-    A = p.a_op()
-    apow = WeylOp.one(n)
-    for _ in range(k - 1):
-        apow = (apow * A).truncate(order)
-    closed = p.b_outer_d().scale(Scalar((-1) ** (k - 1)))
-    closed = OpMatrix(
-        n,
-        [
-            [apow * closed[mu, nu] for nu in range(n)]
-            for mu in range(n)
-        ],
-    )
-    a_k = (apow * A).truncate(order).scale(Scalar((-1) ** k))
-    for mu in range(n):
-        closed.entries[mu][mu] = closed.entries[mu][mu] + a_k
-    return direct.agrees_through(closed, order)
-
-
-def _one_minus_over_t(f: TruncSeries) -> TruncSeries:
-    """(1 - f(t))/t for a series with constant term 1, at order(f) - 1."""
-    one = TruncSeries([Scalar(1)] + [Scalar(0)] * f.order)
-    return (one - f).shift_down()
-
-
-def _closed_xhat(p: KappaParams, diag: TruncSeries, corr: TruncSeries, order: int):
-    """x_mu * diag(A) + b_mu (x . d) * corr(A) for each mu."""
-    n = p.n
-    A = p.a_op()
-    diag_op = series_in_op(diag, A)
-    corr_op = series_in_op(corr, A)
-    xdot = WeylOp.zero(n)
-    for nu in range(n):
-        xdot = xdot + WeylOp.x(n, nu) * WeylOp.d(n, nu)
-    out = []
-    for mu in range(n):
-        op = WeylOp.x(n, mu) * diag_op
-        if p.b[mu]:
-            op = op + (xdot * corr_op).scale(p.b[mu])
-        out.append(op)
-    return out
+    t_k = TruncSeries([int(j == k) for j in range(order + 2)])
+    return direct.agrees_through(_function_of_c(p, t_k), order)
 
 
 def kappa_closed_realization(p: KappaParams, order: int) -> Realization:
-    """Closed-form Weyl-symmetric realization:
+    """Closed-form Weyl-symmetric realization psi(C):
 
     xhat_mu = x_mu A/(e^A - 1) + b_mu (x . d) (1/A - 1/(e^A - 1)).
-    A/(e^A - 1) is the psi_tilde series and the correction is
-    (1 - psi_tilde(A))/A, a genuine power series.
     """
-    pt = series_coeffs("psi_tilde", order + 1)
-    xhat = _closed_xhat(p, pt.truncate(order), _one_minus_over_t(pt), order)
-    g = p.algebra()
-    phi = _extract_phi(xhat, order)
-    return Realization(g, xhat, phi, "weyl_symmetric", order)
+    phi = _function_of_c(p, series_coeffs("psi", order + 1))
+    return realization_from_phi(p.algebra(), phi, "weyl_symmetric")
 
 
 def kappa_dual_closed(p: KappaParams, order: int) -> Realization:
-    """Closed-form dual realization:
+    """Closed-form dual realization psi_tilde(C):
 
-    yhat_mu = x_mu A/(1 - e^{-A}) + b_mu (x . d) (1/A - 1/(1 - e^{-A})),
-    i.e. the psi series with correction (1 - psi(A))/A.
+    yhat_mu = x_mu A/(1 - e^{-A}) + b_mu (x . d) (1/A - 1/(1 - e^{-A})).
     """
-    ps = series_coeffs("psi", order + 1)
-    xhat = _closed_xhat(p, ps.truncate(order), _one_minus_over_t(ps), order)
-    g = p.algebra()
-    phi = _extract_phi(xhat, order)
-    return Realization(g, xhat, phi, "dual_weyl_symmetric", order)
-
-
-def _extract_phi(xhat, order) -> OpMatrix:
-    """Recover the x-free coefficient matrix from x-degree-1 operators."""
-    n = xhat[0].n
-    rows = []
-    for mu in range(n):
-        row = [WeylOp.zero(n, valid_order=order) for _ in range(n)]
-        for (a, b), c in xhat[mu].terms.items():
-            al = next(i for i, e in enumerate(a) if e)
-            row[al] = row[al] + WeylOp(n, {((0,) * n, b): c}, valid_order=order)
-        rows.append(row)
-    return OpMatrix(n, rows)
+    phi = _function_of_c(p, series_coeffs("psi_tilde", order + 1))
+    return realization_from_phi(p.algebra(), phi, "dual_weyl_symmetric")
 
 
 def kappa_t_closed(p: KappaParams, order: int):
-    """Closed-form shift matrices:
+    """Closed-form shift matrices (exp(C), exp(-C)):
 
     That_{mu nu} = e^{-A} delta - b_mu d_nu (e^{-A} - 1)/A, and the inverse
     with A -> -A.
     """
-    n = p.n
-    A = p.a_op()
-    exp_neg = series_in_op(series_coeffs("exp_neg", order), A)
-    exp_pos = series_in_op(series_coeffs("exp", order), A)
-    # (e^{-t} - 1)/t and (e^t - 1)/t
-    f_neg = series_in_op(-series_coeffs("dexp_neg", order), A)
-    f_pos = series_in_op(series_coeffs("dexp", order), A)
-
-    def build(diag, f):
-        rows = []
-        for mu in range(n):
-            row = []
-            for nu in range(n):
-                op = WeylOp.zero(n, valid_order=order)
-                if mu == nu:
-                    op = op + diag
-                if p.b[mu]:
-                    op = op - (WeylOp.d(n, nu) * f).scale(p.b[mu])
-                row.append(op.truncate(order))
-            rows.append(row)
-        return OpMatrix(n, rows)
-
-    return build(exp_neg, f_neg), build(exp_pos, f_pos)
+    return tuple(
+        _function_of_c(p, series_coeffs(kind, order + 1)) for kind in ("exp", "exp_neg")
+    )
 
 
-class BiDiffOperator:
-    """Bi-differential operator: {(i, j): Polynomial coefficient in x}.
+class BiDiffOperator(TermMap):
+    """Bi-differential operator: sum c x^a dl^i dr^j, as {a + i + j: Scalar}.
 
-    The multi-index i differentiates the left factor, j the right factor.
-    Left/right derivative symbols and x-coefficients are treated as mutually
-    commuting bookkeeping, so composition is a commutative product.
+    A key is the flat concatenation of the x-exponents a, the left
+    derivative i (acting on the left factor) and the right derivative j.
+    Symbols are treated as mutually commuting bookkeeping, so composition is
+    a commutative product, cut at |i| + |j| <= order.
     """
 
-    __slots__ = ("n", "terms", "order")
+    __slots__ = ("order",)
+
+    KEY_PARTS = (
+        ("x", "x", "x"),
+        ("left", "dl", "\\overleftarrow{\\partial}"),
+        ("right", "dr", "\\overrightarrow{\\partial}"),
+    )
 
     def __init__(self, n: int, terms=None, order: int = 0):
-        self.n = n
         self.order = order
-        self.terms = {}
         if terms:
-            for (i, j), poly in terms.items():
-                if mi_degree(i) + mi_degree(j) <= order and not poly.is_zero():
-                    self.terms[(tuple(i), tuple(j))] = poly
+            terms = {k: c for k, c in terms.items() if mi_degree(k[n:]) <= order}
+        super().__init__(n, terms)
+
+    def _like(self, terms, order=None):
+        out = TermMap._like(self, terms)
+        out.order = self.order if order is None else order
+        return out
+
+    def _split(self, key):
+        n = self.n
+        return key[:n], key[n : 2 * n], key[2 * n :]
 
     @classmethod
     def identity(cls, n, order):
-        z = (0,) * n
-        return cls(n, {(z, z): Polynomial.one(n)}, order)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, poly in other.terms.items():
-            s = out.get(k)
-            s = poly if s is None else s + poly
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        op = BiDiffOperator(self.n, order=min(self.order, other.order))
-        op.terms = {
-            k: v
-            for k, v in out.items()
-            if mi_degree(k[0]) + mi_degree(k[1]) <= op.order
-        }
-        return op
+        return cls(n, {(0,) * (3 * n): Scalar(1)}, order)
 
     def __mul__(self, other):
-        order = min(self.order, other.order)
+        self._check(other)
+        n, order = self.n, min(self.order, other.order)
+        right = sorted((mi_degree(k[n:]), k, c) for k, c in other.terms.items())
         out = {}
-        for (i1, j1), p1 in self.terms.items():
-            d1 = mi_degree(i1) + mi_degree(j1)
-            for (i2, j2), p2 in other.terms.items():
-                if d1 + mi_degree(i2) + mi_degree(j2) > order:
-                    continue
-                key = (mi_add(i1, i2), mi_add(j1, j2))
-                prod = p1 * p2
-                s = out.get(key)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        op = BiDiffOperator(self.n, order=order)
-        op.terms = out
-        return op
-
-    def scale(self, c) -> "BiDiffOperator":
-        op = BiDiffOperator(self.n, order=self.order)
-        op.terms = {k: poly.scale(c) for k, poly in self.terms.items()}
-        return op
+        for k1, c1 in self.terms.items():
+            room = order - mi_degree(k1[n:])
+            for d2, k2, c2 in right:
+                if d2 > room:
+                    break
+                merge(out, mi_add(k1, k2), c1 * c2)
+        return self._like(out, order)
 
     def apply(self, f: Polynomial, g: Polynomial) -> Polynomial:
         if f.degree() + g.degree() > self.order:
             raise InsufficientOrder(f.degree() + g.degree(), self.order)
-        out = Polynomial.zero(self.n)
-        for (i, j), poly in self.terms.items():
-            df = _multi_partial(f, i)
-            if df.is_zero():
-                continue
-            dg = _multi_partial(g, j)
-            if dg.is_zero():
-                continue
-            out = out + poly * df * dg
-        return out
+        n = self.n
+        products = {}
+        out = {}
+        for k, c in self.terms.items():
+            ij = k[n:]
+            fg = products.get(ij)
+            if fg is None:
+                fg = products[ij] = _multi_partial(f, ij[:n]) * _multi_partial(g, ij[n:])
+            x = k[:n]
+            for exps, coeff in fg.terms.items():
+                merge(out, mi_add(x, exps), c * coeff)
+        return f._like(out)
 
 
 def _multi_partial(f: Polynomial, exps) -> Polynomial:
@@ -313,56 +225,31 @@ def _bidiff_exponent(p: KappaParams, order: int, dual: bool) -> BiDiffOperator:
     with R1 = psi_tilde(u+v)/psi_tilde(u), R2 = psi(u+v)/psi(v); the dual
     version interchanges psi and psi_tilde.
     """
-    from .series import BiTruncSeries
-
     n = p.n
-    psi = series_coeffs("psi", order)
-    pst = series_coeffs("psi_tilde", order)
-    left_fn, right_fn = (psi, pst) if dual else (pst, psi)
-    r1 = BiTruncSeries.from_univariate(left_fn, "u+v", order) / BiTruncSeries.from_univariate(
-        left_fn, "u", order
-    )
-    r2 = BiTruncSeries.from_univariate(right_fn, "u+v", order) / BiTruncSeries.from_univariate(
-        right_fn, "v", order
-    )
-    one = BiTruncSeries({(0, 0): Scalar(1)}, order)
-    r1 = r1 - one
-    r2 = r2 - one
-    # substitute u -> b . left_d, v -> b . right_d
-    pow_cache = {}
-
-    def expand(q):
-        if q not in pow_cache:
-            pow_cache[q] = _power_expansion(p.b, q)
-        return pow_cache[q]
-
     z = (0,) * n
-    exponent = BiDiffOperator(n, order=order)
-    for al in range(n):
-        x_al = Polynomial.variable(n, al)
-        terms = {}
-        for (pu, pv), c in r1.terms.items():
-            for iu, cu in expand(pu).items():
-                for iv, cv in expand(pv).items():
-                    i = mi_add(iu, z[:al] + (1,) + z[al + 1 :])
-                    if mi_degree(i) + mi_degree(iv) > order:
-                        continue
-                    key = (i, iv)
-                    s = terms.get(key, Scalar(0)) + c * cu * cv
-                    terms[key] = s
-        for (pu, pv), c in r2.terms.items():
-            for iu, cu in expand(pu).items():
-                for iv, cv in expand(pv).items():
-                    j = mi_add(iv, z[:al] + (1,) + z[al + 1 :])
-                    if mi_degree(iu) + mi_degree(j) > order:
-                        continue
-                    key = (iu, j)
-                    s = terms.get(key, Scalar(0)) + c * cu * cv
-                    terms[key] = s
-        exponent = exponent + BiDiffOperator(
-            n, {k: x_al.scale(c) for k, c in terms.items() if c}, order
-        )
-    return exponent
+    kinds = ("psi", "psi_tilde") if dual else ("psi_tilde", "psi")
+    one = BiTruncSeries({(0, 0): Scalar(1)}, order)
+    # substitute u -> b . left_d, v -> b . right_d
+    powers = [_power_expansion(p.b, q) for q in range(order + 1)]
+    exponent = {}
+    for side, (kind, var) in enumerate(zip(kinds, ("u", "v"))):
+        fn = series_coeffs(kind, order)
+        r = BiTruncSeries.from_univariate(fn, "u+v", order)
+        r = r / BiTruncSeries.from_univariate(fn, var, order) - one
+        # c * cu * cv does not depend on al, so it is formed once per side
+        subs = [
+            (z + iu + iv, c * cu * cv)
+            for (pu, pv), c in r.terms.items()
+            for iu, cu in powers[pu].items()
+            for iv, cv in powers[pv].items()
+        ]
+        for al in range(n):
+            x_al = mi_unit(n, al)
+            # x_al times d_al on this side's factor, in the key layout x + i + j
+            shift = x_al + (x_al + z, z + x_al)[side]
+            for key, c in subs:
+                merge(exponent, mi_add(key, shift), c)
+    return BiDiffOperator(n, exponent, order)
 
 
 def bidiff_star(
@@ -372,8 +259,7 @@ def bidiff_star(
     if f.degree() + g.degree() > order:
         raise InsufficientOrder(f.degree() + g.degree(), order)
     E = _bidiff_exponent(p, order, dual)
-    total = BiDiffOperator.identity(p.n, order)
-    power = BiDiffOperator.identity(p.n, order)
+    total = power = BiDiffOperator.identity(p.n, order)
     k = 1
     inv_fact = Scalar(1)
     while True:

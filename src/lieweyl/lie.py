@@ -183,6 +183,13 @@ class AlgebraSpecError(ValueError):
 MAX_DIMENSION = 32
 
 
+def _spec_int(value) -> int:
+    """An integer field of a spec; int() would truncate a float or a bool."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def load_algebra(source) -> LieAlgebra:
     """Load from the JSON spec format (a path, file object, or dict).
 
@@ -199,7 +206,7 @@ def load_algebra(source) -> LieAlgebra:
         with open(source) as fh:
             data = json.load(fh)
     try:
-        n = int(data["n"])
+        n = _spec_int(data["n"])
         raw = data["constants"]
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraSpecError(f"malformed algebra spec: {exc}") from exc
@@ -210,7 +217,7 @@ def load_algebra(source) -> LieAlgebra:
     entries = {}
     for item in raw:
         try:
-            mu, nu, lam = int(item["mu"]) - 1, int(item["nu"]) - 1, int(item["lambda"]) - 1
+            mu, nu, lam = (_spec_int(item[k]) - 1 for k in ("mu", "nu", "lambda"))
             c = Scalar.parse(str(item["c"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise AlgebraSpecError(f"malformed constant entry {item!r}: {exc}") from exc

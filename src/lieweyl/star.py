@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 
 from .lie import LieAlgebra, dual_algebra
 from .pbw import PBWElement, pbw_mul
@@ -20,6 +21,7 @@ from .realization import (
     closure_residual,
     dual_realization,
     random_polynomial,
+    residual_check,
     suite,
     weyl_realization,
 )
@@ -160,20 +162,20 @@ def verify_duality(ctx: StarContext, trials: int, rng, max_degree: int = 3) -> d
     n = ctx.algebra.n
     guaranteed = ctx.order - 1
     xhat, yhat = ctx.primal.xhat, ctx.dual.xhat
-    ok = all(
-        xhat[mu].commutator(yhat[nu]).truncate(guaranteed).is_zero()
-        for mu in range(n)
-        for nu in range(n)
+    commutators = (
+        ({"indices": [mu + 1, nu + 1]}, xhat[mu].commutator(yhat[nu]))
+        for mu, nu in product(range(n), repeat=2)
     )
-    checks = [check("xhat-yhat-commute", guaranteed, ok)]
-
     # [yhat_mu, yhat_nu] = -sum C_{mu nu al} yhat_al: yhat closes under the
     # dual algebra
-    ok = all(
-        res.truncate(guaranteed).is_zero()
-        for _, _, res in closure_residual(ctx.dual_alg, yhat)
+    closure = (
+        ({"indices": [mu + 1, nu + 1]}, res)
+        for mu, nu, res in closure_residual(ctx.dual_alg, yhat)
     )
-    checks.append(check("dual-bracket-sign", guaranteed, ok))
+    checks = [
+        residual_check("xhat-yhat-commute", guaranteed, commutators),
+        residual_check("dual-bracket-sign", guaranteed, closure),
+    ]
 
     max_degree = min(max_degree, ctx.order // 2)
     ok = True

@@ -44,8 +44,17 @@ def test_validate_bad_spec(capsys, tmp_path):
         {"n": 2, "constants": [{"mu": None, "nu": 2, "lambda": 1, "c": "1"}]},
         {"n": 0, "constants": []},
         {"n": -1, "constants": []},
+        # floats and booleans, which int() would quietly turn into integers
+        {"n": 2.7, "constants": []},
+        {"n": True, "constants": []},
+        {"n": 2, "constants": [{"mu": 1.9, "nu": 2, "lambda": 2, "c": "1"}]},
+        {"n": 2, "constants": [{"mu": 1, "nu": 2.0, "lambda": 2, "c": "1"}]},
+        {"n": 2, "constants": [{"mu": 1, "nu": 2, "lambda": True, "c": "1"}]},
     ],
-    ids=["constants-str", "entry-int", "constants-null", "index-null", "n-0", "n-neg"],
+    ids=[
+        "constants-str", "entry-int", "constants-null", "index-null", "n-0", "n-neg",
+        "n-float", "n-bool", "mu-float", "nu-integral-float", "lambda-bool",
+    ],
 )
 def test_malformed_spec_exits_2(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lieweyl import (
+    BiDiffOperator,
     I,
     InsufficientOrder,
     KappaParams,
@@ -22,6 +23,7 @@ from lieweyl import (
     verify_kappa,
     weyl_realization,
 )
+from lieweyl.poly import Polynomial
 from lieweyl.realization import random_polynomial
 
 PARAM_SETS = [
@@ -79,6 +81,57 @@ def test_closed_t_matrices(b):
     assert Tc.agrees_through(Tg, order)
     assert Tci.agrees_through(Tgi, order)
     assert (Tc * Tci).agrees_through(OpMatrix.identity(p.n), order)
+
+
+def test_closed_forms_reject_other_parameters():
+    # closed forms for b3 = 1/3 must differ from the generic engine for
+    # b3 = 1/2, so the comparisons above do not pass whatever the closed
+    # side computes
+    order = 4
+    p = KappaParams([I, Scalar(1), Scalar(1) / 3])
+    g = KappaParams([I, Scalar(1), Scalar(1) / 2]).algebra()
+    for closed_of, generic_of in (
+        (kappa_closed_realization, weyl_realization),
+        (kappa_dual_closed, dual_realization),
+    ):
+        closed, generic = closed_of(p, order).xhat, generic_of(g, order).xhat
+        assert any(
+            c.d_part_degree_le(order) != r.d_part_degree_le(order)
+            for c, r in zip(closed, generic)
+        )
+    for closed, generic in zip(kappa_t_closed(p, order), t_realization(g, order)):
+        assert not closed.agrees_through(generic, order)
+
+
+def test_bidiff_identity_applies_as_product():
+    rng = random.Random(11)
+    f = random_polynomial(rng, 2, 3)
+    h = random_polynomial(rng, 2, 3)
+    assert BiDiffOperator.identity(2, 6).apply(f, h) == f * h
+
+
+def test_bidiff_product_cuts_at_order():
+    # x1 dl1 and dr2, as flat keys x + left + right
+    a = BiDiffOperator(2, {(1, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 1): 2}, order=2)
+    sq = a * a
+    assert sq.order == 2
+    assert sq.terms == {
+        (2, 0, 2, 0, 0, 0): Scalar(1),
+        (1, 0, 1, 0, 0, 1): Scalar(4),
+        (0, 0, 0, 0, 0, 2): Scalar(4),
+    }
+    # every term of the cube has |i| + |j| = 3 > 2
+    assert (sq * a).is_zero()
+    cut = sq * BiDiffOperator.identity(2, 1)
+    assert cut.order == 1 and cut.is_zero()
+
+
+def test_bidiff_apply_order_guard():
+    f = Polynomial.variable(2, 0) * Polynomial.variable(2, 1)
+    op = BiDiffOperator.identity(2, 3)
+    assert op.apply(f, Polynomial.variable(2, 0)) == f * Polynomial.variable(2, 0)
+    with pytest.raises(InsufficientOrder):
+        op.apply(f, f)
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
