@@ -15,6 +15,7 @@ import time
 from lieweyl import (
     I,
     KappaParams,
+    KappaStarContext,
     Scalar,
     bidiff_star,
     dual_realization,
@@ -61,13 +62,14 @@ def crosscheck(p: KappaParams, order: int) -> dict:
 def star_check(p: KappaParams, order: int, trials: int, seed: int) -> bool:
     rng = random.Random(seed)
     ctx = make_context(p.algebra(), order)
+    kctx = KappaStarContext(p, order)
     deg = min(3, order // 2)
     for _ in range(trials):
         f = random_polynomial(rng, p.n, deg)
         g = random_polynomial(rng, p.n, deg)
-        if bidiff_star(p, f, g, order) != star(ctx, f, g):
+        if bidiff_star(kctx, f, g) != star(ctx, f, g):
             return False
-        if bidiff_star(p, f, g, order, dual=True) != star(ctx, f, g, "dual"):
+        if bidiff_star(kctx, f, g, dual=True) != star(ctx, f, g, "dual"):
             return False
     return True
 

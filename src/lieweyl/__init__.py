@@ -12,6 +12,7 @@ cross-checked against the generic engine.
 from .kappa import (
     BiDiffOperator,
     KappaParams,
+    KappaStarContext,
     bidiff_star,
     kappa_closed_realization,
     kappa_dual_closed,

@@ -47,6 +47,10 @@ EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
 SUITES = ("jacobi", "closure", "symmetrization", "duality", "appendix", "kappa", "all")
 
+# the largest working order accepted from --order or a phi file; the series
+# and operators grow with it, and an order in the millions would never finish
+MAX_ORDER = 32
+
 
 class InputError(Exception):
     pass
@@ -96,6 +100,8 @@ def _load_phi(path: str, n: int) -> OpMatrix:
         if int(data["n"]) != n:
             raise InputError(f"phi file is for n={data['n']}, algebra has n={n}")
         order = int(data["order"])
+        if not 1 <= order <= MAX_ORDER:
+            raise InputError(f"phi file order {order} is outside 1..{MAX_ORDER}")
         rows = [
             [WeylOp.from_json(n, entry, valid_order=order) for entry in row]
             for row in data["phi"]
@@ -327,13 +333,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_order=True):
+    def common(p):
         p.add_argument(
             "algebra",
             help="builtin name (abelian2..abelian4, g2, su2, kappa) or JSON file",
         )
-        if needs_order:
-            p.add_argument("--order", type=int, default=6, help="working order N >= 1")
+        p.add_argument(
+            "--order", type=int, default=6, help=f"working order N in 1..{MAX_ORDER}"
+        )
         p.add_argument(
             "--format", choices=("text", "json", "latex"), default="text"
         )
@@ -376,8 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "order", 1) < 1:
-        parser.exit(EXIT_INPUT, "error: --order must be >= 1\n")
+    if not 1 <= args.order <= MAX_ORDER:
+        message = f"error: --order {args.order} is outside 1..{MAX_ORDER}\n"
+        parser.exit(EXIT_INPUT, message)
     try:
         return args.func(args)
     except InputError as exc:

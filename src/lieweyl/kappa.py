@@ -10,7 +10,7 @@ matrix-series realizations entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .lie import LieAlgebra, kappa_algebra
@@ -38,6 +38,7 @@ __all__ = [
     "kappa_dual_closed",
     "kappa_t_closed",
     "BiDiffOperator",
+    "KappaStarContext",
     "bidiff_star",
     "kappa_poisson_check",
     "verify_kappa",
@@ -136,7 +137,7 @@ class BiDiffOperator(TermMap):
     a commutative product, cut at |i| + |j| <= order.
     """
 
-    __slots__ = ("order",)
+    __slots__ = ("order", "_groups")
 
     KEY_PARTS = (
         ("x", "x", "x"),
@@ -146,6 +147,7 @@ class BiDiffOperator(TermMap):
 
     def __init__(self, n: int, terms=None, order: int = 0):
         self.order = order
+        self._groups = None
         if terms:
             terms = {k: c for k, c in terms.items() if mi_degree(k[n:]) <= order}
         super().__init__(n, terms)
@@ -153,6 +155,7 @@ class BiDiffOperator(TermMap):
     def _like(self, terms, order=None):
         out = TermMap._like(self, terms)
         out.order = self.order if order is None else order
+        out._groups = None
         return out
 
     def _split(self, key):
@@ -176,20 +179,38 @@ class BiDiffOperator(TermMap):
                 merge(out, mi_add(k1, k2), c1 * c2)
         return self._like(out, order)
 
+    def _by_bidegree(self) -> list:
+        """[(|i|, |j|, i, j, [(x, c), ...])]: the terms grouped by (i, j), once."""
+        if self._groups is None:
+            n = self.n
+            groups = {}
+            for k, c in self.terms.items():
+                groups.setdefault((k[n : 2 * n], k[2 * n :]), []).append((k[:n], c))
+            self._groups = [
+                (mi_degree(i), mi_degree(j), i, j, xs) for (i, j), xs in groups.items()
+            ]
+        return self._groups
+
     def apply(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        if f.degree() + g.degree() > self.order:
-            raise InsufficientOrder(f.degree() + g.degree(), self.order)
-        n = self.n
-        products = {}
+        """sum c x^a (d^i f)(d^j g), skipping every |i| > deg f or |j| > deg g."""
+        deg_f, deg_g = f.degree(), g.degree()
+        if deg_f + deg_g > self.order:
+            raise InsufficientOrder(deg_f + deg_g, self.order)
+        d_f, d_g = {}, {}
         out = {}
-        for k, c in self.terms.items():
-            ij = k[n:]
-            fg = products.get(ij)
-            if fg is None:
-                fg = products[ij] = _multi_partial(f, ij[:n]) * _multi_partial(g, ij[n:])
-            x = k[:n]
-            for exps, coeff in fg.terms.items():
-                merge(out, mi_add(x, exps), c * coeff)
+        for di, dj, i, j, xs in self._by_bidegree():
+            if di > deg_f or dj > deg_g:
+                continue
+            fi = d_f.get(i)
+            if fi is None:
+                fi = d_f[i] = _multi_partial(f, i)
+            gj = d_g.get(j)
+            if gj is None:
+                gj = d_g[j] = _multi_partial(g, j)
+            fg = (fi * gj).terms
+            for x, c in xs:
+                for exps, coeff in fg.items():
+                    merge(out, mi_add(x, exps), c * coeff)
         return f._like(out)
 
 
@@ -252,38 +273,63 @@ def _bidiff_exponent(p: KappaParams, order: int, dual: bool) -> BiDiffOperator:
     return BiDiffOperator(n, exponent, order)
 
 
-def bidiff_star(
-    p: KappaParams, f: Polynomial, g: Polynomial, order: int, dual: bool = False
-) -> Polynomial:
-    """The closed bi-differential star-product of the kappa space."""
-    if f.degree() + g.degree() > order:
-        raise InsufficientOrder(f.degree() + g.degree(), order)
-    E = _bidiff_exponent(p, order, dual)
-    total = power = BiDiffOperator.identity(p.n, order)
+@dataclass
+class KappaStarContext:
+    """The closed star operators exp(E) of one kappa space, cut at one order.
+
+    Each route's operator is built on first use and kept.  Every term of E
+    carries a derivative, so truncation commutes with exp: the operator cut
+    at this order gives, through `BiDiffOperator.apply`'s bidegree pruning,
+    the product of any f, g with deg f + deg g <= order.
+    """
+
+    params: KappaParams
+    order: int
+    _operators: dict = field(default_factory=dict, repr=False)
+
+    def operator(self, dual: bool = False) -> BiDiffOperator:
+        op = self._operators.get(dual)
+        if op is None:
+            op = self._operators[dual] = _exp(
+                _bidiff_exponent(self.params, self.order, dual)
+            )
+        return op
+
+
+def _exp(E: BiDiffOperator) -> BiDiffOperator:
+    """sum_k E^k / k!, which ends because every term of E carries a derivative."""
+    total = power = BiDiffOperator.identity(E.n, E.order)
     k = 1
     inv_fact = Scalar(1)
     while True:
         power = power * E
         if not power.terms:
-            break
+            return total
         inv_fact = inv_fact / Scalar(k)
         total = total + power.scale(inv_fact)
         k += 1
-    return total.apply(f, g)
 
 
-def kappa_poisson_check(p: KappaParams, f: Polynomial, g: Polynomial) -> bool:
+def bidiff_star(
+    ctx: KappaStarContext, f: Polynomial, g: Polynomial, dual: bool = False
+) -> Polynomial:
+    """The closed bi-differential star-product of the kappa space.
+
+    Raises InsufficientOrder when deg f + deg g exceeds the context's order.
+    """
+    return ctx.operator(dual).apply(f, g)
+
+
+def kappa_poisson_check(ctx: KappaStarContext, f: Polynomial, g: Polynomial) -> bool:
     """First-order limit of the closed star-product.
 
     The leading correction of f * g is half the bracket
     {f, g} = sum (b_al x_be - b_be x_al)(d_al f)(d_be g), and the
     star-commutator correction is the full bracket.
     """
-    order = max(f.degree(), 0) + max(g.degree(), 0)
+    bracket = partial(_kappa_bracket, ctx.params)
     # `bidiff_star` is looked up per call, so a wrapped module attribute is seen
-    return first_order_matches(
-        lambda a, b: bidiff_star(p, a, b, order), partial(_kappa_bracket, p), f, g
-    )
+    return first_order_matches(lambda a, b: bidiff_star(ctx, a, b), bracket, f, g)
 
 
 def verify_kappa(p: KappaParams, order: int, trials: int, rng) -> dict:
@@ -314,15 +360,16 @@ def verify_kappa(p: KappaParams, order: int, trials: int, rng) -> dict:
 
     star_order = min(order, 6)
     ctx = make_context(g, star_order)
+    kctx = KappaStarContext(p, star_order)
     deg = min(3, star_order // 2)
     ok = True
     ok_pois = True
     for _ in range(trials):
         f = random_polynomial(rng, n, deg)
         h = random_polynomial(rng, n, deg)
-        ok = ok and bidiff_star(p, f, h, star_order) == star(ctx, f, h)
-        ok = ok and bidiff_star(p, f, h, star_order, dual=True) == star(ctx, f, h, "dual")
-        ok_pois = ok_pois and kappa_poisson_check(p, f, h)
+        ok = ok and bidiff_star(kctx, f, h) == star(ctx, f, h)
+        ok = ok and bidiff_star(kctx, f, h, dual=True) == star(ctx, f, h, "dual")
+        ok_pois = ok_pois and kappa_poisson_check(kctx, f, h)
     checks.append(check(f"bidiff-vs-generic[trials={trials}]", star_order, ok))
     checks.append(check(f"poisson-first-order[trials={trials}]", star_order, ok_pois))
     return suite(order, checks)

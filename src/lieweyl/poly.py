@@ -69,7 +69,7 @@ def _latex_scalar(c: Scalar, wrap: bool) -> str:
         r = _latex_rat(c.im)
         return "i" if r == "1" else "-i" if r == "-1" else f"{r}i"
     im = _latex_rat(abs(c.im))
-    body = f"{_latex_rat(c.re)} {'+' if c.im > 0 else '-'} {im}i"
+    body = f"{_latex_rat(c.re)} {'+' if c.im > 0 else '-'} {'' if im == '1' else im}i"
     return f"\\left({body}\\right)" if wrap else body
 
 

@@ -17,6 +17,7 @@ import lieweyl
 from lieweyl import (
     I,
     KappaParams,
+    KappaStarContext,
     OpMatrix,
     PBWElement,
     Scalar,
@@ -197,12 +198,13 @@ def test_criterion_06_kappa_cross_validation():
     # bidiff star vs generic star on 10 random pairs
     p = KappaParams([I, Scalar(1), Scalar(1) / 2])
     ctx = make_context(p.algebra(), 6)
+    kctx = KappaStarContext(p, 6)
     rng = random.Random(106)
     for _ in range(10):
         f = random_polynomial(rng, p.n, 3)
         h = random_polynomial(rng, p.n, 3)
-        ok = ok and bidiff_star(p, f, h, 6) == star(ctx, f, h)
-        ok = ok and bidiff_star(p, f, h, 6, dual=True) == star(ctx, f, h, "dual")
+        ok = ok and bidiff_star(kctx, f, h) == star(ctx, f, h)
+        ok = ok and bidiff_star(kctx, f, h, dual=True) == star(ctx, f, h, "dual")
     _report(6, "kappa closed forms vs generic engine, order 8", ok)
 
 

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from lieweyl import lie
-from lieweyl.cli import main
+from lieweyl import lie, realization
+from lieweyl.cli import MAX_ORDER, main
 
 # a 3-dimensional antisymmetric spec that violates the Jacobi identity
 NON_JACOBI = str(Path(__file__).with_name("non_jacobi.json"))
@@ -156,6 +156,13 @@ GOLDEN_CASES = {
         REPORT,
         0,
     ),
+    # the kappa suite on a kappa with two non-zero components
+    "verify-kappa-suite": (
+        ["verify", "kappa", "--kappa-b", "1i,1", "--suite", "kappa", "--order", "6",
+         "--seed", "1"],
+        REPORT,
+        0,
+    ),
     # fails jacobi, closure, duality and most of appendix, with witnesses
     "verify-non-jacobi": (
         ["verify", NON_JACOBI, "--suite", "all", "--order", "4", "--seed", "0"],
@@ -240,6 +247,32 @@ def _write_phi(capsys, tmp_path, corrupt):
         json.dumps({"n": data["n"], "order": data["order"], "phi": data["phi"]})
     )
     return str(path)
+
+
+def test_huge_order_rejected_before_building(capsys, tmp_path, monkeypatch):
+    phi = _write_phi(capsys, tmp_path, lambda phi: None)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("realization builder reached")
+
+    monkeypatch.setattr(realization, "matrix_series", unreachable)
+    monkeypatch.setattr(realization, "realization_from_phi", unreachable)
+    # valid orders do reach the (patched) builders
+    with pytest.raises(AssertionError, match="builder reached"):
+        main(["realize", "g2", "--order", str(MAX_ORDER)])
+    verify_phi = ["verify", "g2", "--suite", "closure", "--order", "4"]
+    verify_phi += ["--phi-file", phi]
+    with pytest.raises(AssertionError, match="builder reached"):
+        main(verify_phi)
+    for order in (MAX_ORDER + 1, 10**9):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "g2", "--order", str(order)])
+        assert exc.value.code == 2
+        assert f"outside 1..{MAX_ORDER}" in capsys.readouterr().err
+        data = json.loads(Path(phi).read_text())
+        Path(phi).write_text(json.dumps({**data, "order": order}))
+        code, _, err = run(capsys, *verify_phi)
+        assert code == 2 and f"outside 1..{MAX_ORDER}" in err
 
 
 def test_verify_corrupted_phi(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from lieweyl import (
     I,
     InsufficientOrder,
     KappaParams,
+    KappaStarContext,
     OpMatrix,
     Scalar,
     bidiff_star,
@@ -23,6 +25,7 @@ from lieweyl import (
     verify_kappa,
     weyl_realization,
 )
+from lieweyl import kappa
 from lieweyl.poly import Polynomial
 from lieweyl.realization import random_polynomial
 
@@ -139,12 +142,13 @@ def test_bidiff_star_matches_generic(b):
     p = KappaParams(b)
     order = 6
     ctx = make_context(p.algebra(), order)
+    kctx = KappaStarContext(p, order)
     rng = random.Random(67)
     for _ in range(4):
         f = random_polynomial(rng, p.n, 3)
         h = random_polynomial(rng, p.n, 3)
-        assert bidiff_star(p, f, h, order) == star(ctx, f, h)
-        assert bidiff_star(p, f, h, order, dual=True) == star(ctx, f, h, "dual")
+        assert bidiff_star(kctx, f, h) == star(ctx, f, h)
+        assert bidiff_star(kctx, f, h, dual=True) == star(ctx, f, h, "dual")
 
 
 def test_bidiff_star_order_guard():
@@ -152,16 +156,91 @@ def test_bidiff_star_order_guard():
     rng = random.Random(2)
     f = random_polynomial(rng, 2, 3)
     with pytest.raises(InsufficientOrder):
-        bidiff_star(p, f, f, 4)
+        bidiff_star(KappaStarContext(p, 4), f, f)
+
+
+def test_context_order_guard_after_build():
+    # the guard holds whether or not the route's operator is already built
+    kctx = KappaStarContext(KappaParams([I, Scalar(1)]), 4)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    cube = x1 * x1 * x2
+    for dual in (False, True):
+        with pytest.raises(InsufficientOrder):
+            bidiff_star(kctx, cube, cube, dual)
+        assert not bidiff_star(kctx, cube, x1, dual).is_zero()
+        with pytest.raises(InsufficientOrder):
+            bidiff_star(kctx, cube, cube * x2, dual)
+        with pytest.raises(InsufficientOrder):
+            kappa_poisson_check(kctx, cube, cube)
+
+
+def test_verify_kappa_builds_one_operator_per_route(monkeypatch):
+    built = Counter()
+    exponent = kappa._bidiff_exponent
+
+    def counting(p, order, dual):
+        built[dual] += 1
+        return exponent(p, order, dual)
+
+    monkeypatch.setattr(kappa, "_bidiff_exponent", counting)
+    rep = verify_kappa(KappaParams([I, Scalar(1) / 2]), 6, 3, random.Random(73))
+    assert rep["pass"]
+    assert built == {False: 1, True: 1}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_operator_at_higher_order_gives_same_product(dual):
+    p = KappaParams([I, Scalar(1)])
+    high = KappaStarContext(p, 6)
+    rng = random.Random(5)
+    for deg_f, deg_g in ((1, 1), (2, 1), (1, 3), (2, 3), (0, 4)):
+        # the added monomials fix the degrees at deg_f and deg_g
+        f = random_polynomial(rng, 2, deg_f) + Polynomial(2, {(deg_f, 0): 1})
+        g = random_polynomial(rng, 2, deg_g) + Polynomial(2, {(0, deg_g): 1})
+        low = KappaStarContext(p, f.degree() + g.degree())
+        assert low.order < high.order
+        assert bidiff_star(high, f, g, dual) == bidiff_star(low, f, g, dual)
+
+
+def _unpruned_apply(op, f, g):
+    """sum c x^a (d^i f)(d^j g) over every term, with no pruning or reuse."""
+
+    def derivative(h, exps):
+        for mu, e in enumerate(exps):
+            for _ in range(e):
+                h = h.partial(mu)
+        return h
+
+    out = Polynomial.zero(op.n)
+    for key, c in op.terms.items():
+        x, i, j = op._split(key)
+        out = out + Polynomial(op.n, {x: c}) * derivative(f, i) * derivative(g, j)
+    return out
+
+
+@pytest.mark.parametrize("b", [PARAM_SETS[0], PARAM_SETS[2]], ids=["n2", "n3-generic"])
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_pruned_apply_equals_unpruned_sum(b, dual):
+    p = KappaParams(b)
+    op = KappaStarContext(p, 5).operator(dual)
+    rng = random.Random(29)
+    pairs = [(Polynomial.zero(p.n), random_polynomial(rng, p.n, 2))]
+    pairs += [
+        (random_polynomial(rng, p.n, rng.randint(0, 3)),
+         random_polynomial(rng, p.n, rng.randint(0, 2)))
+        for _ in range(4)
+    ]
+    for f, g in pairs:
+        assert op.apply(f, g) == _unpruned_apply(op, f, g)
 
 
 def test_kappa_poisson():
-    p = KappaParams([I, Scalar(0), Scalar(0)])
+    kctx = KappaStarContext(KappaParams([I, Scalar(0), Scalar(0)]), 6)
     rng = random.Random(71)
     for _ in range(4):
         f = random_polynomial(rng, 3, 3)
         h = random_polynomial(rng, 3, 3)
-        assert kappa_poisson_check(p, f, h)
+        assert kappa_poisson_check(kctx, f, h)
 
 
 def test_verify_kappa_report():

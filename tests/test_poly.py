@@ -79,3 +79,21 @@ def test_str_roundtrip(f):
 @given(polys())
 def test_json_roundtrip(f):
     assert Polynomial.from_json(N, f.to_json()) == f
+
+
+@pytest.mark.parametrize(
+    "text,latex",
+    [
+        ("1/2+1i", "\\left(\\frac{1}{2} + i\\right)"),
+        ("1/2-1i", "\\left(\\frac{1}{2} - i\\right)"),
+        ("-3+1i", "\\left(-3 + i\\right)"),
+        ("-3-1i", "\\left(-3 - i\\right)"),
+        ("1/2+2i", "\\left(\\frac{1}{2} + 2i\\right)"),
+        ("1i", "i"),
+        ("-1i", "-i"),
+    ],
+)
+def test_latex_unit_imaginary_part(text, latex):
+    # the coefficient of x1, bracketed when it has both parts
+    f = Polynomial(1, {(1,): Scalar.parse(text)})
+    assert f.render(latex=True) == f"{latex} x_{{1}}"

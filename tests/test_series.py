@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from lieweyl import BiTruncSeries, Scalar, TruncSeries, bernoulli, series_coeffs
@@ -100,3 +102,32 @@ def test_dexp_kinds(order):
     dexp_neg = (one - series_coeffs("exp_neg", order + 1)).shift_down()
     assert series_coeffs("dexp", order) == dexp
     assert series_coeffs("dexp_neg", order) == dexp_neg
+
+
+ORACLE_ORDER = 14
+
+
+@pytest.mark.parametrize(
+    "kind,closed_form",
+    [
+        ("psi", lambda t, exp: t / (1 - exp(-t))),
+        ("psi_tilde", lambda t, exp: t / (exp(t) - 1)),
+        ("dexp", lambda t, exp: (exp(t) - 1) / t),
+        ("dexp_neg", lambda t, exp: (1 - exp(-t)) / t),
+    ],
+)
+def test_series_against_sympy(kind, closed_form):
+    # an independent oracle: sympy's Taylor expansion of the closed form
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    taylor = sympy.series(closed_form(t, sympy.exp), t, 0, ORACLE_ORDER + 1).removeO()
+    expected = [Scalar.parse(str(taylor.coeff(t, k))) for k in range(ORACLE_ORDER + 1)]
+    assert list(series_coeffs(kind, ORACLE_ORDER).coeffs) == expected
+
+
+def test_bernoulli_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in range(2 * ORACLE_ORDER):
+        # sympy >= 1.12 follows the B_1 = +1/2 convention
+        assert bernoulli(k, "plus") == Fraction(str(sympy.bernoulli(k)))
+        assert bernoulli(k) == (Fraction(-1, 2) if k == 1 else bernoulli(k, "plus"))
