@@ -10,7 +10,6 @@ matrix-series realizations entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from .lie import LieAlgebra, kappa_algebra
@@ -45,12 +44,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class KappaParams:
-    b: tuple  # b_mu = i a_mu, Scalars
+    __slots__ = ("b",)
 
     def __init__(self, b):
+        # b_mu = i a_mu, Scalars
         object.__setattr__(self, "b", tuple(Scalar.coerce(x) for x in b))
+
+    def __setattr__(self, *_):
+        raise AttributeError("KappaParams is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, KappaParams) and self.b == other.b
+
+    def __hash__(self):
+        return hash(self.b)
 
     @property
     def n(self) -> int:
@@ -273,7 +283,6 @@ def _bidiff_exponent(p: KappaParams, order: int, dual: bool) -> BiDiffOperator:
     return BiDiffOperator(n, exponent, order)
 
 
-@dataclass
 class KappaStarContext:
     """The closed star operators exp(E) of one kappa space, cut at one order.
 
@@ -283,9 +292,12 @@ class KappaStarContext:
     the product of any f, g with deg f + deg g <= order.
     """
 
-    params: KappaParams
-    order: int
-    _operators: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("params", "order", "_operators")
+
+    def __init__(self, params: KappaParams, order: int):
+        self.params = params
+        self.order = order
+        self._operators = {}
 
     def operator(self, dual: bool = False) -> BiDiffOperator:
         op = self._operators.get(dual)

@@ -8,7 +8,6 @@ indices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .scalars import Scalar
 
@@ -28,14 +27,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
-    n: int
-    c: tuple  # c[mu][nu][lam], nested tuples of Scalar
-    name: str = "custom"
-    # per-algebra memo caches for PBW straightening and shift actions;
-    # excluded from equality/hash
-    _caches: dict = field(default_factory=dict, compare=False, repr=False)
+    """Immutable structure constants; equality and hash ignore the name and
+    the per-algebra memo caches of PBW straightening and shift actions."""
+
+    __slots__ = ("n", "c", "name", "_caches")
+
+    def __init__(self, n: int, c: tuple, name: str = "custom"):
+        set_ = object.__setattr__
+        set_(self, "n", n)
+        set_(self, "c", c)  # c[mu][nu][lam], nested tuples of Scalar
+        set_(self, "name", name)
+        set_(self, "_caches", {})
+
+    def __setattr__(self, *_):
+        raise AttributeError("LieAlgebra is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.n == other.n and self.c == other.c

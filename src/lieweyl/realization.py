@@ -12,7 +12,6 @@ P = psi(C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 from math import comb
@@ -43,13 +42,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class Realization:
-    algebra: LieAlgebra
-    xhat: list  # n WeylOps, each of the form sum_al x_al * (series in d)
-    phi: OpMatrix  # coefficient matrix, x-free entries
-    kind: str
-    order: float  # valid derivative order of the coefficient series
+    __slots__ = ("algebra", "xhat", "phi", "kind", "order")
+
+    def __init__(self, algebra: LieAlgebra, xhat: list, phi: OpMatrix, kind: str, order):
+        self.algebra = algebra
+        self.xhat = xhat  # n WeylOps, each of the form sum_al x_al * (series in d)
+        self.phi = phi  # coefficient matrix, x-free entries
+        self.kind = kind
+        self.order = order  # valid derivative order of the coefficient series
 
     @property
     def guaranteed_order(self):

@@ -8,7 +8,6 @@ the dual algebra (negated structure constants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
@@ -42,14 +41,17 @@ __all__ = [
 ]
 
 
-@dataclass
 class StarContext:
-    algebra: LieAlgebra
-    dual_alg: LieAlgebra
-    primal: Realization
-    dual: Realization
-    order: int
-    _omega_cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("algebra", "dual_alg", "primal", "dual", "order", "_omega_cache")
+
+    def __init__(self, algebra: LieAlgebra, dual_alg: LieAlgebra, primal: Realization,
+                 dual: Realization, order: int):
+        self.algebra = algebra
+        self.dual_alg = dual_alg
+        self.primal = primal
+        self.dual = dual
+        self.order = order
+        self._omega_cache = {}
 
     def realization(self, which: str) -> Realization:
         if which == "primal":

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lieweyl
 from lieweyl import lie, realization
 from lieweyl.cli import MAX_ORDER, main
 
@@ -317,3 +321,18 @@ def test_order_must_be_positive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["realize", "g2", "--order", "0"])
     assert exc.value.code == 2
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses pulls in inspect, ast and dis, which every fresh import then pays for
+    code = (
+        "import sys; before = set(sys.modules); import lieweyl.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(lieweyl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    new = set(out.split())
+    assert "lieweyl.cli" in new
+    assert not new & {"dataclasses", "inspect", "ast"}
