@@ -248,3 +248,11 @@ def test_verify_kappa_report():
     rep = verify_kappa(p, 6, 3, random.Random(73))
     assert rep["pass"]
     assert all(c["pass"] for c in rep["checks"])
+
+
+def test_params_value_semantics():
+    p, q = KappaParams([I, 1]), KappaParams([I, Scalar(1)])
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != KappaParams([I, Scalar(2)])
+    with pytest.raises(AttributeError):
+        p.b = ()

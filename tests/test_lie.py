@@ -130,3 +130,14 @@ def test_random_kappa_seeded():
         b = [Scalar(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
         rep = validate(kappa_algebra(b))
         assert rep["jacobi"]
+
+
+def test_algebra_value_semantics():
+    g, h = g2_algebra(), kappa_algebra([Scalar(1), Scalar(0)], name="other")
+    g.cache("pbw")[(0, 1)] = "memo"
+    assert g == h and hash(g) == hash(h)  # name and memo caches do not count
+    assert g != su2_algebra()
+    with pytest.raises(AttributeError):
+        g.n = 3
+    with pytest.raises(AttributeError):
+        del g.name
