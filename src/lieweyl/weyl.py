@@ -121,10 +121,6 @@ class WeylOp(TermMap):
             min(self.valid_order, order),
         )
 
-    def d_part_degree_le(self, order):
-        """Terms with derivative degree <= order (for exact comparisons)."""
-        return {k: c for k, c in self.terms.items() if mi_degree(k[1]) <= order}
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -242,16 +238,14 @@ class OpMatrix:
         self.entries = [list(row) for row in entries]
 
     @classmethod
-    def zero(cls, n, dim=None, valid_order=INF):
+    def zero(cls, n, dim=None):
         dim = dim or n
-        return cls(
-            dim, [[WeylOp.zero(n, valid_order) for _ in range(dim)] for _ in range(dim)]
-        )
+        return cls(dim, [[WeylOp.zero(n) for _ in range(dim)] for _ in range(dim)])
 
     @classmethod
-    def identity(cls, n):
-        m = cls.zero(n)
-        for k in range(n):
+    def identity(cls, n, dim=None):
+        m = cls.zero(n, dim)
+        for k in range(m.n):
             m.entries[k][k] = WeylOp.one(n)
         return m
 
@@ -304,14 +298,6 @@ class OpMatrix:
     def __eq__(self, other):
         return isinstance(other, OpMatrix) and self.entries == other.entries
 
-    def agrees_through(self, other, order) -> bool:
-        """Entrywise equality of all coefficients with derivative degree <= order."""
-        for ra, rb in zip(self.entries, other.entries):
-            for a, b in zip(ra, rb):
-                if a.d_part_degree_le(order) != b.d_part_degree_le(order):
-                    return False
-        return True
-
     def to_json(self):
         return [[op.to_json() for op in row] for row in self.entries]
 
@@ -320,7 +306,8 @@ def matrix_series(f: TruncSeries, M: OpMatrix) -> OpMatrix:
     """Evaluate sum_k f_k M^k, exact through derivative degree order(f).
 
     Requires every entry of M to be x-free with vanishing constant term, so
-    M^k has minimum derivative degree k and the truncation is exact.
+    M^k has minimum derivative degree k and the truncation is exact.  The
+    result is valid through order(f), or less if M is valid through less.
     """
     for row in M.entries:
         for op in row:
@@ -330,42 +317,17 @@ def matrix_series(f: TruncSeries, M: OpMatrix) -> OpMatrix:
                         "matrix_series requires x-free entries with zero constant term"
                     )
     order = f.order
-    n = M.n
     amb = M.entries[0][0].n
-    acc = OpMatrix.zero(amb, n)
-    power = OpMatrix(
-        n,
-        [
-            [WeylOp.one(amb) if i == j else WeylOp.zero(amb) for j in range(n)]
-            for i in range(n)
-        ],
-    )
+    acc = OpMatrix.zero(amb, M.n)
+    power = OpMatrix.identity(amb, M.n)
     for k in range(order + 1):
         if f[k]:
             acc = acc + power.scale(f[k])
         if k < order:
             power = (power * M).truncate(order)
-    out = acc.truncate(order)
-    for row in out.entries:
-        for op in row:
-            op.valid_order = order
-    return out
+    return acc.truncate(order)
 
 
 def series_in_op(f: TruncSeries, A: WeylOp) -> WeylOp:
     """Evaluate a univariate series at an x-free operator with zero constant term."""
-    for (a, b), _ in A.terms.items():
-        if mi_degree(a) != 0 or mi_degree(b) == 0:
-            raise ValueError("series_in_op requires an x-free, constant-free operator")
-    order = f.order
-    amb = A.n
-    acc = WeylOp.zero(amb, valid_order=order)
-    power = WeylOp.one(amb)
-    for k in range(order + 1):
-        if f[k]:
-            acc = acc + power.scale(f[k]).truncate(order)
-        if k < order:
-            power = (power * A).truncate(order)
-    acc = acc.truncate(order)
-    acc.valid_order = order
-    return acc
+    return matrix_series(f, OpMatrix(1, [[A]]))[0, 0]

@@ -11,6 +11,7 @@ from lieweyl import (
     KappaStarContext,
     OpMatrix,
     Scalar,
+    WeylOp,
     bidiff_star,
     dual_realization,
     kappa_closed_realization,
@@ -44,9 +45,37 @@ def test_kappa_algebra_valid(b):
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
 def test_power_formula(b):
+    assert kappa_power_check(KappaParams(b), 5)
+
+
+def test_power_check_reaches_the_last_power(monkeypatch):
+    order = 5
+    function_of_c = kappa._function_of_c
+
+    def corrupt_last_power(p, f):
+        out = function_of_c(p, f)
+        if f[order] and not any(f[j] for j in range(order)):
+            out.entries[0][0] = out.entries[0][0] + WeylOp.one(p.n)
+        return out
+
+    monkeypatch.setattr(kappa, "_function_of_c", corrupt_last_power)
+    assert not kappa_power_check(KappaParams(PARAM_SETS[2]), order)
+
+
+@pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
+def test_power_check_forms_each_power_once(b, monkeypatch):
+    products = Counter()
+    mul = OpMatrix.__mul__
+
+    def counted(a, other):
+        products[a.n] += 1
+        return mul(a, other)
+
+    monkeypatch.setattr(OpMatrix, "__mul__", counted)
     p = KappaParams(b)
-    for k in range(1, 6):
-        assert kappa_power_check(p, k, 5)
+    assert kappa_power_check(p, 6)
+    # the 1x1 products are the series in A inside _function_of_c
+    assert products[p.n] == 6
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
@@ -57,9 +86,7 @@ def test_closed_realization_matches_generic(b):
     generic = weyl_realization(g, order)
     closed = kappa_closed_realization(p, order)
     for mu in range(p.n):
-        assert closed.xhat[mu].d_part_degree_le(order) == generic.xhat[
-            mu
-        ].d_part_degree_le(order)
+        assert closed.xhat[mu].truncate(order) == generic.xhat[mu].truncate(order)
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
@@ -70,9 +97,7 @@ def test_closed_dual_matches_generic(b):
     generic = dual_realization(g, order)
     closed = kappa_dual_closed(p, order)
     for mu in range(p.n):
-        assert closed.xhat[mu].d_part_degree_le(order) == generic.xhat[
-            mu
-        ].d_part_degree_le(order)
+        assert closed.xhat[mu].truncate(order) == generic.xhat[mu].truncate(order)
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
@@ -81,9 +106,9 @@ def test_closed_t_matrices(b):
     order = 6
     Tc, Tci = kappa_t_closed(p, order)
     Tg, Tgi = t_realization(p.algebra(), order)
-    assert Tc.agrees_through(Tg, order)
-    assert Tci.agrees_through(Tgi, order)
-    assert (Tc * Tci).agrees_through(OpMatrix.identity(p.n), order)
+    assert Tc.truncate(order) == Tg.truncate(order)
+    assert Tci.truncate(order) == Tgi.truncate(order)
+    assert (Tc * Tci).truncate(order) == OpMatrix.identity(p.n).truncate(order)
 
 
 def test_closed_forms_reject_other_parameters():
@@ -99,11 +124,11 @@ def test_closed_forms_reject_other_parameters():
     ):
         closed, generic = closed_of(p, order).xhat, generic_of(g, order).xhat
         assert any(
-            c.d_part_degree_le(order) != r.d_part_degree_le(order)
+            c.truncate(order) != r.truncate(order)
             for c, r in zip(closed, generic)
         )
     for closed, generic in zip(kappa_t_closed(p, order), t_realization(g, order)):
-        assert not closed.agrees_through(generic, order)
+        assert closed.truncate(order) != generic.truncate(order)
 
 
 def test_bidiff_identity_applies_as_product():

@@ -12,6 +12,7 @@ from lieweyl import (
     matrix_series,
     series_coeffs,
     series_in_op,
+    su2_algebra,
 )
 
 
@@ -81,7 +82,7 @@ def test_matrix_series_vs_manual():
         power = (power * C).truncate(order)
         fact = fact * Scalar(k)
         acc = acc + power.scale(Scalar(1) / fact)
-    assert M.agrees_through(acc, order)
+    assert M.truncate(order) == acc.truncate(order)
 
 
 def test_matrix_series_rejects_bad_entries():
@@ -98,6 +99,25 @@ def test_series_in_op_univariate():
     ep = series_in_op(series_coeffs("exp", order), A)
     en = series_in_op(series_coeffs("exp_neg", order), A)
     assert (ep * en).truncate(order) == WeylOp.one(n).truncate(order)
+
+
+def test_series_keep_a_truncated_input_order():
+    # a truncated input bounds the result: all that is known of C is degree <= 2
+    exp6 = series_coeffs("exp", 6)
+    C = adjoint_matrix(su2_algebra())
+    assert matrix_series(exp6, C.truncate(2)).valid_order() == 2
+    assert series_in_op(exp6, d(0, 1).truncate(2)).valid_order == 2
+    # an exact input is valid through the order of the series
+    assert matrix_series(exp6, C).valid_order() == 6
+    assert series_in_op(exp6, d(0, 1)).valid_order == 6
+
+
+@pytest.mark.parametrize(
+    "A", [x(0, 1) * d(0, 1), d(0, 1) + WeylOp.one(1)], ids=["with-x", "with-constant"]
+)
+def test_series_in_op_rejects_bad_operator(A):
+    with pytest.raises(ValueError):
+        series_in_op(series_coeffs("exp", 3), A)
 
 
 def test_op_str_and_json():
