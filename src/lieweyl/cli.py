@@ -20,6 +20,7 @@ from .lie import (
     MAX_DIMENSION,
     AlgebraSpecError,
     LieAlgebra,
+    _spec_int,
     abelian,
     g2_algebra,
     kappa_algebra,
@@ -97,9 +98,9 @@ def _load_phi(path: str, n: int) -> OpMatrix:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        if int(data["n"]) != n:
+        if _spec_int(data["n"]) != n:
             raise InputError(f"phi file is for n={data['n']}, algebra has n={n}")
-        order = int(data["order"])
+        order = _spec_int(data["order"])
         if not 1 <= order <= MAX_ORDER:
             raise InputError(f"phi file order {order} is outside 1..{MAX_ORDER}")
         rows = [
@@ -141,7 +142,7 @@ def _print_report(report: dict, fmt: str):
         for check in rep.get("checks", []):
             mark = "ok " if check["pass"] else "FAIL"
             line = f"  {mark} {check['identity']} (order {check['order_checked']})"
-            if "witness" in check and check["witness"] is not None:
+            if "witness" in check:
                 line += f"  witness: {check['witness']}"
             print(line)
     print("RESULT:", "PASS" if report["pass"] else "FAIL")
@@ -176,17 +177,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK if rep["pass"] else EXIT_FAIL
 
 
-def _build_realization(g, ordering, order):
-    if ordering == "weyl":
-        return weyl_realization(g, order)
-    if ordering == "dual":
-        return dual_realization(g, order)
-    raise InputError(f"unknown ordering {ordering!r}")
-
-
 def cmd_realize(args) -> int:
     g = _resolve_algebra(args.algebra, args.kappa_b)
-    real = _build_realization(g, args.ordering, args.order)
+    build = weyl_realization if args.ordering == "weyl" else dual_realization
+    real = build(g, args.order)
     sym = "x" if args.ordering == "weyl" else "y"
     if args.format == "json":
         print(
@@ -219,21 +213,17 @@ def cmd_star(args) -> int:
     ctx = make_context(g, args.order)
     which = "dual" if args.dual else "primal"
     out = star(ctx, f, h, which)
+    ok = duality_check(ctx, f, h) if args.check_duality else True
     if args.format == "json":
         data = {"algebra": g.name, "order": args.order, "product": out.to_json()}
         if args.check_duality:
-            data["duality"] = duality_check(ctx, f, h)
+            data["duality"] = ok
         print(_dump_json(data))
-        if args.check_duality and not data["duality"]:
-            return EXIT_FAIL
-        return EXIT_OK
-    print(out.render(latex=args.format == "latex"))
-    if args.check_duality:
-        ok = duality_check(ctx, f, h)
-        print("duality:", "PASS" if ok else "FAIL")
-        if not ok:
-            return EXIT_FAIL
-    return EXIT_OK
+    else:
+        print(out.render(latex=args.format == "latex"))
+        if args.check_duality:
+            print("duality:", "PASS" if ok else "FAIL")
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_tmatrix(args) -> int:

@@ -234,22 +234,6 @@ def _multi_partial(f: Polynomial, exps) -> Polynomial:
     return f
 
 
-def _power_expansion(b, p: int) -> dict:
-    """Multinomial coefficients of (sum_mu b_mu z_mu)^p as {exps: Scalar}."""
-    n = len(b)
-    out = {(0,) * n: Scalar(1)}
-    for _ in range(p):
-        nxt = {}
-        for exps, c in out.items():
-            for mu in range(n):
-                if not b[mu]:
-                    continue
-                key = exps[:mu] + (exps[mu] + 1,) + exps[mu + 1 :]
-                merge(nxt, key, c * b[mu])
-        out = nxt
-    return out
-
-
 def _bidiff_exponent(p: KappaParams, order: int, dual: bool) -> BiDiffOperator:
     """sum_al x_al (Delta d_al - Delta_0 d_al) as a BiDiffOperator.
 
@@ -261,8 +245,11 @@ def _bidiff_exponent(p: KappaParams, order: int, dual: bool) -> BiDiffOperator:
     z = (0,) * n
     kinds = ("psi", "psi_tilde") if dual else ("psi_tilde", "psi")
     one = BiTruncSeries({(0, 0): Scalar(1)}, order)
-    # substitute u -> b . left_d, v -> b . right_d
-    powers = [_power_expansion(p.b, q) for q in range(order + 1)]
+    # substitute u -> b . left_d, v -> b . right_d, through the powers of b . z
+    lin = Polynomial(n, {mi_unit(n, mu): b for mu, b in enumerate(p.b)})
+    powers = [Polynomial.one(n)]
+    for _ in range(order):
+        powers.append(powers[-1] * lin)
     exponent = {}
     for side, (kind, var) in enumerate(zip(kinds, ("u", "v"))):
         fn = series_coeffs(kind, order)
@@ -272,8 +259,8 @@ def _bidiff_exponent(p: KappaParams, order: int, dual: bool) -> BiDiffOperator:
         subs = [
             (z + iu + iv, c * cu * cv)
             for (pu, pv), c in r.terms.items()
-            for iu, cu in powers[pu].items()
-            for iv, cv in powers[pv].items()
+            for iu, cu in powers[pu].terms.items()
+            for iv, cv in powers[pv].terms.items()
         ]
         for al in range(n):
             x_al = mi_unit(n, al)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations, product
-from math import comb
 
 from .lie import LieAlgebra
 from .poly import Polynomial
@@ -281,22 +280,18 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     n = g.n
     C = adjoint_matrix(g)
     powers = [OpMatrix.identity(n)]
-    for _ in range(max(m_max, 1)):
+    for _ in range(m_max):
         powers.append(powers[-1] * C)
 
-    def contract(m, first, mu, lam, nu):
-        """sum_{al be} C_{mu al be} sum_{k >= first} (-1)^(k - first) binom(m, k)
-        C^(k - first)_{lam al} C^(m - k)_{be nu}."""
-        rhs = WeylOp.zero(n)
-        for al, be in product(range(n), repeat=2):
-            c = g.c[mu][al][be]
-            if c:
-                inner = WeylOp.zero(n)
-                for k in range(first, m + 1):
-                    term = powers[k - first][lam, al] * powers[m - k][be, nu]
-                    inner = inner + term.scale(Scalar((-1) ** (k - first) * comb(m, k)))
-                rhs = rhs + inner.scale(c)
-        return rhs
+    # D[m][mu] = sum_k (-1)^k binom(m, k) C^k K_mu C^(m-k) and
+    # E[m][mu] = sum_{k>=1} (-1)^(k-1) binom(m, k) C^(k-1) K_mu C^(m-k), where
+    # (K_mu)_{al be} = C_{mu al be}; by Pascal's rule D_m = D_{m-1} C - C D_{m-1}
+    # and E_m = E_{m-1} C + D_{m-1}, from D_0 = K_mu and E_0 = 0
+    D = [[OpMatrix(n, [[WeylOp.constant(n, c) for c in r] for r in K]) for K in g.c]]
+    E = [[OpMatrix.zero(n)] * n]
+    for _ in range(m_max):
+        E.append([e * C + d for e, d in zip(E[-1], D[-1])])
+        D.append([d * C - C * d for d in D[-1]])
 
     # identity relating C^m to the structure constants (power m)
     def power_contraction(m, mu, lam, nu):
@@ -305,11 +300,11 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
             c = g.c[al][lam][nu]
             if c:
                 lhs = lhs + powers[m][mu, al].scale(c)
-        return lhs - contract(m, 0, mu, lam, nu)
+        return lhs - D[m][mu][lam, nu]
 
     # formal derivative of C^m
     def power_derivative(m, lam, mu, nu):
-        return powers[m][mu, nu].deriv_d(lam) - contract(m, 1, mu, lam, nu)
+        return powers[m][mu, nu].deriv_d(lam) - E[m][mu][lam, nu]
 
     def over_powers(residual):
         for m in range(1, m_max + 1):
@@ -341,16 +336,24 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
         residual_check("exp-derivative", order, _over_cube(n, exp_derivative))
     )
 
-    # triple contraction equals the negated structure constants
+    # triple contraction equals the negated structure constants; its inner
+    # sum M[mu, nu, al] = sum_{be rho} C_{be rho al} Tinv_{mu rho} Tinv_{nu be}
+    # does not depend on kap
     Tinv = matrix_series(series_coeffs("exp_neg", order), C)
-
-    def triple_contraction(mu, nu, kap):
+    M = {}
+    for mu, nu, al in product(range(n), repeat=3):
         acc = WeylOp.zero(n, valid_order=order)
-        for al, be, rho in product(range(n), repeat=3):
+        for be, rho in product(range(n), repeat=2):
             c = g.c[be][rho][al]
             if c:
-                acc = acc + (T[al, kap] * Tinv[mu, rho] * Tinv[nu, be]).scale(c)
-        return acc + WeylOp.constant(n, g.c[mu][nu][kap])
+                acc = acc + (Tinv[mu, rho] * Tinv[nu, be]).scale(c)
+        M[mu, nu, al] = acc
+
+    def triple_contraction(mu, nu, kap):
+        acc = WeylOp.constant(n, g.c[mu][nu][kap])
+        for al in range(n):
+            acc = acc + T[al, kap] * M[mu, nu, al]
+        return acc
 
     checks.append(
         residual_check("triple-contraction", order, _over_cube(n, triple_contraction))

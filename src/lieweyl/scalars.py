@@ -98,6 +98,8 @@ class Scalar:
 
         Accepts unicode minus and "·"-free plain text; whitespace ignored.
         """
+        if not isinstance(text, str):
+            raise ValueError(f"scalar {text!r} is not a string")
         s = text.strip().replace("−", "-").replace(" ", "")
         if not s:
             raise ValueError("empty scalar")

@@ -296,8 +296,18 @@ def test_verify_corrupted_phi(capsys, tmp_path):
         ({"x": [0, 0, 0], "d": [1], "coeff": "1"}, "exponents must be"),
         ({"x": [0, 0], "d": [-1, 0], "coeff": "1"}, "exponents must be"),
         ({"x": [1, 0], "d": [0, 0], "coeff": "1"}, "x-free"),
+        ({"x": [0, 0], "d": [1, 0], "coeff": 1}, "not a string"),
+        ({"x": [0, 0], "d": [1, 0], "coeff": None}, "not a string"),
     ],
-    ids=["x-too-long", "x-too-short", "x-d-shifted", "d-negative", "x-dependent"],
+    ids=[
+        "x-too-long",
+        "x-too-short",
+        "x-d-shifted",
+        "d-negative",
+        "x-dependent",
+        "coeff-int",
+        "coeff-null",
+    ],
 )
 def test_verify_malformed_phi_exits_2(capsys, tmp_path, term, message):
     path = _write_phi(capsys, tmp_path, lambda phi: phi[1][0].append(term))
@@ -305,6 +315,20 @@ def test_verify_malformed_phi_exits_2(capsys, tmp_path, term, message):
         capsys, "verify", "g2", "--suite", "closure", "--order", "4", "--phi-file", path
     )
     assert code == 2 and message in err
+
+
+@pytest.mark.parametrize(
+    "header",
+    [{"n": 2.7}, {"order": 4.9}, {"order": True}],
+    ids=["n-float", "order-float", "order-bool"],
+)
+def test_verify_phi_header_must_be_integers(capsys, tmp_path, header):
+    # int() would read these as n = 2, order 4 and order 0 and run closure on them
+    path = Path(_write_phi(capsys, tmp_path, lambda phi: None))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **header}))
+    verify = ["verify", "g2", "--suite", "closure", "--order", "4"]
+    code, _, err = run(capsys, *verify, "--phi-file", str(path))
+    assert code == 2 and "is not an integer" in err
 
 
 def test_unknown_algebra(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lieweyl import (
+    I,
     InsufficientOrder,
     OpMatrix,
     Scalar,
@@ -10,7 +11,9 @@ from lieweyl import (
     adjoint_matrix,
     dual_realization,
     g2_algebra,
+    kappa_algebra,
     realization_from_phi,
+    su2_algebra,
     t_realization,
     verify_appendix,
     verify_realization,
@@ -18,6 +21,7 @@ from lieweyl import (
     verify_symmetrization,
     weyl_realization,
 )
+from lieweyl.weyl import INF
 from conftest import standard_algebras
 
 
@@ -106,6 +110,29 @@ def test_appendix_identities():
     for g in standard_algebras():
         rep = verify_appendix(g, 4, 4)
         assert rep["pass"], (g.name, rep)
+
+
+def test_appendix_power_identities_to_m6():
+    for g in (su2_algebra(2), kappa_algebra([I, Scalar(1), Scalar(1) / 2])):
+        rep = verify_appendix(g, 6, 6)
+        assert rep["pass"], (g.name, rep)
+
+
+def test_appendix_forms_each_truncated_product_once(monkeypatch):
+    # the triple contraction's kap-free inner sum is formed once per (mu, nu, al),
+    # not once per kap: 54 exp-derivative + 54 inner + 54 outer products for su2
+    calls = []
+    mul = WeylOp.__mul__
+
+    def counting(a, b):
+        if isinstance(b, WeylOp) and a.terms and b.terms:
+            if a.valid_order < INF and b.valid_order < INF:
+                calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(WeylOp, "__mul__", counting)
+    assert verify_appendix(su2_algebra(), 4, 4)["pass"]
+    assert len(calls) <= 162
 
 
 def test_realization_from_phi_rejects_x():
