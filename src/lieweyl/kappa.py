@@ -27,7 +27,7 @@ from .realization import (
 )
 from .scalars import Scalar
 from .series import BiTruncSeries, TruncSeries, series_coeffs
-from .star import first_order_matches, make_context, star
+from .star import first_order_matches, make_context, poisson_first_order, star
 from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op
 
 __all__ = [
@@ -88,8 +88,9 @@ def _function_of_c(p: KappaParams, f: TruncSeries) -> OpMatrix:
     n = p.n
     order = f.order - 1
     minus_a = -p.a_op()
-    diag = series_in_op(f.truncate(order), minus_a)
+    # corr = (f(-A) - f(0))/(-A) is the one series summed: f(-A) = f(0) - A corr
     corr = series_in_op(TruncSeries(f.coeffs[1:]), minus_a)
+    diag = WeylOp.constant(n, f[0]) + minus_a * corr
     d_corr = [(WeylOp.d(n, nu) * corr).truncate(order) for nu in range(n)]
     rows = [[d_corr[nu].scale(b_mu) for nu in range(n)] for b_mu in p.b]
     for mu in range(n):
@@ -323,11 +324,11 @@ def bidiff_star(
 def kappa_poisson_check(ctx: KappaStarContext, f: Polynomial, g: Polynomial) -> bool:
     """First-order limit of the closed star-product.
 
-    The leading correction of f * g is half the bracket
+    The leading correction of f * g is half the Lie-Poisson bracket
     {f, g} = sum (b_al x_be - b_be x_al)(d_al f)(d_be g), and the
     star-commutator correction is the full bracket.
     """
-    bracket = partial(_kappa_bracket, ctx.params)
+    bracket = partial(poisson_first_order, ctx.params.algebra())
     # `bidiff_star` is looked up per call, so a wrapped module attribute is seen
     return first_order_matches(lambda a, b: bidiff_star(ctx, a, b), bracket, f, g)
 
@@ -371,22 +372,3 @@ def verify_kappa(p: KappaParams, order: int, trials: int, rng) -> dict:
     checks.append(check(f"bidiff-vs-generic[trials={trials}]", star_order, ok))
     checks.append(check(f"poisson-first-order[trials={trials}]", star_order, ok_pois))
     return suite(order, checks)
-
-
-def _kappa_bracket(p: KappaParams, f: Polynomial, g: Polynomial) -> Polynomial:
-    n = p.n
-    out = Polynomial.zero(n)
-    for al in range(n):
-        df = f.partial(al)
-        if df.is_zero():
-            continue
-        for be in range(n):
-            dg = g.partial(be)
-            if dg.is_zero():
-                continue
-            lin = Polynomial.variable(n, be).scale(p.b[al]) - Polynomial.variable(
-                n, al
-            ).scale(p.b[be])
-            if not lin.is_zero():
-                out = out + lin * df * dg
-    return out

@@ -226,7 +226,7 @@ def load_algebra(source) -> LieAlgebra:
     for item in raw:
         try:
             mu, nu, lam = (_spec_int(item[k]) - 1 for k in ("mu", "nu", "lambda"))
-            c = Scalar.parse(str(item["c"]))
+            c = Scalar.parse(item["c"])
         except (KeyError, TypeError, ValueError) as exc:
             raise AlgebraSpecError(f"malformed constant entry {item!r}: {exc}") from exc
         if not all(0 <= k < n for k in (mu, nu, lam)):

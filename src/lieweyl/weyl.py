@@ -8,13 +8,15 @@ carries a valid_order and products propagate it by
 
 because commuting a derivative monomial past x^c lowers the derivative
 degree by at most |c|.  Exact (untruncated) operators have
-valid_order = math.inf.
+valid_order = math.inf.  The rule is never clamped: a negative valid_order
+certifies no coefficient at all, not even the constant term, and `apply`
+then raises InsufficientOrder for every polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from math import comb
+from math import comb, perm, prod
 
 from .poly import Polynomial, TermMap, merge, mi_add, mi_degree
 from .scalars import Scalar
@@ -35,13 +37,6 @@ class InsufficientOrder(Exception):
             f"operation needs derivative order {needed}, "
             f"operator only valid through {available}"
         )
-
-
-def _falling(c, j):
-    out = 1
-    for k in range(j):
-        out *= c - k
-    return out
 
 
 class WeylOp(TermMap):
@@ -134,31 +129,38 @@ class WeylOp(TermMap):
         return self._like(terms, vo)
 
     def __mul__(self, other):
-        """Normal-ordered product with tracked truncation."""
+        """Normal-ordered product with tracked truncation.
+
+        (x^a d^b)(x^c d^e) expands one coordinate at a time by the Leibniz
+        rule d^q x^r = sum_j binom(q, j) r!/(r - j)! x^(r - j) d^(q - j).
+        A pair adds derivative degree at least |e| - |c|, so with the right
+        terms sorted by it each left term stops at the first that cannot
+        reach the kept window.
+        """
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         self._check(other)
-        bxdeg = other.xdeg()
-        vo = min(self.valid_order, other.valid_order)
-        if vo is not INF:
-            vo = max(vo - bxdeg, 0)
+        vo = min(self.valid_order, other.valid_order) - other.xdeg()
+        right = sorted(
+            (mi_degree(e) - mi_degree(c), c, e, cb) for (c, e), cb in other.terms.items()
+        )
         out = {}
-        # bucket B terms by |d| - |c| so pairs that cannot reach the kept
-        # degree window are skipped wholesale
-        buckets = {}
-        for (c_exp, d_exp), cb in other.terms.items():
-            k = mi_degree(d_exp) - mi_degree(c_exp)
-            buckets.setdefault(k, []).append((c_exp, d_exp, cb))
-        bucket_keys = sorted(buckets)
         for (a, b), ca in self.terms.items():
-            bdeg = mi_degree(b)
-            for bk in bucket_keys:
-                # min output derivative degree is |b| + |d| - |c|
-                if vo is not INF and bdeg + bk > vo:
+            room = vo - mi_degree(b)
+            for gap, c, e, cb in right:
+                if gap > room:
                     break
-                for c_exp, d_exp, cb in buckets[bk]:
-                    coeff = ca * cb
-                    _normal_order_term(out, a, b, c_exp, d_exp, coeff, vo)
+                terms = [((), (), 1)]
+                for p, q, r, s in zip(a, b, c, e):
+                    terms = [
+                        (x + (p + r - j,), d + (q - j + s,), k * comb(q, j) * perm(r, j))
+                        for x, d, k in terms
+                        for j in range(min(q, r) + 1)
+                    ]
+                coeff = ca * cb
+                for x, d, k in terms:
+                    if mi_degree(d) <= vo:
+                        merge(out, (x, d), coeff * k)
         return self._like(out, vo)
 
     def commutator(self, other) -> "WeylOp":
@@ -166,15 +168,12 @@ class WeylOp(TermMap):
 
     def deriv_d(self, lam: int) -> "WeylOp":
         """Formal coefficientwise derivative in the variable d_lam."""
-        vo = self.valid_order
-        if vo is not INF:
-            vo = max(vo - 1, 0)
         terms = {}
         for (a, b), c in self.terms.items():
             e = b[lam]
             if e:
                 merge(terms, (a, b[:lam] + (e - 1,) + b[lam + 1 :]), c * e)
-        return self._like(terms, vo)
+        return self._like(terms, self.valid_order - 1)
 
     # -- action on polynomials ----------------------------------------------
 
@@ -188,44 +187,12 @@ class WeylOp(TermMap):
         out = {}
         for exps, fc in f.terms.items():
             for (a, b), c in self.terms.items():
-                if any(be > xe for be, xe in zip(b, exps)):
-                    continue
-                factor = 1
-                for be, xe in zip(b, exps):
-                    if be:
-                        factor *= _falling(xe, be)
-                key = mi_add(a, tuple(xe - be for xe, be in zip(exps, b)))
-                merge(out, key, fc * c * factor)
+                # xe!/(xe - be)! per coordinate: 0 when d^be kills x^xe
+                factor = prod(map(perm, exps, b))
+                if factor:
+                    key = mi_add(a, tuple(xe - be for xe, be in zip(exps, b)))
+                    merge(out, key, fc * c * factor)
         return f._like(out)
-
-
-def _normal_order_term(out, a, b, c_exp, d_exp, coeff, vo):
-    """Accumulate the normal ordering of (x^a d^b)(x^c d^d) into `out`.
-
-    d^b x^c = sum_j prod_mu binom(b_mu, j_mu) c_mu!/(c_mu - j_mu)!
-              x^{c - j} d^{b - j}.
-    """
-    n = len(a)
-    # iterate over j with 0 <= j_mu <= min(b_mu, c_mu)
-    lims = [min(b[mu], c_exp[mu]) for mu in range(n)]
-    j = [0] * n
-    while True:
-        factor = 1
-        for mu in range(n):
-            if j[mu]:
-                factor *= comb(b[mu], j[mu]) * _falling(c_exp[mu], j[mu])
-        new_b = tuple(b[mu] - j[mu] + d_exp[mu] for mu in range(n))
-        if mi_degree(new_b) <= vo:
-            new_a = tuple(a[mu] + c_exp[mu] - j[mu] for mu in range(n))
-            merge(out, (new_a, new_b), coeff * factor)
-        # advance the odometer
-        for mu in range(n):
-            if j[mu] < lims[mu]:
-                j[mu] += 1
-                break
-            j[mu] = 0
-        else:
-            return
 
 
 class OpMatrix:

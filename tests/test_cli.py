@@ -54,10 +54,14 @@ def test_validate_bad_spec(capsys, tmp_path):
         {"n": 2, "constants": [{"mu": 1.9, "nu": 2, "lambda": 2, "c": "1"}]},
         {"n": 2, "constants": [{"mu": 1, "nu": 2.0, "lambda": 2, "c": "1"}]},
         {"n": 2, "constants": [{"mu": 1, "nu": 2, "lambda": True, "c": "1"}]},
+        # a coefficient must be a string: a JSON number is read through a float
+        {"n": 2, "constants": [{"mu": 1, "nu": 2, "lambda": 2, "c": 0.1}]},
+        {"n": 2, "constants": [{"mu": 1, "nu": 2, "lambda": 2, "c": 1}]},
     ],
     ids=[
         "constants-str", "entry-int", "constants-null", "index-null", "n-0", "n-neg",
         "n-float", "n-bool", "mu-float", "nu-integral-float", "lambda-bool",
+        "c-float", "c-int",
     ],
 )
 def test_malformed_spec_exits_2(capsys, tmp_path, spec):
@@ -360,3 +364,15 @@ def test_cli_import_skips_dataclasses():
     new = set(out.split())
     assert "lieweyl.cli" in new
     assert not new & {"dataclasses", "inspect", "ast"}
+
+
+def test_star_table_script_first_order_ok():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "star_table.py"
+    src = str(Path(lieweyl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, str(script), "g2", "--max-degree", "1"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    lines = out.split("first-order check on generator pairs:\n")[1].splitlines()
+    assert len(lines) == 4
+    assert all(line.endswith("ok") for line in lines)

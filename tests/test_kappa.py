@@ -20,6 +20,7 @@ from lieweyl import (
     kappa_power_check,
     kappa_t_closed,
     make_context,
+    poisson_first_order,
     star,
     t_realization,
     validate,
@@ -257,6 +258,17 @@ def test_pruned_apply_equals_unpruned_sum(b, dual):
     ]
     for f, g in pairs:
         assert op.apply(f, g) == _unpruned_apply(op, f, g)
+
+
+@pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
+def test_lie_poisson_bracket_of_generators_is_the_closed_bracket(b):
+    # {x_al, x_be} = sum_rho C_{al be rho} x_rho = b_al x_be - b_be x_al
+    p = KappaParams(b)
+    x = [Polynomial.variable(p.n, mu) for mu in range(p.n)]
+    for al in range(p.n):
+        for be in range(p.n):
+            closed = x[be].scale(p.b[al]) - x[al].scale(p.b[be])
+            assert poisson_first_order(p.algebra(), x[al], x[be]) == closed
 
 
 def test_kappa_poisson():

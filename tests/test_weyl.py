@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lieweyl import (
     InsufficientOrder,
@@ -60,6 +62,55 @@ def test_truncation_tracking():
     prod = a * b
     # multiplying by an x-degree-1 factor costs one guaranteed order
     assert prod.valid_order == 1
+
+
+def test_truncated_product_certifies_no_constant_it_lacks():
+    # d x = x d + 1, but d cut at order 0 has lost d itself, so nothing is known
+    prod = WeylOp.d(1, 0).truncate(0) * WeylOp.x(1, 0)
+    assert prod.valid_order < 0
+    with pytest.raises(InsufficientOrder):
+        prod.apply(Polynomial.one(1))
+
+
+gauss = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def operands(draw):
+    """(n, A, B, f): exact operands with exponents up to 2 in x and d, and f."""
+    n = draw(st.integers(1, 3))
+    mi = st.tuples(*[st.integers(0, 2)] * n)
+    op = st.dictionaries(st.tuples(mi, mi), gauss, max_size=3).map(
+        lambda t: WeylOp(n, t)
+    )
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), gauss, max_size=3)
+    return n, draw(op), draw(op), Polynomial(n, draw(poly))
+
+
+@given(operands())
+@settings(max_examples=60, deadline=None)
+def test_product_is_composition_of_actions(ops):
+    # the action on polynomials shares no code with the normal-ordered product
+    _, A, B, f = ops
+    assert (A * B).apply(f) == A.apply(B.apply(f))
+
+
+@given(operands(), st.integers(0, 4), st.integers(0, 4))
+@example((1, d(0, 1), x(0, 1), None), 0, 0)
+@settings(max_examples=60, deadline=None)
+def test_truncated_product_is_the_exact_product_cut(ops, cut_a, cut_b):
+    _, A, B, _ = ops
+    prod = A.truncate(cut_a) * B.truncate(cut_b)
+    assert prod == (A * B).truncate(prod.valid_order)
+
+
+@given(operands(), st.integers(0, 4), st.integers(0, 2))
+@example((1, x(0, 1) * d(0, 1), None, None), 0, 0)
+@settings(max_examples=60, deadline=None)
+def test_truncated_deriv_d_is_the_exact_one_cut(ops, cut, lam):
+    n, A, _, _ = ops
+    out = A.truncate(cut).deriv_d(lam % n)
+    assert out == A.deriv_d(lam % n).truncate(out.valid_order)
 
 
 def test_deriv_d():
