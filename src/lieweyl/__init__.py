@@ -10,7 +10,6 @@ cross-checked against the generic engine.
 """
 
 from .kappa import (
-    BiDiffOperator,
     KappaParams,
     KappaStarContext,
     bidiff_star,

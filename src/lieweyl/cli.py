@@ -73,6 +73,8 @@ def _parse_kappa_b(text: str):
 
 
 def _resolve_algebra(name: str, kappa_b) -> LieAlgebra:
+    if kappa_b is not None and name != "kappa":
+        raise InputError(f"--kappa-b applies only to the builtin 'kappa', not {name!r}")
     if name.startswith("abelian") and name[7:].isdigit():
         return abelian(_dimension(int(name[7:])))
     if name == "g2":
@@ -287,7 +289,7 @@ def _run_suites(g, args):
     if want("kappa"):
         if args.kappa_b is None:
             if wanted == "kappa":
-                raise InputError("suite 'kappa' needs --kappa-b")
+                raise InputError("suite 'kappa' needs builtin 'kappa' and --kappa-b")
         else:
             rng = random.Random(args.seed)
             p = KappaParams(_parse_kappa_b(args.kappa_b))

@@ -5,7 +5,8 @@ The algebra has brackets [X_mu, X_nu] = b_mu X_nu - b_nu X_mu with
 b_mu = i a_mu as exact Gaussian rationals.  Every closed-form matrix is one
 function f(C) of the adjoint matrix, written through the single derivative
 operator A = b . d (see `_function_of_c`); the results reproduce the generic
-matrix-series realizations entry by entry.
+matrix-series realizations entry by entry.  The closed star product is
+applied from a table of weights in two variables (see `_weights`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import partial
 
 from .lie import LieAlgebra, kappa_algebra
-from .poly import Polynomial, TermMap, merge, mi_add, mi_degree, mi_unit
+from .poly import Polynomial, merge
 from .realization import (
     Realization,
     adjoint_matrix,
@@ -36,7 +37,6 @@ __all__ = [
     "kappa_closed_realization",
     "kappa_dual_closed",
     "kappa_t_closed",
-    "BiDiffOperator",
     "KappaStarContext",
     "bidiff_star",
     "kappa_poisson_check",
@@ -140,185 +140,104 @@ def kappa_t_closed(p: KappaParams, order: int):
     )
 
 
-class BiDiffOperator(TermMap):
-    """Bi-differential operator: sum c x^a dl^i dr^j, as {a + i + j: Scalar}.
+def _weights(order: int, dual: bool) -> dict:
+    """{(s, m, t, k): [u^s v^t] R1(u, v)^m R2(u, v)^k} for s + m + t + k <= order.
 
-    A key is the flat concatenation of the x-exponents a, the left
-    derivative i (acting on the left factor) and the right derivative j.
-    Symbols are treated as mutually commuting bookkeeping, so composition is
-    a commutative product, cut at |i| + |j| <= order.
+    The closed star product is exp(E) with E = X_l (R1 - 1) + X_r (R2 - 1),
+    X_l = sum_al x_al dl_al, u = b . dl and likewise on the right, where
+    R1 = psi_tilde(u+v)/psi_tilde(u) and R2 = psi(u+v)/psi(v); the dual route
+    interchanges psi and psi_tilde.  With the x's on the left, X_l^p/p!
+    multiplies a homogeneous left factor of degree m by binom(m, p) (Euler),
+    so the sum over p of binom(m, p) (R1 - 1)^p is R1^m.  The table depends
+    on neither b nor n.
     """
-
-    __slots__ = ("order", "_groups")
-
-    KEY_PARTS = (
-        ("x", "x", "x"),
-        ("left", "dl", "\\overleftarrow{\\partial}"),
-        ("right", "dr", "\\overrightarrow{\\partial}"),
-    )
-
-    def __init__(self, n: int, terms=None, order: int = 0):
-        self.order = order
-        self._groups = None
-        if terms:
-            terms = {k: c for k, c in terms.items() if mi_degree(k[n:]) <= order}
-        super().__init__(n, terms)
-
-    def _like(self, terms, order=None):
-        out = TermMap._like(self, terms)
-        out.order = self.order if order is None else order
-        out._groups = None
-        return out
-
-    def _split(self, key):
-        n = self.n
-        return key[:n], key[n : 2 * n], key[2 * n :]
-
-    @classmethod
-    def identity(cls, n, order):
-        return cls(n, {(0,) * (3 * n): Scalar(1)}, order)
-
-    def __mul__(self, other):
-        self._check(other)
-        n, order = self.n, min(self.order, other.order)
-        right = sorted((mi_degree(k[n:]), k, c) for k, c in other.terms.items())
-        out = {}
-        for k1, c1 in self.terms.items():
-            room = order - mi_degree(k1[n:])
-            for d2, k2, c2 in right:
-                if d2 > room:
-                    break
-                merge(out, mi_add(k1, k2), c1 * c2)
-        return self._like(out, order)
-
-    def _by_bidegree(self) -> list:
-        """[(|i|, |j|, i, j, [(x, c), ...])]: the terms grouped by (i, j), once."""
-        if self._groups is None:
-            n = self.n
-            groups = {}
-            for k, c in self.terms.items():
-                groups.setdefault((k[n : 2 * n], k[2 * n :]), []).append((k[:n], c))
-            self._groups = [
-                (mi_degree(i), mi_degree(j), i, j, xs) for (i, j), xs in groups.items()
-            ]
-        return self._groups
-
-    def apply(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """sum c x^a (d^i f)(d^j g), skipping every |i| > deg f or |j| > deg g."""
-        deg_f, deg_g = f.degree(), g.degree()
-        if deg_f + deg_g > self.order:
-            raise InsufficientOrder(deg_f + deg_g, self.order)
-        d_f, d_g = {}, {}
-        out = {}
-        for di, dj, i, j, xs in self._by_bidegree():
-            if di > deg_f or dj > deg_g:
-                continue
-            fi = d_f.get(i)
-            if fi is None:
-                fi = d_f[i] = _multi_partial(f, i)
-            gj = d_g.get(j)
-            if gj is None:
-                gj = d_g[j] = _multi_partial(g, j)
-            fg = (fi * gj).terms
-            for x, c in xs:
-                for exps, coeff in fg.items():
-                    merge(out, mi_add(x, exps), c * coeff)
-        return f._like(out)
-
-
-def _multi_partial(f: Polynomial, exps) -> Polynomial:
-    for mu, e in enumerate(exps):
-        for _ in range(e):
-            f = f.partial(mu)
-            if f.is_zero():
-                return f
-    return f
-
-
-def _bidiff_exponent(p: KappaParams, order: int, dual: bool) -> BiDiffOperator:
-    """sum_al x_al (Delta d_al - Delta_0 d_al) as a BiDiffOperator.
-
-    Delta d_al = left_d_al R1(A_left, A_right) + right_d_al R2(A_left, A_right)
-    with R1 = psi_tilde(u+v)/psi_tilde(u), R2 = psi(u+v)/psi(v); the dual
-    version interchanges psi and psi_tilde.
-    """
-    n = p.n
-    z = (0,) * n
     kinds = ("psi", "psi_tilde") if dual else ("psi_tilde", "psi")
-    one = BiTruncSeries({(0, 0): Scalar(1)}, order)
-    # substitute u -> b . left_d, v -> b . right_d, through the powers of b . z
-    lin = Polynomial(n, {mi_unit(n, mu): b for mu, b in enumerate(p.b)})
-    powers = [Polynomial.one(n)]
-    for _ in range(order):
-        powers.append(powers[-1] * lin)
-    exponent = {}
-    for side, (kind, var) in enumerate(zip(kinds, ("u", "v"))):
+    powers = []
+    for kind, var in zip(kinds, ("u", "v")):
         fn = series_coeffs(kind, order)
-        r = BiTruncSeries.from_univariate(fn, "u+v", order)
-        r = r / BiTruncSeries.from_univariate(fn, var, order) - one
-        # c * cu * cv does not depend on al, so it is formed once per side
-        subs = [
-            (z + iu + iv, c * cu * cv)
-            for (pu, pv), c in r.terms.items()
-            for iu, cu in powers[pu].terms.items()
-            for iv, cv in powers[pv].terms.items()
-        ]
-        for al in range(n):
-            x_al = mi_unit(n, al)
-            # x_al times d_al on this side's factor, in the key layout x + i + j
-            shift = x_al + (x_al + z, z + x_al)[side]
-            for key, c in subs:
-                merge(exponent, mi_add(key, shift), c)
-    return BiDiffOperator(n, exponent, order)
+        ratio = BiTruncSeries.from_univariate(fn, "u+v", order) / (
+            BiTruncSeries.from_univariate(fn, var, order)
+        )
+        # R^m is needed only through degree order - m
+        side = [BiTruncSeries({(0, 0): 1}, order)]
+        for m in range(1, order + 1):
+            side.append(BiTruncSeries((side[-1] * ratio).terms, order - m))
+        powers.append(side)
+    table = {}
+    for m, r1 in enumerate(powers[0]):
+        for k, r2 in enumerate(powers[1][: order - m + 1]):
+            row = BiTruncSeries(r1.terms, order - m - k) * r2
+            for (s, t), c in row.terms.items():
+                table[s, m, t, k] = c
+    return table
 
 
 class KappaStarContext:
-    """The closed star operators exp(E) of one kappa space, cut at one order.
+    """The closed star product of one kappa space, cut at one order.
 
-    Each route's operator is built on first use and kept.  Every term of E
-    carries a derivative, so truncation commutes with exp: the operator cut
-    at this order gives, through `BiDiffOperator.apply`'s bidegree pruning,
-    the product of any f, g with deg f + deg g <= order.
+    Each route's weight table (`_weights`) is built on first use and kept; it
+    gives the product of any f, g with deg f + deg g <= order.
     """
 
-    __slots__ = ("params", "order", "_operators")
+    __slots__ = ("params", "order", "_tables")
 
     def __init__(self, params: KappaParams, order: int):
         self.params = params
         self.order = order
-        self._operators = {}
+        self._tables = {}
 
-    def operator(self, dual: bool = False) -> BiDiffOperator:
-        op = self._operators.get(dual)
-        if op is None:
-            op = self._operators[dual] = _exp(
-                _bidiff_exponent(self.params, self.order, dual)
-            )
-        return op
+    def weights(self, dual: bool = False) -> dict:
+        table = self._tables.get(dual)
+        if table is None:
+            table = self._tables[dual] = _weights(self.order, dual)
+        return table
 
 
-def _exp(E: BiDiffOperator) -> BiDiffOperator:
-    """sum_k E^k / k!, which ends because every term of E carries a derivative."""
-    total = power = BiDiffOperator.identity(E.n, E.order)
-    k = 1
-    inv_fact = Scalar(1)
-    while True:
-        power = power * E
-        if not power.terms:
-            return total
-        inv_fact = inv_fact / Scalar(k)
-        total = total + power.scale(inv_fact)
-        k += 1
+def _a_chains(b, f: Polynomial) -> dict:
+    """{d: [f_d, A f_d, A^2 f_d, ...]} over the homogeneous parts f_d of f,
+    with A = b . d; each chain stops before its first zero."""
+    parts = {}
+    for key, c in f.terms.items():
+        parts.setdefault(sum(key), {})[key] = c
+    zero = f._like({})
+    chains = {}
+    for d, terms in parts.items():
+        h = f._like(terms)
+        chain = chains[d] = []
+        while h.terms:
+            chain.append(h)
+            h = sum((h.partial(mu).scale(c) for mu, c in enumerate(b) if c), zero)
+    return chains
 
 
 def bidiff_star(
     ctx: KappaStarContext, f: Polynomial, g: Polynomial, dual: bool = False
 ) -> Polynomial:
-    """The closed bi-differential star-product of the kappa space.
+    """The closed bi-differential star-product of the kappa space:
 
+    f * g = sum w(s, d - s, t, e - t) (A^s f_d)(A^t g_e) over the homogeneous
+    parts f_d, g_e, with A = b . d and the weights w of `_weights`.
     Raises InsufficientOrder when deg f + deg g exceeds the context's order.
     """
-    return ctx.operator(dual).apply(f, g)
+    deg = f.degree() + g.degree()
+    if deg > ctx.order:
+        raise InsufficientOrder(deg, ctx.order)
+    weights = ctx.weights(dual)
+    b = ctx.params.b
+    g_chains = _a_chains(b, g)
+    out = {}
+    for d, f_chain in _a_chains(b, f).items():
+        for e, g_chain in g_chains.items():
+            for s, fs in enumerate(f_chain):
+                right = {}
+                for t, gt in enumerate(g_chain):
+                    w = weights.get((s, d - s, t, e - t))
+                    if w:
+                        for key, c in gt.terms.items():
+                            merge(right, key, c * w)
+                for key, c in (fs * g._like(right)).terms.items():
+                    merge(out, key, c)
+    return f._like(out)
 
 
 def kappa_poisson_check(ctx: KappaStarContext, f: Polynomial, g: Polynomial) -> bool:

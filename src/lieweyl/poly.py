@@ -15,7 +15,6 @@ import re
 from .scalars import ONE, Scalar
 
 __all__ = [
-    "MultiIndex",
     "mi_add",
     "mi_degree",
     "mi_unit",
@@ -24,8 +23,6 @@ __all__ = [
     "Polynomial",
     "parse_polynomial",
 ]
-
-MultiIndex = tuple
 
 
 def mi_add(a, b):
@@ -274,20 +271,29 @@ _FACTOR = re.compile(r"^(?:x(\d+))(?:\^(\d+))?$")
 
 
 def parse_polynomial(text: str, n: int) -> Polynomial:
-    """Parse text such as "x1*x2 + 1/2*x2 - 3" (also accepts "·" for "*")."""
+    """Parse text such as "x1*x2 + 1/2*x2 - 3" (also accepts "·" for "*").
+
+    A coefficient factor may sit in one pair of parentheses, as `render`
+    writes a Gaussian one: "(1/2+1/2i)*x1".
+    """
     s = text.replace("·", "*").replace("−", "-").replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
-    # split into signed terms at top level (no parentheses supported except
-    # none are emitted for real coefficients)
+    # split into signed terms outside parentheses
     terms = []
     buf = ""
+    depth = 0
     for ch in s:
-        if ch in "+-" and buf and buf[-1] not in "+-*/(":
+        if ch in "+-" and not depth and buf and buf[-1] not in "+-*/(":
             terms.append(buf)
             buf = ch
         else:
+            depth += (ch == "(") - (ch == ")")
+            if depth < 0:
+                break
             buf += ch
+    if depth:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
     terms.append(buf)
     out = Polynomial.zero(n)
     for term in terms:
@@ -307,6 +313,8 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                     raise ValueError(f"variable x{mu} out of range 1..{n}")
                 exps[mu - 1] += int(m.group(2) or 1)
             else:
+                if factor.startswith("(") and factor.endswith(")"):
+                    factor = factor[1:-1]
                 coeff = coeff * Scalar.parse(factor)
             if neg:
                 coeff = -coeff

@@ -17,25 +17,16 @@ __all__ = ["bernoulli", "TruncSeries", "BiTruncSeries", "series_coeffs"]
 _bernoulli_cache = [Q(1)]
 
 
-def bernoulli(k: int, convention: str = "minus"):
-    """Bernoulli number B_k as an exact rational.
-
-    convention="minus" gives B_1 = -1/2; convention="plus" gives the
-    variant with B_1 = +1/2 (all other values coincide).
-    """
+def bernoulli(k: int):
+    """Bernoulli number B_k as an exact rational, with B_1 = -1/2."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if convention not in ("minus", "plus"):
-        raise ValueError(f"unknown convention {convention!r}")
     while len(_bernoulli_cache) <= k:
         m = len(_bernoulli_cache)
         # sum_{j=0}^{m} binom(m+1, j) B_j = 0
         s = sum(comb(m + 1, j) * _bernoulli_cache[j] for j in range(m))
         _bernoulli_cache.append(-s / Q(m + 1))
-    b = _bernoulli_cache[k]
-    if convention == "plus" and k == 1:
-        return -b
-    return b
+    return _bernoulli_cache[k]
 
 
 class TruncSeries:
@@ -139,9 +130,9 @@ def series_coeffs(kind: str, order: int) -> TruncSeries:
     for k in range(1, order + 2):
         fact[k] = fact[k - 1] * k
     if kind == "psi":
-        cs = [Q((-1) ** k) * bernoulli(k, "minus") / fact[k] for k in range(order + 1)]
+        cs = [Q((-1) ** k) * bernoulli(k) / fact[k] for k in range(order + 1)]
     elif kind == "psi_tilde":
-        cs = [Q((-1) ** k) * bernoulli(k, "plus") / fact[k] for k in range(order + 1)]
+        cs = [bernoulli(k) / fact[k] for k in range(order + 1)]
     elif kind == "exp":
         cs = [Q(1, fact[k]) for k in range(order + 1)]
     elif kind == "exp_neg":

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +243,29 @@ def test_verify_kappa_suite(capsys):
     assert code == 0 and "RESULT: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "g2", "--kappa-b", "1i,0,0", "--suite", "kappa", "--order", "3"],
+        ["validate", "su2", "--kappa-b", "1i,0,0"],
+        ["star", "abelian2", "x1", "x2", "--kappa-b", "1i,0"],
+    ],
+    ids=["verify", "validate", "star"],
+)
+def test_kappa_b_only_for_builtin_kappa(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "--kappa-b" in err and not out
+
+
+def test_star_reads_its_own_gaussian_output(capsys):
+    kappa = ("star", "kappa", "--kappa-b", "1i,1")
+    code, out, _ = run(capsys, *kappa, "(1/2+1/2i)*x1", "x2")
+    assert code == 0
+    assert out == "(-1/4+1/4i)*x2 + (-1/4-1/4i)*x1 + (1/2+1/2i)*x1*x2\n"
+    code, again, _ = run(capsys, *kappa, out.strip(), "1")
+    assert code == 0 and again == out
+
+
 def test_verify_kappa_suite_needs_b(capsys):
     code, _, err = run(capsys, "verify", "g2", "--suite", "kappa")
     assert code == 2 and "kappa-b" in err
@@ -364,6 +389,15 @@ def test_cli_import_skips_dataclasses():
     new = set(out.split())
     assert "lieweyl.cli" in new
     assert not new & {"dataclasses", "inspect", "ast"}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(lieweyl.__path__))
+)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"lieweyl.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing
 
 
 def test_star_table_script_first_order_ok():

@@ -1,10 +1,11 @@
 import random
 from collections import Counter
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 
 from lieweyl import (
-    BiDiffOperator,
     I,
     InsufficientOrder,
     KappaParams,
@@ -132,47 +133,29 @@ def test_closed_forms_reject_other_parameters():
         assert closed.truncate(order) != generic.truncate(order)
 
 
-def test_bidiff_identity_applies_as_product():
-    rng = random.Random(11)
-    f = random_polynomial(rng, 2, 3)
-    h = random_polynomial(rng, 2, 3)
-    assert BiDiffOperator.identity(2, 6).apply(f, h) == f * h
-
-
-def test_bidiff_product_cuts_at_order():
-    # x1 dl1 and dr2, as flat keys x + left + right
-    a = BiDiffOperator(2, {(1, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 1): 2}, order=2)
-    sq = a * a
-    assert sq.order == 2
-    assert sq.terms == {
-        (2, 0, 2, 0, 0, 0): Scalar(1),
-        (1, 0, 1, 0, 0, 1): Scalar(4),
-        (0, 0, 0, 0, 0, 2): Scalar(4),
-    }
-    # every term of the cube has |i| + |j| = 3 > 2
-    assert (sq * a).is_zero()
-    cut = sq * BiDiffOperator.identity(2, 1)
-    assert cut.order == 1 and cut.is_zero()
-
-
-def test_bidiff_apply_order_guard():
-    f = Polynomial.variable(2, 0) * Polynomial.variable(2, 1)
-    op = BiDiffOperator.identity(2, 3)
-    assert op.apply(f, Polynomial.variable(2, 0)) == f * Polynomial.variable(2, 0)
-    with pytest.raises(InsufficientOrder):
-        op.apply(f, f)
-
-
-@pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
+@pytest.mark.parametrize(
+    "b",
+    [*PARAM_SETS, [Scalar(0), Scalar(1), Scalar(0)], [I, *[Scalar(0)] * 3]],
+    ids=["n2", "n3", "n3-generic", "n3-zero-first", "n4-minkowski"],
+)
 def test_bidiff_star_matches_generic(b):
     p = KappaParams(b)
     order = 6
     ctx = make_context(p.algebra(), order)
     kctx = KappaStarContext(p, order)
     rng = random.Random(67)
+    # f = 0, a constant, and a degree-0 by degree-6 pair, then random pairs
+    top = Polynomial(p.n, {(6,) + (0,) * (p.n - 1): I})
+    sextic = random_polynomial(rng, p.n, 6) + top
+    pairs = [
+        (Polynomial.zero(p.n), random_polynomial(rng, p.n, 3)),
+        (Polynomial.constant(p.n, Scalar(2) / 3), random_polynomial(rng, p.n, 3)),
+        (Polynomial.constant(p.n, I), sextic),
+        (sextic, Polynomial.constant(p.n, 5)),
+    ]
     for _ in range(4):
-        f = random_polynomial(rng, p.n, 3)
-        h = random_polynomial(rng, p.n, 3)
+        pairs.append((random_polynomial(rng, p.n, 3), random_polynomial(rng, p.n, 3)))
+    for f, h in pairs:
         assert bidiff_star(kctx, f, h) == star(ctx, f, h)
         assert bidiff_star(kctx, f, h, dual=True) == star(ctx, f, h, "dual")
 
@@ -200,18 +183,44 @@ def test_context_order_guard_after_build():
             kappa_poisson_check(kctx, cube, cube)
 
 
-def test_verify_kappa_builds_one_operator_per_route(monkeypatch):
+def test_verify_kappa_builds_one_table_per_route(monkeypatch):
     built = Counter()
-    exponent = kappa._bidiff_exponent
+    weights = kappa._weights
 
-    def counting(p, order, dual):
+    def counting(order, dual):
         built[dual] += 1
-        return exponent(p, order, dual)
+        return weights(order, dual)
 
-    monkeypatch.setattr(kappa, "_bidiff_exponent", counting)
+    monkeypatch.setattr(kappa, "_weights", counting)
     rep = verify_kappa(KappaParams([I, Scalar(1) / 2]), 6, 3, random.Random(73))
     assert rep["pass"]
     assert built == {False: 1, True: 1}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_weight_table_depends_on_neither_b_nor_n(dual):
+    tables = [KappaStarContext(KappaParams(b), 6).weights(dual) for b in PARAM_SETS]
+    assert len(tables[0]) == 137
+    assert all(t == tables[0] for t in tables)
+
+
+@pytest.mark.parametrize("m,p", [(0, 0), (3, 0), (3, 1), (3, 2), (4, 4), (5, 2), (5, 6)])
+def test_euler_identity_scales_by_binomial(m, p):
+    # sum_{|a|=p} x^a d^a F / a! = binom(m, p) F for F homogeneous of degree m,
+    # the identity that turns exp(E) into the weight table
+    n = 3
+    rng = random.Random(97 + 10 * m + p)
+    F = random_polynomial(rng, n, m).homogeneous_part(m)
+    F = F + Polynomial(n, {(0, m, 0): Scalar(1, 2)})
+    total = Polynomial.zero(n)
+    for a in (a for a in product(range(p + 1), repeat=n) if sum(a) == p):
+        h = F
+        for mu, e in enumerate(a):
+            for _ in range(e):
+                h = h.partial(mu)
+        a_fact = prod(factorial(e) for e in a)
+        total = total + Polynomial(n, {a: Scalar(1) / a_fact}) * h
+    assert total == F.scale(comb(m, p))
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
@@ -226,38 +235,6 @@ def test_operator_at_higher_order_gives_same_product(dual):
         low = KappaStarContext(p, f.degree() + g.degree())
         assert low.order < high.order
         assert bidiff_star(high, f, g, dual) == bidiff_star(low, f, g, dual)
-
-
-def _unpruned_apply(op, f, g):
-    """sum c x^a (d^i f)(d^j g) over every term, with no pruning or reuse."""
-
-    def derivative(h, exps):
-        for mu, e in enumerate(exps):
-            for _ in range(e):
-                h = h.partial(mu)
-        return h
-
-    out = Polynomial.zero(op.n)
-    for key, c in op.terms.items():
-        x, i, j = op._split(key)
-        out = out + Polynomial(op.n, {x: c}) * derivative(f, i) * derivative(g, j)
-    return out
-
-
-@pytest.mark.parametrize("b", [PARAM_SETS[0], PARAM_SETS[2]], ids=["n2", "n3-generic"])
-@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
-def test_pruned_apply_equals_unpruned_sum(b, dual):
-    p = KappaParams(b)
-    op = KappaStarContext(p, 5).operator(dual)
-    rng = random.Random(29)
-    pairs = [(Polynomial.zero(p.n), random_polynomial(rng, p.n, 2))]
-    pairs += [
-        (random_polynomial(rng, p.n, rng.randint(0, 3)),
-         random_polynomial(rng, p.n, rng.randint(0, 2)))
-        for _ in range(4)
-    ]
-    for f, g in pairs:
-        assert op.apply(f, g) == _unpruned_apply(op, f, g)
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])

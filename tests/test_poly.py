@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lieweyl import Polynomial, Scalar, parse_polynomial
@@ -8,12 +8,12 @@ N = 3
 
 
 @st.composite
-def polys(draw, n=N, max_degree=3, max_terms=4):
+def polys(draw, n=N, max_degree=3, max_terms=4, gaussian=False):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         exps = tuple(draw(st.integers(0, max_degree)) for _ in range(n))
-        coeff = Scalar(draw(st.fractions(max_denominator=9)))
-        terms[exps] = coeff
+        im = draw(st.fractions(max_denominator=9)) if gaussian else 0
+        terms[exps] = Scalar(draw(st.fractions(max_denominator=9)), im)
     return Polynomial(n, terms)
 
 
@@ -69,11 +69,22 @@ def test_parse_rejects():
         parse_polynomial("x5", 2)
     with pytest.raises(ValueError):
         parse_polynomial("x1 +* x2", 2)
+    # unbalanced or doubled parentheses, and a bracketed variable
+    for text in ("(1/2*x1", "1/2)*x1", "(1/2))*(x1", "((1/2))*x1", "(x1)"):
+        with pytest.raises(ValueError):
+            parse_polynomial(text, 2)
 
 
 @given(polys())
 def test_str_roundtrip(f):
     assert parse_polynomial(str(f), N) == f
+
+
+@given(polys(gaussian=True))
+@example(Polynomial(N, {(1, 0, 0): Scalar.parse("1/2+1/2i")}))
+def test_render_roundtrip_gaussian(f):
+    # render brackets a coefficient with both parts: "(1/2+1/2i)*x1"
+    assert parse_polynomial(f.render(), N) == f
 
 
 @given(polys())

@@ -25,12 +25,6 @@ def test_bernoulli_odd_vanish():
         assert not bernoulli(k)
 
 
-def test_bernoulli_plus_convention():
-    assert str(bernoulli(1, "plus")) == "1/2"
-    for k in [0, 2, 4, 6]:
-        assert bernoulli(k, "plus") == bernoulli(k)
-
-
 def test_psi_vs_psi_tilde():
     # psi(t) e^{-t} = psi_tilde(t)
     order = 12
@@ -129,5 +123,5 @@ def test_bernoulli_against_sympy():
     sympy = pytest.importorskip("sympy")
     for k in range(2 * ORACLE_ORDER):
         # sympy >= 1.12 follows the B_1 = +1/2 convention
-        assert bernoulli(k, "plus") == Fraction(str(sympy.bernoulli(k)))
-        assert bernoulli(k) == (Fraction(-1, 2) if k == 1 else bernoulli(k, "plus"))
+        expected = Fraction(str(sympy.bernoulli(k)))
+        assert bernoulli(k) == (-expected if k == 1 else expected)
