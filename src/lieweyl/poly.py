@@ -71,12 +71,12 @@ def _latex_scalar(c: Scalar, wrap: bool) -> str:
 
 
 def _text_scalar(c: Scalar, wrap: bool) -> str:
-    s = str(c)
-    return f"({s})" if wrap and c.re and c.im else s
+    s = str(c) if c.re else f"{c.im}i"
+    return f"({s})" if wrap and c.im else s
 
 
 # coefficient formatter, factor template, power template, factor separator;
-# `wrap` asks for a coefficient with real and imaginary parts to be bracketed
+# `wrap`: a factor follows, so bracket a coefficient that would read ambiguously
 _TEXT = (_text_scalar, "{}{}", "^{}", "*")
 _LATEX = (_latex_scalar, "{}_{{{}}}", "^{{{}}}", " ")
 _MINUS_ONE = -ONE

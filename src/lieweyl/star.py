@@ -23,6 +23,7 @@ from .realization import (
     residual_check,
     suite,
     weyl_realization,
+    x_linear_bracket,
 )
 from .scalars import Scalar
 from .weyl import InsufficientOrder
@@ -163,16 +164,16 @@ def verify_duality(ctx: StarContext, trials: int, rng, max_degree: int = 3) -> d
     """Duality report: xhat/yhat commutation, dual bracket sign, f*g = g*~f."""
     n = ctx.algebra.n
     guaranteed = ctx.order - 1
-    xhat, yhat = ctx.primal.xhat, ctx.dual.xhat
+    phi, phi_dual = ctx.primal.phi, ctx.dual.phi
     commutators = (
-        ({"indices": [mu + 1, nu + 1]}, xhat[mu].commutator(yhat[nu]))
+        ({"indices": [mu + 1, nu + 1]}, x_linear_bracket(phi, mu, phi_dual, nu))
         for mu, nu in product(range(n), repeat=2)
     )
     # [yhat_mu, yhat_nu] = -sum C_{mu nu al} yhat_al: yhat closes under the
     # dual algebra
     closure = (
         ({"indices": [mu + 1, nu + 1]}, res)
-        for mu, nu, res in closure_residual(ctx.dual_alg, yhat)
+        for mu, nu, res in closure_residual(ctx.dual_alg, ctx.dual)
     )
     checks = [
         residual_check("xhat-yhat-commute", guaranteed, commutators),

@@ -2,21 +2,20 @@
 
 Operators are polynomial in x and (possibly truncated) power series in the
 derivatives d_mu.  Truncation is tracked, never silent: every operator
-carries a valid_order and products propagate it by
-
-    valid_order(AB) = min(valid_order(A), valid_order(B)) - xdeg(B),
-
-because commuting a derivative monomial past x^c lowers the derivative
-degree by at most |c|.  Exact (untruncated) operators have
-valid_order = math.inf.  The rule is never clamped: a negative valid_order
-certifies no coefficient at all, not even the constant term, and `apply`
-then raises InsufficientOrder for every polynomial.
+carries a valid_order.  The only product is by an x-free right factor, so
+nothing is normal-ordered and valid_order(AB) = min(valid_order(A),
+valid_order(B)); `deriv_d` lowers the order by one, so the commutators with
+x formed from it (realization.py) are certified through N - 1 for operators
+valid through N.  Exact (untruncated) operators have valid_order = math.inf.
+The rule is never clamped: a negative valid_order certifies no coefficient
+at all, not even the constant term, and `apply` then raises
+InsufficientOrder for every polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from math import comb, perm, prod
+from math import perm, prod
 
 from .poly import Polynomial, TermMap, merge, mi_add, mi_degree
 from .scalars import Scalar
@@ -129,42 +128,26 @@ class WeylOp(TermMap):
         return self._like(terms, vo)
 
     def __mul__(self, other):
-        """Normal-ordered product with tracked truncation.
+        """Product by an x-free right factor: (x^a d^b)(d^e) = x^a d^(b+e).
 
-        (x^a d^b)(x^c d^e) expands one coordinate at a time by the Leibniz
-        rule d^q x^r = sum_j binom(q, j) r!/(r - j)! x^(r - j) d^(q - j).
-        A pair adds derivative degree at least |e| - |c|, so with the right
-        terms sorted by it each left term stops at the first that cannot
-        reach the kept window.
+        A right factor with x raises ValueError.  With the right terms sorted
+        by degree each left term stops at the first past the kept window.
         """
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         self._check(other)
-        vo = min(self.valid_order, other.valid_order) - other.xdeg()
-        right = sorted(
-            (mi_degree(e) - mi_degree(c), c, e, cb) for (c, e), cb in other.terms.items()
-        )
+        if other.xdeg():
+            raise ValueError("the right factor of a WeylOp product must be x-free")
+        vo = min(self.valid_order, other.valid_order)
+        right = sorted((mi_degree(e), e, cb) for (_, e), cb in other.terms.items())
         out = {}
         for (a, b), ca in self.terms.items():
             room = vo - mi_degree(b)
-            for gap, c, e, cb in right:
-                if gap > room:
+            for deg, e, cb in right:
+                if deg > room:
                     break
-                terms = [((), (), 1)]
-                for p, q, r, s in zip(a, b, c, e):
-                    terms = [
-                        (x + (p + r - j,), d + (q - j + s,), k * comb(q, j) * perm(r, j))
-                        for x, d, k in terms
-                        for j in range(min(q, r) + 1)
-                    ]
-                coeff = ca * cb
-                for x, d, k in terms:
-                    if mi_degree(d) <= vo:
-                        merge(out, (x, d), coeff * k)
+                merge(out, (a, mi_add(b, e)), ca * cb)
         return self._like(out, vo)
-
-    def commutator(self, other) -> "WeylOp":
-        return self * other - other * self
 
     def deriv_d(self, lam: int) -> "WeylOp":
         """Formal coefficientwise derivative in the variable d_lam."""

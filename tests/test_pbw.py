@@ -201,7 +201,7 @@ def test_str_brackets_gaussian_coefficients():
     X = PBWElement(
         2, {(1, 0): Scalar(1, 2), (0, 1): Scalar(0, -1), (0, 0): Scalar(3, 1)}
     )
-    assert str(X) == "3+1i + 0-1i*X2 + (1+2i)*X1"
+    assert str(X) == "3+1i + (-1i)*X2 + (1+2i)*X1"
 
 
 def test_add_sub_check_dimension():

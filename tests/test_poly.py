@@ -82,9 +82,27 @@ def test_str_roundtrip(f):
 
 @given(polys(gaussian=True))
 @example(Polynomial(N, {(1, 0, 0): Scalar.parse("1/2+1/2i")}))
+@example(Polynomial(N, {(1, 0, 0): Scalar.parse("-1/2i"), (0, 0, 0): Scalar.parse("1/3i")}))
 def test_render_roundtrip_gaussian(f):
-    # render brackets a coefficient with both parts: "(1/2+1/2i)*x1"
+    # render brackets every non-real coefficient: "(1/2+1/2i)*x1", "(-1/2i)*x1"
     assert parse_polynomial(f.render(), N) == f
+
+
+@pytest.mark.parametrize(
+    "text,rendered",
+    [
+        ("1/2+1i", "(1/2+1i)*x1"),
+        ("-3-1/2i", "(-3-1/2i)*x1"),
+        ("1/2i", "(1/2i)*x1"),
+        ("-1i", "(-1i)*x1"),
+        ("-3/4", "-3/4*x1"),
+    ],
+)
+def test_text_brackets_non_real_coefficient(text, rendered):
+    # a purely imaginary coefficient drops its zero real part ("1/2i", not
+    # "0+1/2i"), and a bracket keeps "1/2i*x1" from reading as 1/(2i x1)
+    assert Polynomial(1, {(1,): Scalar.parse(text)}).render() == rendered
+    assert Polynomial(1, {(0,): Scalar.parse(text)}).render() == text
 
 
 @given(polys())

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from normal_order import commutator
 
 from lieweyl import (
     I,
@@ -12,6 +15,7 @@ from lieweyl import (
     dual_realization,
     g2_algebra,
     kappa_algebra,
+    load_algebra,
     realization_from_phi,
     su2_algebra,
     t_realization,
@@ -21,6 +25,7 @@ from lieweyl import (
     verify_symmetrization,
     weyl_realization,
 )
+from lieweyl.realization import x_free_bracket, x_linear_bracket
 from lieweyl.weyl import INF
 from conftest import standard_algebras
 
@@ -151,3 +156,40 @@ def test_realization_from_phi_rejects_x():
 def test_guaranteed_order():
     real = weyl_realization(g2_algebra(), 6)
     assert real.guaranteed_order == 5
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        su2_algebra(),
+        g2_algebra(),
+        kappa_algebra([I, Scalar(0), Scalar(0)]),
+        kappa_algebra([I, Scalar(1), Scalar(1) / 2]),
+        load_algebra(Path(__file__).with_name("non_jacobi.json")),
+    ],
+    ids=["su2", "g2", "kappa(1i,0,0)", "kappa(1i,1,1/2)", "non-jacobi"],
+)
+def test_brackets_from_derivatives_equal_normal_ordered_ones(g):
+    # every commutator the suites check, from the derivation formula, against
+    # the normal-ordered product kept in the tests: same terms, same valid order
+    order, n = 6, g.n
+    real, dual = weyl_realization(g, order), dual_realization(g, order)
+    T, Tinv = t_realization(g, order)
+    index_pairs = {
+        (real, real): combinations(range(n), 2),
+        (dual, dual): combinations(range(n), 2),
+        (real, dual): product(range(n), repeat=2),
+    }
+    pairs = [
+        (x_linear_bracket(P.phi, mu, Q.phi, nu), commutator(P.xhat[mu], Q.xhat[nu]))
+        for (P, Q), indices in index_pairs.items()
+        for mu, nu in indices
+    ]
+    pairs += [
+        (x_free_bracket(M[mu, nu], real.phi.entries[lam]), commutator(M[mu, nu], real.xhat[lam]))
+        for M in (T, Tinv)
+        for mu, nu, lam in product(range(n), repeat=3)
+    ]
+    for ours, oracle in pairs:
+        assert ours == oracle
+        assert ours.valid_order == oracle.valid_order == order - 1

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from normal_order import commutator, product
 
 from lieweyl import (
     InsufficientOrder,
@@ -30,14 +31,23 @@ def test_canonical_commutator():
     for mu in range(2):
         for nu in range(2):
             expect = WeylOp.one(2) if mu == nu else WeylOp.zero(2)
-            assert d(mu).commutator(x(nu)) == expect
+            assert commutator(d(mu), x(nu)) == expect
 
 
 def test_normal_ordering():
+    x2 = product(x(0), x(0))
     # d^2 x = x d^2 + 2 d
-    assert d(0) * d(0) * x(0) == x(0) * d(0) * d(0) + d(0).scale(Scalar(2))
+    assert product(d(0) * d(0), x(0)) == x(0) * d(0) * d(0) + d(0).scale(Scalar(2))
     # d x^2 = x^2 d + 2x
-    assert d(0) * x(0) * x(0) == x(0) * x(0) * d(0) + x(0).scale(Scalar(2))
+    assert product(d(0), x2) == x2 * d(0) + x(0).scale(Scalar(2))
+
+
+def test_product_rejects_right_factor_with_x():
+    # normal ordering is not done by the library: a right factor with x is refused
+    for right in (x(0), x(1) * d(0), d(0) + x(0)):
+        with pytest.raises(ValueError, match="x-free"):
+            d(0) * right
+    assert (x(0) * d(1)) * d(0) == product(x(0) * d(1), d(0))
 
 
 def test_apply():
@@ -59,14 +69,14 @@ def test_apply_insufficient_order():
 def test_truncation_tracking():
     a = WeylOp.d(2, 0).truncate(2)
     b = WeylOp.x(2, 0)
-    prod = a * b
+    prod = product(a, b)
     # multiplying by an x-degree-1 factor costs one guaranteed order
     assert prod.valid_order == 1
 
 
 def test_truncated_product_certifies_no_constant_it_lacks():
     # d x = x d + 1, but d cut at order 0 has lost d itself, so nothing is known
-    prod = WeylOp.d(1, 0).truncate(0) * WeylOp.x(1, 0)
+    prod = product(WeylOp.d(1, 0).truncate(0), WeylOp.x(1, 0))
     assert prod.valid_order < 0
     with pytest.raises(InsufficientOrder):
         prod.apply(Polynomial.one(1))
@@ -92,7 +102,7 @@ def operands(draw):
 def test_product_is_composition_of_actions(ops):
     # the action on polynomials shares no code with the normal-ordered product
     _, A, B, f = ops
-    assert (A * B).apply(f) == A.apply(B.apply(f))
+    assert product(A, B).apply(f) == A.apply(B.apply(f))
 
 
 @given(operands(), st.integers(0, 4), st.integers(0, 4))
@@ -100,8 +110,17 @@ def test_product_is_composition_of_actions(ops):
 @settings(max_examples=60, deadline=None)
 def test_truncated_product_is_the_exact_product_cut(ops, cut_a, cut_b):
     _, A, B, _ = ops
-    prod = A.truncate(cut_a) * B.truncate(cut_b)
-    assert prod == (A * B).truncate(prod.valid_order)
+    prod = product(A.truncate(cut_a), B.truncate(cut_b))
+    assert prod == product(A, B).truncate(prod.valid_order)
+
+
+@given(operands(), st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_product_by_x_free_factor_is_the_normal_ordered_one(ops, cut_a, cut_b):
+    n, A, B, _ = ops
+    B = WeylOp(n, {(a, b): c for (a, b), c in B.terms.items() if not any(a)})
+    ours, oracle = A.truncate(cut_a) * B.truncate(cut_b), product(A.truncate(cut_a), B.truncate(cut_b))
+    assert ours == oracle and ours.valid_order == oracle.valid_order
 
 
 @given(operands(), st.integers(0, 4), st.integers(0, 2))
