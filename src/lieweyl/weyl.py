@@ -3,7 +3,7 @@
 Operators are polynomial in x and (possibly truncated) power series in the
 derivatives d_mu.  Truncation is tracked, never silent: every operator
 carries a valid_order.  The only product is by an x-free right factor, so
-nothing is normal-ordered and valid_order(AB) = min(valid_order(A),
+no product needs reordering and valid_order(AB) = min(valid_order(A),
 valid_order(B)); `deriv_d` lowers the order by one, so the commutators with
 x formed from it (realization.py) are certified through N - 1 for operators
 valid through N.  Exact (untruncated) operators have valid_order = math.inf.

@@ -47,7 +47,6 @@ def test_product_rejects_right_factor_with_x():
     for right in (x(0), x(1) * d(0), d(0) + x(0)):
         with pytest.raises(ValueError, match="x-free"):
             d(0) * right
-    assert (x(0) * d(1)) * d(0) == product(x(0) * d(1), d(0))
 
 
 def test_apply():
@@ -118,8 +117,9 @@ def test_truncated_product_is_the_exact_product_cut(ops, cut_a, cut_b):
 @settings(max_examples=60, deadline=None)
 def test_product_by_x_free_factor_is_the_normal_ordered_one(ops, cut_a, cut_b):
     n, A, B, _ = ops
-    B = WeylOp(n, {(a, b): c for (a, b), c in B.terms.items() if not any(a)})
-    ours, oracle = A.truncate(cut_a) * B.truncate(cut_b), product(A.truncate(cut_a), B.truncate(cut_b))
+    A, B = A.truncate(cut_a), B.truncate(cut_b)
+    B = WeylOp(n, {k: c for k, c in B.terms.items() if not any(k[0])}, B.valid_order)
+    ours, oracle = A * B, product(A, B)
     assert ours == oracle and ours.valid_order == oracle.valid_order
 
 
