@@ -61,6 +61,13 @@ from .star import (
     star,
     verify_duality,
 )
-from .weyl import InsufficientOrder, OpMatrix, WeylOp, matrix_series, series_in_op
+from .weyl import (
+    InsufficientOrder,
+    OpMatrix,
+    WeylOp,
+    matrix_series,
+    series_in_op,
+    sum_of_products,
+)
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, as_scalar
 
 __all__ = [
     "mi_add",
@@ -159,7 +159,12 @@ class TermMap:
         c = Scalar.coerce(c)
         return self._like({k: v * c for k, v in self.terms.items()} if c else {})
 
-    __rmul__ = scale
+    def _scale_by(self, other):
+        """self.scale(other) for a scalar operand; NotImplemented otherwise."""
+        c = as_scalar(other)
+        return NotImplemented if c is None else self.scale(c)
+
+    __rmul__ = _scale_by
 
     def __eq__(self, other):
         return (
@@ -246,8 +251,8 @@ class Polynomial(TermMap):
         return self._like({k: c for k, c in self.terms.items() if mi_degree(k) == d})
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(Scalar.coerce(other))
+        if not isinstance(other, Polynomial):
+            return self._scale_by(other)
         self._check(other)
         out = {}
         for k1, c1 in self.terms.items():

@@ -19,7 +19,7 @@ from .lie import LieAlgebra
 from .poly import Polynomial
 from .scalars import Scalar
 from .series import series_coeffs
-from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series
+from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_of_products
 
 __all__ = [
     "Realization",
@@ -79,13 +79,14 @@ def adjoint_matrix(g: LieAlgebra) -> OpMatrix:
 def _contract_x(row, valid_order) -> WeylOp:
     """sum_al x_al * row[al], valid through at most valid_order."""
     n = row[0].n
-    terms = (WeylOp.x(n, al) * op for al, op in enumerate(row))
-    return sum(terms, WeylOp.zero(n, valid_order=valid_order))
+    return sum_of_products(
+        ((WeylOp.x(n, al), op) for al, op in enumerate(row)), valid_order
+    )
 
 
 def x_free_bracket(F: WeylOp, row) -> WeylOp:
     """[F, sum_al x_al row[al]] = sum_al (d_al F) row[al] for x-free F and row."""
-    return sum((F.deriv_d(al) * op for al, op in enumerate(row)), WeylOp.zero(F.n))
+    return sum_of_products((F.deriv_d(al), op) for al, op in enumerate(row))
 
 
 def x_linear_bracket(P: OpMatrix, mu: int, Q: OpMatrix, nu: int) -> WeylOp:
@@ -338,13 +339,19 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     T = T_hi.truncate(order)
     F = matrix_series(series_coeffs("dexp_neg", order), C)
 
+    def combination(terms):
+        """sum c * A * B over the (c, A, B) with c != 0, valid through order."""
+        pairs = [(A.scale(c), B) for c, A, B in terms if c]
+        if not pairs:
+            return WeylOp.zero(n, valid_order=order)
+        return sum_of_products(pairs, order)
+
     def exp_derivative(lam, mu, nu):
         lhs = T_hi[mu, nu].deriv_d(lam).truncate(order)
-        rhs = WeylOp.zero(n, valid_order=order)
-        for al, be in product(range(n), repeat=2):
-            c = g.c[mu][al][be]
-            if c:
-                rhs = rhs + (F[lam, al] * T[be, nu]).scale(c)
+        rhs = combination(
+            (g.c[mu][al][be], F[lam, al], T[be, nu])
+            for al, be in product(range(n), repeat=2)
+        )
         return lhs - rhs
 
     checks.append(
@@ -355,20 +362,17 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     # sum M[mu, nu, al] = sum_{be rho} C_{be rho al} Tinv_{mu rho} Tinv_{nu be}
     # does not depend on kap
     Tinv = matrix_series(series_coeffs("exp_neg", order), C)
-    M = {}
-    for mu, nu, al in product(range(n), repeat=3):
-        acc = WeylOp.zero(n, valid_order=order)
-        for be, rho in product(range(n), repeat=2):
-            c = g.c[be][rho][al]
-            if c:
-                acc = acc + (Tinv[mu, rho] * Tinv[nu, be]).scale(c)
-        M[mu, nu, al] = acc
+    M = {
+        (mu, nu, al): combination(
+            (g.c[be][rho][al], Tinv[mu, rho], Tinv[nu, be])
+            for be, rho in product(range(n), repeat=2)
+        )
+        for mu, nu, al in product(range(n), repeat=3)
+    }
 
     def triple_contraction(mu, nu, kap):
-        acc = WeylOp.constant(n, g.c[mu][nu][kap])
-        for al in range(n):
-            acc = acc + T[al, kap] * M[mu, nu, al]
-        return acc
+        acc = sum_of_products((T[al, kap], M[mu, nu, al]) for al in range(n))
+        return acc + WeylOp.constant(n, g.c[mu][nu][kap])
 
     checks.append(
         residual_check("triple-contraction", order, _over_cube(n, triple_contraction))

@@ -6,14 +6,18 @@ two parts as plain ints in lowest terms, and multiplies and adds them with
 Henrici's gcd tricks (Knuth, TAOCP vol. 2, section 4.5.1), so no gcd is taken
 of a full product.  `Q` (`fractions.Fraction`) is the rational type of the
 public `re`/`im` parts, of the series coefficients and of parsing.
+
+Loops that sum many products (`weyl.sum_of_products`) skip the per-product
+normalisation: `numerators` writes Scalars as Gaussian-integer numerators
+over one common denominator, and `from_numerators` normalises a result once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
-__all__ = ["Q", "Scalar", "ZERO", "ONE", "I"]
+__all__ = ["Q", "Scalar", "ZERO", "ONE", "I", "as_scalar", "numerators", "from_numerators"]
 
 
 def _mul(p, q, r, s):
@@ -161,7 +165,9 @@ class Scalar:
             h = gcd(other, d)
             return _new(a * (other // g), b // g, c * (other // h), d // h)
         if type(other) is not Scalar:
-            other = Scalar.coerce(other)
+            other = as_scalar(other)
+            if other is None:
+                return NotImplemented
         e, f, g, h = other._a, other._b, other._c, other._d
         if not g:
             if not c:
@@ -239,6 +245,34 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def as_scalar(v):
+    """`Scalar.coerce(v)`, or None when v is not a scalar operand."""
+    try:
+        return Scalar.coerce(v)
+    except (TypeError, ValueError):
+        return None
+
+
+def numerators(coeffs):
+    """(den, [(re, im), ...]): the Scalars `coeffs` (a list or a dict view,
+    read twice) as Gaussian-integer numerators over their least common
+    denominator den."""
+    den = 1
+    for s in coeffs:
+        if den % s._b:
+            den = lcm(den, s._b)
+        if den % s._d:
+            den = lcm(den, s._d)
+    return den, [(s._a * (den // s._b), s._c * (den // s._d)) for s in coeffs]
+
+
+def from_numerators(re: int, im: int, den: int) -> Scalar:
+    """The Scalar (re + im*i)/den in lowest terms, for den > 0."""
+    g = gcd(re, den)
+    h = gcd(im, den)
+    return _new(re // g, den // g, im // h, den // h)
 
 
 def _imag_part(body: str):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb
 
 from .poly import merge
-from .scalars import Q, Scalar
+from .scalars import Q, Scalar, as_scalar
 
 __all__ = ["bernoulli", "TruncSeries", "BiTruncSeries", "series_coeffs"]
 
@@ -76,8 +76,10 @@ class TruncSeries:
         return TruncSeries([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            s = Scalar.coerce(other)
+        if not isinstance(other, TruncSeries):
+            s = as_scalar(other)
+            if s is None:
+                return NotImplemented
             return TruncSeries([c * s for c in self.coeffs])
         n, a, b = self._common(other)
         out = [Scalar(0)] * (n + 1)

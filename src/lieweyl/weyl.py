@@ -2,26 +2,40 @@
 
 Operators are polynomial in x and (possibly truncated) power series in the
 derivatives d_mu.  Truncation is tracked, never silent: every operator
-carries a valid_order.  The only product is by an x-free right factor, so
-no product needs reordering and valid_order(AB) = min(valid_order(A),
-valid_order(B)); `deriv_d` lowers the order by one, so the commutators with
-x formed from it (realization.py) are certified through N - 1 for operators
-valid through N.  Exact (untruncated) operators have valid_order = math.inf.
-The rule is never clamped: a negative valid_order certifies no coefficient
-at all, not even the constant term, and `apply` then raises
-InsufficientOrder for every polynomial.
+carries a valid_order.  Exact (untruncated) operators have
+valid_order = math.inf.
+
+The only product is `sum_of_products`: sum_k A_k B_k for x-free right
+factors B_k, so no product needs reordering, (x^a d^b)(d^e) = x^a d^(b+e).
+It writes every operand as Gaussian-integer numerators over one common
+denominator, accumulates with int multiply-adds and normalises each output
+coefficient once.  Its valid order is the least valid order of all the
+factors and of an optional cap, as if the products were formed one by one
+and added; `A * B` is its one-pair case.  `deriv_d` lowers the order by one,
+so the commutators with x formed from it (realization.py) are certified
+through N - 1 for operators valid through N.  The rule is never clamped: a
+negative valid_order certifies no coefficient at all, not even the constant
+term, and `apply` then raises InsufficientOrder for every polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from math import perm, prod
+from math import lcm, perm, prod
+from operator import add
 
 from .poly import Polynomial, TermMap, merge, mi_add, mi_degree
-from .scalars import Scalar
+from .scalars import Scalar, from_numerators, numerators
 from .series import TruncSeries
 
-__all__ = ["InsufficientOrder", "WeylOp", "OpMatrix", "matrix_series", "series_in_op"]
+__all__ = [
+    "InsufficientOrder",
+    "WeylOp",
+    "OpMatrix",
+    "sum_of_products",
+    "matrix_series",
+    "series_in_op",
+]
 
 INF = math.inf
 
@@ -128,26 +142,10 @@ class WeylOp(TermMap):
         return self._like(terms, vo)
 
     def __mul__(self, other):
-        """Product by an x-free right factor: (x^a d^b)(d^e) = x^a d^(b+e).
-
-        A right factor with x raises ValueError.  With the right terms sorted
-        by degree each left term stops at the first past the kept window.
-        """
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        self._check(other)
-        if other.xdeg():
-            raise ValueError("the right factor of a WeylOp product must be x-free")
-        vo = min(self.valid_order, other.valid_order)
-        right = sorted((mi_degree(e), e, cb) for (_, e), cb in other.terms.items())
-        out = {}
-        for (a, b), ca in self.terms.items():
-            room = vo - mi_degree(b)
-            for deg, e, cb in right:
-                if deg > room:
-                    break
-                merge(out, (a, mi_add(b, e)), ca * cb)
-        return self._like(out, vo)
+        """Product by an x-free right factor, or by a scalar."""
+        if isinstance(other, WeylOp):
+            return sum_of_products(((self, other),))
+        return self._scale_by(other)
 
     def deriv_d(self, lam: int) -> "WeylOp":
         """Formal coefficientwise derivative in the variable d_lam."""
@@ -225,17 +223,11 @@ class OpMatrix:
         )
 
     def __mul__(self, other):
-        n = self.n
-        out = []
-        for mu in range(n):
-            row = []
-            for nu in range(n):
-                acc = self.entries[mu][0] * other.entries[0][nu]
-                for al in range(1, n):
-                    acc = acc + self.entries[mu][al] * other.entries[al][nu]
-                row.append(acc)
-            out.append(row)
-        return OpMatrix(n, out)
+        cols = list(zip(*other.entries))
+        return OpMatrix(
+            self.n,
+            [[sum_of_products(zip(row, col)) for col in cols] for row in self.entries],
+        )
 
     def scale(self, c) -> "OpMatrix":
         return OpMatrix(self.n, [[op.scale(c) for op in row] for row in self.entries])
@@ -250,6 +242,62 @@ class OpMatrix:
 
     def to_json(self):
         return [[op.to_json() for op in row] for row in self.entries]
+
+
+def sum_of_products(pairs, valid_order=INF) -> WeylOp:
+    """sum_k A_k B_k over the (A_k, B_k) pairs, each right factor x-free.
+
+    (x^a d^b)(d^e) = x^a d^(b+e); a right factor with x raises ValueError.
+    Every operand is read as Gaussian-integer numerators over one common
+    denominator, so the real and imaginary parts accumulate as ints and each
+    output coefficient is normalised once.  The result is valid through the
+    least valid order of every factor and of `valid_order`, and keeps no term
+    beyond it: with the right terms sorted by degree each left term stops at
+    the first past that window.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("sum_of_products needs at least one pair")
+    n = pairs[0][0].n
+    zero = (0,) * n
+    vo = valid_order
+    den = 1
+    parts = []  # (A, its den, its numerators, B, its den, its numerators)
+    for A, B in pairs:
+        if A.n != n or B.n != n:
+            raise ValueError(f"dimension mismatch: {A.n}, {B.n} vs {n}")
+        vo = min(vo, A.valid_order, B.valid_order)
+        da, na = numerators(A.terms.values())
+        db, nb = numerators(B.terms.values())
+        parts.append((A, da, na, B, db, nb))
+        den = lcm(den, da * db)
+    acc = {}  # key -> [re, im] numerators over den
+    get = acc.get
+    for A, da, na, B, db, nb in parts:
+        m = den // (da * db)
+        right = []
+        for (x, e), (r, s) in zip(B.terms, nb):
+            if x != zero:
+                raise ValueError("the right factor of a WeylOp product must be x-free")
+            right.append((sum(e), e, r, s))
+        right.sort()
+        for (a, b), (p, q) in zip(A.terms, na):
+            p *= m
+            q *= m
+            room = vo - sum(b)
+            for deg, e, r, s in right:
+                if deg > room:
+                    break
+                key = (a, tuple(map(add, b, e)))
+                t = get(key)
+                if t is None:
+                    acc[key] = [p * r - q * s, p * s + q * r]
+                else:
+                    t[0] += p * r - q * s
+                    t[1] += p * s + q * r
+    return pairs[0][0]._like(
+        {k: from_numerators(p, q, den) for k, (p, q) in acc.items() if p or q}, vo
+    )
 
 
 def matrix_series(f: TruncSeries, M: OpMatrix) -> OpMatrix:

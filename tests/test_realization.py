@@ -25,6 +25,7 @@ from lieweyl import (
     verify_symmetrization,
     weyl_realization,
 )
+from lieweyl import realization, weyl
 from lieweyl.realization import x_free_bracket, x_linear_bracket
 from lieweyl.weyl import INF
 from conftest import standard_algebras
@@ -126,18 +127,22 @@ def test_appendix_power_identities_to_m6():
 def test_appendix_forms_each_truncated_product_once(monkeypatch):
     # the triple contraction's kap-free inner sum is formed once per (mu, nu, al),
     # not once per kap: 54 exp-derivative + 54 inner + 54 outer products for su2
-    calls = []
-    mul = WeylOp.__mul__
+    pairs = []
+    kernel = weyl.sum_of_products
 
-    def counting(a, b):
-        if isinstance(b, WeylOp) and a.terms and b.terms:
-            if a.valid_order < INF and b.valid_order < INF:
-                calls.append(1)
-        return mul(a, b)
+    def counting(terms, valid_order=INF):
+        terms = list(terms)
+        pairs.extend(
+            1
+            for a, b in terms
+            if a.terms and b.terms and a.valid_order < INF and b.valid_order < INF
+        )
+        return kernel(terms, valid_order)
 
-    monkeypatch.setattr(WeylOp, "__mul__", counting)
+    for module in (weyl, realization):
+        monkeypatch.setattr(module, "sum_of_products", counting)
     assert verify_appendix(su2_algebra(), 4, 4)["pass"]
-    assert len(calls) <= 162
+    assert len(pairs) == 162
 
 
 def test_realization_from_phi_rejects_x():

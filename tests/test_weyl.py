@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from lieweyl import (
     series_coeffs,
     series_in_op,
     su2_algebra,
+    sum_of_products,
 )
+from lieweyl.weyl import INF
 
 
 def x(mu, n=2):
@@ -121,6 +125,85 @@ def test_product_by_x_free_factor_is_the_normal_ordered_one(ops, cut_a, cut_b):
     B = WeylOp(n, {k: c for k, c in B.terms.items() if not any(k[0])}, B.valid_order)
     ours, oracle = A * B, product(A, B)
     assert ours == oracle and ours.valid_order == oracle.valid_order
+
+
+# Gaussian rationals with unlike small denominators, zero parts included
+gauss_q = st.builds(
+    Scalar,
+    st.fractions(-3, 3, max_denominator=6),
+    st.fractions(-3, 3, max_denominator=6) | st.just(0),
+)
+orders = st.integers(0, 4) | st.just(INF)
+
+
+@st.composite
+def product_sums(draw):
+    """(pairs, cap): 1-4 pairs (A, B) with x in A only, some of them empty or
+    truncated, the last one possibly cancelling the first, and a valid-order cap."""
+    n = draw(st.integers(1, 3))
+    mi = st.tuples(*[st.integers(0, 2)] * n)
+    zero = (0,) * n
+    left = st.builds(
+        lambda t, vo: WeylOp(n, t, vo),
+        st.dictionaries(st.tuples(mi, mi), gauss_q, max_size=3),
+        orders,
+    )
+    right = st.builds(
+        lambda t, vo: WeylOp(n, {(zero, e): c for e, c in t.items()}, vo),
+        st.dictionaries(mi, gauss_q, max_size=3),
+        orders,
+    )
+    pairs = draw(st.lists(st.tuples(left, right), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        A, B = pairs[0]
+        pairs.append((A, -B))
+    return pairs, draw(orders)
+
+
+@given(product_sums())
+@example(([(x(0, 1) * d(0, 1), d(0, 1)), (x(0, 1) * d(0, 1), -d(0, 1))], INF))
+@example(([(WeylOp.zero(2, 1), d(0).truncate(3))], 2))
+@settings(max_examples=120, deadline=None)
+def test_sum_of_products_is_the_sum_of_normal_ordered_products(case):
+    pairs, cap = case
+    prods = [product(A, B) for A, B in pairs]
+    vo = min([cap, *(p.valid_order for p in prods)])
+    expected = {}
+    for p in prods:
+        for key, c in p.terms.items():
+            if sum(key[1]) <= vo:
+                expected[key] = expected.get(key, Scalar(0)) + c
+    expected = {k: c for k, c in expected.items() if c}
+    out = sum_of_products(pairs, cap)
+    assert out.terms == expected and out.valid_order == vo
+    assert all(out.terms.values())
+
+
+def test_sum_of_products_needs_a_pair():
+    with pytest.raises(ValueError):
+        sum_of_products([])
+
+
+@pytest.mark.parametrize(
+    "value, half",
+    [
+        (d(0), WeylOp(2, {((0, 0), (1, 0)): Scalar(Fraction(1, 2))})),
+        (Polynomial.variable(2, 0), Polynomial(2, {(1, 0): Scalar(Fraction(1, 2))})),
+        (TruncSeries([1, 2]), TruncSeries([Fraction(1, 2), 1])),
+    ],
+    ids=["WeylOp", "Polynomial", "TruncSeries"],
+)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_scalar_multiplication_on_either_side(value, half, side):
+    def times(c):
+        return c * value if side == "left" else value * c
+
+    for c in (Fraction(1, 2), Scalar(Fraction(1, 2)), "1/2"):
+        assert times(c) == half
+    assert times(2) * Fraction(1, 4) == half
+    for bad in (None, object(), [1], complex(1, 1)):
+        with pytest.raises(TypeError):
+            times(bad)
 
 
 @given(operands(), st.integers(0, 4), st.integers(0, 2))
