@@ -49,7 +49,7 @@ from .realization import (
     weyl_realization,
 )
 from .scalars import I, ONE, ZERO, Scalar
-from .series import BiTruncSeries, TruncSeries, bernoulli, series_coeffs
+from .series import TruncSeries, bernoulli, series_coeffs
 from .star import (
     StarContext,
     duality_check,

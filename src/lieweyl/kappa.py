@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import partial
 
 from .lie import LieAlgebra, kappa_algebra
-from .poly import Polynomial, merge
+from .poly import Polynomial, merge, mi_unit
 from .realization import (
     Realization,
     adjoint_matrix,
@@ -27,7 +27,7 @@ from .realization import (
     weyl_realization,
 )
 from .scalars import Scalar
-from .series import BiTruncSeries, TruncSeries, series_coeffs
+from .series import TruncSeries, series_coeffs
 from .star import first_order_matches, make_context, poisson_first_order, star
 from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op
 
@@ -72,11 +72,8 @@ class KappaParams:
     def a_op(self) -> WeylOp:
         """The operator A = sum b_mu d_mu."""
         n = self.n
-        op = WeylOp.zero(n)
-        for mu in range(n):
-            if self.b[mu]:
-                op = op + WeylOp.d(n, mu).scale(self.b[mu])
-        return op
+        z = (0,) * n
+        return WeylOp(n, {(z, mi_unit(n, mu)): c for mu, c in enumerate(self.b)})
 
 
 def _function_of_c(p: KappaParams, f: TruncSeries) -> OpMatrix:
@@ -149,25 +146,28 @@ def _weights(order: int, dual: bool) -> dict:
     interchanges psi and psi_tilde.  With the x's on the left, X_l^p/p!
     multiplies a homogeneous left factor of degree m by binom(m, p) (Euler),
     so the sum over p of binom(m, p) (R1 - 1)^p is R1^m.  The table depends
-    on neither b nor n.
+    on neither b nor n.  No series is divided: 1/psi_tilde(t) = (e^t - 1)/t
+    and 1/psi(t) = (1 - e^{-t})/t are the kinds dexp and dexp_neg, so each
+    ratio is a product of x-free operators in u = d_1 and v = d_2.
     """
-    kinds = ("psi", "psi_tilde") if dual else ("psi_tilde", "psi")
+    z = (0, 0)
+    u, v = WeylOp.d(2, 0), WeylOp.d(2, 1)
+    u_plus_v = WeylOp(2, {(z, (1, 0)): 1, (z, (0, 1)): 1})
+    kinds = (("psi_tilde", "dexp"), ("psi", "dexp_neg"))
     powers = []
-    for kind, var in zip(kinds, ("u", "v")):
-        fn = series_coeffs(kind, order)
-        ratio = BiTruncSeries.from_univariate(fn, "u+v", order) / (
-            BiTruncSeries.from_univariate(fn, var, order)
+    for (f, inverse), var in zip(kinds[::-1] if dual else kinds, (u, v)):
+        ratio = series_in_op(series_coeffs(f, order), u_plus_v) * series_in_op(
+            series_coeffs(inverse, order), var
         )
         # R^m is needed only through degree order - m
-        side = [BiTruncSeries({(0, 0): 1}, order)]
+        side = [WeylOp.one(2)]
         for m in range(1, order + 1):
-            side.append(BiTruncSeries((side[-1] * ratio).terms, order - m))
+            side.append((side[-1] * ratio).truncate(order - m))
         powers.append(side)
     table = {}
     for m, r1 in enumerate(powers[0]):
         for k, r2 in enumerate(powers[1][: order - m + 1]):
-            row = BiTruncSeries(r1.terms, order - m - k) * r2
-            for (s, t), c in row.terms.items():
+            for (_, (s, t)), c in (r1.truncate(order - m - k) * r2).terms.items():
                 table[s, m, t, k] = c
     return table
 

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import combinations, product
 
 from .lie import LieAlgebra
-from .poly import Polynomial
+from .poly import Polynomial, mi_unit
 from .scalars import Scalar
 from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_of_products
@@ -62,17 +62,12 @@ class Realization:
 def adjoint_matrix(g: LieAlgebra) -> OpMatrix:
     """The operator matrix C_{mu nu} = sum_al C_{mu al nu} d_al."""
     n = g.n
-    rows = []
-    for mu in range(n):
-        row = []
-        for nu in range(n):
-            op = WeylOp.zero(n)
-            for al in range(n):
-                c = g.c[mu][al][nu]
-                if c:
-                    op = op + WeylOp.d(n, al).scale(c)
-            row.append(op)
-        rows.append(row)
+    z = (0,) * n
+    units = [mi_unit(n, al) for al in range(n)]
+    rows = [
+        [WeylOp(n, {(z, e): g.c[mu][al][nu] for al, e in enumerate(units)}) for nu in range(n)]
+        for mu in range(n)
+    ]
     return OpMatrix(n, rows)
 
 

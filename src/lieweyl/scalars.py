@@ -41,6 +41,8 @@ def _add(p, q, r, s):
 def _ratio(v):
     if type(v) is int:
         return v, 1
+    if isinstance(v, float):
+        raise TypeError(f"float {v!r} is not an exact scalar")
     v = Q(v)
     return v.numerator, v.denominator
 

@@ -1,18 +1,19 @@
-"""Bernoulli numbers and truncated scalar power series.
+"""Bernoulli numbers and the univariate series that `matrix_series` sums.
 
 The Bernoulli recurrence is the independent oracle for every coefficient of
 the generating functions psi(t) = t/(1 - e^{-t}) and
-psi_tilde(t) = e^{-t} psi(t) = t/(e^t - 1).
+psi_tilde(t) = e^{-t} psi(t) = t/(e^t - 1).  Their reciprocals are the kinds
+dexp_neg = 1/psi and dexp = 1/psi_tilde.  A series in several variables is an
+x-free `WeylOp` in the derivatives (see `kappa._weights`).
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .poly import merge
 from .scalars import Q, Scalar, as_scalar
 
-__all__ = ["bernoulli", "TruncSeries", "BiTruncSeries", "series_coeffs"]
+__all__ = ["bernoulli", "TruncSeries", "series_coeffs"]
 
 _bernoulli_cache = [Q(1)]
 
@@ -54,11 +55,6 @@ class TruncSeries:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order >= self.order:
-            return self
-        return TruncSeries(self.coeffs[: order + 1])
 
     def _common(self, other):
         n = min(self.order, other.order)
@@ -107,14 +103,6 @@ class TruncSeries:
             out.append(acc / b[0])
         return TruncSeries(out)
 
-    def shift_down(self) -> "TruncSeries":
-        """Divide by t; requires zero constant term."""
-        if self.coeffs[0]:
-            raise ValueError("constant term must vanish")
-        if self.order == 0:
-            return TruncSeries([Scalar(0)])
-        return TruncSeries(self.coeffs[1:])
-
     def __str__(self):
         parts = [f"{c}*t^{k}" for k, c in enumerate(self.coeffs) if c]
         return " + ".join(parts) if parts else "0"
@@ -148,88 +136,6 @@ def series_coeffs(kind: str, order: int) -> TruncSeries:
     return TruncSeries(cs)
 
 
-class BiTruncSeries:
-    """Bivariate series in (u, v), truncated at total degree `order`."""
-
-    __slots__ = ("terms", "order")
-
-    def __init__(self, terms, order: int):
-        self.order = order
-        self.terms = {
-            k: Scalar.coerce(c)
-            for k, c in terms.items()
-            if k[0] + k[1] <= order and Scalar.coerce(c)
-        }
-
-    @classmethod
-    def from_univariate(cls, f: TruncSeries, which: str, order: int):
-        """Substitute u, v or u+v for the series variable."""
-        f = f.truncate(order)
-        terms = {}
-        if which == "u":
-            terms = {(k, 0): c for k, c in enumerate(f.coeffs)}
-        elif which == "v":
-            terms = {(0, k): c for k, c in enumerate(f.coeffs)}
-        elif which == "u+v":
-            for k, c in enumerate(f.coeffs):
-                if not c:
-                    continue
-                for i in range(k + 1):
-                    terms[(i, k - i)] = c * comb(k, i)
-        else:
-            raise ValueError(f"unknown substitution {which!r}")
-        return cls(terms, order)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BiTruncSeries)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            merge(out, k, c)
-        return BiTruncSeries(out, order)
-
-    def __sub__(self, other):
-        return self + BiTruncSeries(
-            {k: -c for k, c in other.terms.items()}, other.order
-        )
-
-    def __mul__(self, other):
-        order = min(self.order, other.order)
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > order:
-                    continue
-                merge(out, (i, j), c1 * c2)
-        return BiTruncSeries(out, order)
-
-    def __truediv__(self, other):
-        """Divide by a series with nonzero constant term."""
-        order = min(self.order, other.order)
-        b0 = other.terms.get((0, 0), Scalar(0))
-        if not b0:
-            raise ZeroDivisionError("divisor has zero constant term")
-        out = {}
-        # solve degree by degree: out * other = self
-        for d in range(order + 1):
-            for i in range(d + 1):
-                key = (i, d - i)
-                acc = self.terms.get(key, Scalar(0))
-                for (i1, j1), c1 in out.items():
-                    i2, j2 = key[0] - i1, key[1] - j1
-                    if i2 < 0 or j2 < 0 or (i2, j2) == (0, 0):
-                        continue
-                    c2 = other.terms.get((i2, j2))
-                    if c2:
-                        acc = acc - c1 * c2
-                c = acc / b0
-                if c:
-                    out[key] = c
-        return BiTruncSeries(out, order)
+# Not a type of its own: bench/tracer.py still wraps series.BiTruncSeries by
+# name, until the next change to the benchmark drops it (ROADMAP item 6).
+BiTruncSeries = TruncSeries

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
 
@@ -202,6 +203,41 @@ def test_weight_table_depends_on_neither_b_nor_n(dual):
     tables = [KappaStarContext(KappaParams(b), 6).weights(dual) for b in PARAM_SETS]
     assert len(tables[0]) == 137
     assert all(t == tables[0] for t in tables)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_weight_table_against_sympy(dual):
+    # an independent oracle: the Taylor coefficients of the closed forms from
+    # sympy, multiplied as sympy polynomials in (u, v) cut at total degree N
+    sympy = pytest.importorskip("sympy")
+    N = 4
+    t, u, v = sympy.symbols("t u v")
+    psi = t / (1 - sympy.exp(-t))
+    psi_tilde = t / (sympy.exp(t) - 1)
+
+    def at(f, var):
+        return sympy.Poly(sympy.series(f, t, 0, N + 1).removeO().subs(t, var), u, v)
+
+    def cut(poly):
+        terms = {e: c for e, c in poly.as_dict().items() if sum(e) <= N}
+        return sympy.Poly.from_dict(terms, u, v, domain=sympy.QQ)
+
+    # R1 = psi_tilde(u+v)/psi_tilde(u), R2 = psi(u+v)/psi(v); dual swaps them
+    left, right = (psi, psi_tilde) if dual else (psi_tilde, psi)
+    r1 = cut(at(left, u + v) * at(1 / left, u))
+    r2 = cut(at(right, u + v) * at(1 / right, v))
+    expected = {}
+    r1_m = sympy.Poly(1, u, v, domain=sympy.QQ)
+    for m in range(N + 1):
+        r2_k = sympy.Poly(1, u, v, domain=sympy.QQ)
+        for k in range(N + 1 - m):
+            for (s, t_), c in (r1_m * r2_k).as_dict().items():
+                if c and s + t_ <= N - m - k:
+                    expected[s, m, t_, k] = (Fraction(int(c.p), int(c.q)), 0)
+            r2_k = cut(r2_k * r2)
+        r1_m = cut(r1_m * r1)
+    table = kappa._weights(N, dual)
+    assert {key: (c.re, c.im) for key, c in table.items()} == expected
 
 
 @pytest.mark.parametrize("m,p", [(0, 0), (3, 0), (3, 1), (3, 2), (4, 4), (5, 2), (5, 6)])

@@ -52,6 +52,17 @@ def test_inverse(a):
         assert a * (ONE / a) == ONE
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Scalar(0.1), lambda: Scalar(1, 0.5), lambda: Scalar.coerce(0.1)],
+    ids=["re", "im", "coerce"],
+)
+def test_floats_are_rejected(make):
+    # 0.1 is not 1/10: a float would enter as its binary expansion
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_complex_arithmetic():
     assert I * I == Scalar(-1)
     assert (ONE + I) * (ONE - I) == Scalar(2)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieweyl import BiTruncSeries, Scalar, TruncSeries, bernoulli, series_coeffs
+from lieweyl import Scalar, TruncSeries, WeylOp, bernoulli, series_coeffs, series_in_op
 
 
 def test_bernoulli_values():
@@ -61,30 +61,29 @@ def test_series_division():
     assert (psi * pt) / pt == psi
 
 
-def test_shift_down():
-    s = TruncSeries([Scalar(0), Scalar(2), Scalar(3)])
-    assert s.shift_down() == TruncSeries([Scalar(2), Scalar(3)])
-    with pytest.raises(ValueError):
-        TruncSeries([Scalar(1)]).shift_down()
+def _psi_at(order, *units):
+    """psi at the sum of the given derivatives, an x-free operator in (u, v)."""
+    z = (0, 0)
+    var = WeylOp(2, {(z, unit): 1 for unit in units})
+    return series_in_op(series_coeffs("psi", order), var)
 
 
 def test_bi_series_substitution():
     order = 6
-    psi = series_coeffs("psi", order)
     # psi(u+v) restricted to v=0 must reproduce psi(u)
-    uv = BiTruncSeries.from_univariate(psi, "u+v", order)
-    u = BiTruncSeries.from_univariate(psi, "u", order)
-    for (i, j), c in uv.terms.items():
+    uv = _psi_at(order, (1, 0), (0, 1))
+    u = _psi_at(order, (1, 0))
+    for (x, (i, j)), c in uv.terms.items():
         if j == 0:
-            assert c == u.terms.get((i, 0), Scalar(0))
+            assert c == u.terms.get((x, (i, 0)), Scalar(0))
 
 
 def test_bi_series_ratio():
     order = 6
-    psi = series_coeffs("psi", order)
-    uv = BiTruncSeries.from_univariate(psi, "u+v", order)
-    u = BiTruncSeries.from_univariate(psi, "u", order)
-    ratio = uv / u
+    uv = _psi_at(order, (1, 0), (0, 1))
+    u = _psi_at(order, (1, 0))
+    # psi(u+v)/psi(u) with the reciprocal 1/psi(u) = (1 - e^{-u})/u
+    ratio = uv * series_in_op(series_coeffs("dexp_neg", order), WeylOp.d(2, 0))
     assert ratio * u == uv
 
 
@@ -92,10 +91,11 @@ def test_bi_series_ratio():
 def test_dexp_kinds(order):
     # (e^t - 1)/t and (1 - e^{-t})/t, from the exponential series one order up
     one = TruncSeries([Scalar(1)] + [Scalar(0)] * (order + 1))
-    dexp = (series_coeffs("exp", order + 1) - one).shift_down()
-    dexp_neg = (one - series_coeffs("exp_neg", order + 1)).shift_down()
-    assert series_coeffs("dexp", order) == dexp
-    assert series_coeffs("dexp_neg", order) == dexp_neg
+    dexp = (series_coeffs("exp", order + 1) - one).coeffs
+    dexp_neg = (one - series_coeffs("exp_neg", order + 1)).coeffs
+    assert not dexp[0] and not dexp_neg[0]
+    assert series_coeffs("dexp", order) == TruncSeries(dexp[1:])
+    assert series_coeffs("dexp_neg", order) == TruncSeries(dexp_neg[1:])
 
 
 ORACLE_ORDER = 14

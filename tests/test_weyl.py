@@ -201,7 +201,7 @@ def test_scalar_multiplication_on_either_side(value, half, side):
     for c in (Fraction(1, 2), Scalar(Fraction(1, 2)), "1/2"):
         assert times(c) == half
     assert times(2) * Fraction(1, 4) == half
-    for bad in (None, object(), [1], complex(1, 1)):
+    for bad in (None, object(), [1], complex(1, 1), 0.5):
         with pytest.raises(TypeError):
             times(bad)
 
