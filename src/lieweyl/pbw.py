@@ -9,7 +9,7 @@ degree-lexicographic order and is memoized per algebra.
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .poly import TermMap, merge, mi_degree, mi_unit
+from .poly import TermMap, linear_combination, merge, mi_degree, mi_unit
 from .scalars import Scalar
 
 __all__ = ["PBWElement", "pbw_mul", "t_action", "tinv_action", "y_action"]
@@ -70,23 +70,11 @@ def pbw_mul(g: LieAlgebra, A: PBWElement, B: PBWElement) -> PBWElement:
     """Product in U(g), straightened to the PBW basis."""
     if A.n != g.n or B.n != g.n:
         raise ValueError("dimension mismatch")
-    out = {}
-    for ka, ca in A.terms.items():
-        wa = _word_of(ka)
-        for kb, cb in B.terms.items():
-            c = ca * cb
-            for k, v in _straighten(g, wa + _word_of(kb)).items():
-                merge(out, k, v * c)
-    return A._like(out)
-
-
-def _mul_gen_left(g: LieAlgebra, mu: int, terms: dict) -> dict:
-    """Term map of X_mu * (term map)."""
-    out = {}
-    for k, c in terms.items():
-        for kk, v in _straighten(g, (mu,) + _word_of(k)).items():
-            merge(out, kk, v * c)
-    return out
+    left = [(_word_of(k), c) for k, c in A.terms.items()]
+    right = [(_word_of(k), c) for k, c in B.terms.items()]
+    return A._like(linear_combination(
+        (ca * cb, _straighten(g, wa + wb)) for wa, ca in left for wb, cb in right
+    ))
 
 
 def _check_index(g, *idx):
@@ -115,28 +103,25 @@ def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> dict:
     else:
         al = next(i for i, e in enumerate(exps) if e)
         rest = exps[:al] + (exps[al] - 1,) + exps[al + 1 :]
-        out = _mul_gen_left(g, al, _shift_mono(g, inverse, mu, nu, rest))
+        pairs = [
+            (c, _straighten(g, (al,) + _word_of(k)))
+            for k, c in _shift_mono(g, inverse, mu, nu, rest).items()
+        ]
         for rho in range(g.n):
-            if inverse:
-                c = -g.c[rho][al][nu]
-                inner = (mu, rho)
-            else:
-                c = g.c[mu][al][rho]
-                inner = (rho, nu)
+            c = -g.c[rho][al][nu] if inverse else g.c[mu][al][rho]
             if c:
-                for k, v in _shift_mono(g, inverse, *inner, rest).items():
-                    merge(out, k, v * c)
+                inner = (mu, rho) if inverse else (rho, nu)
+                pairs.append((c, _shift_mono(g, inverse, *inner, rest)))
+        out = linear_combination(pairs)
     cache[key] = out
     return out
 
 
 def _shift_action(g: LieAlgebra, inverse: bool, mu: int, nu: int, X: PBWElement):
     _check_index(g, mu, nu)
-    out = {}
-    for k, c in X.terms.items():
-        for kk, v in _shift_mono(g, inverse, mu, nu, k).items():
-            merge(out, kk, v * c)
-    return X._like(out)
+    return X._like(linear_combination(
+        (c, _shift_mono(g, inverse, mu, nu, k)) for k, c in X.terms.items()
+    ))
 
 
 def t_action(g: LieAlgebra, mu: int, nu: int, X: PBWElement) -> PBWElement:
@@ -158,11 +143,11 @@ def y_action(g: LieAlgebra, mu: int, X: PBWElement) -> PBWElement:
     """
     _check_index(g, mu)
     direct = pbw_mul(g, X, PBWElement.generator(g.n, mu))
-    via_shift = PBWElement.zero(g.n)
-    for al in range(g.n):
-        part = tinv_action(g, mu, al, X)
-        if not part.is_zero():
-            via_shift = via_shift + X._like(_mul_gen_left(g, al, part.terms))
+    via_shift = X._like(linear_combination(
+        (c, _straighten(g, (al,) + _word_of(k)))
+        for al in range(g.n)
+        for k, c in tinv_action(g, mu, al, X).terms.items()
+    ))
     if direct != via_shift:
         raise AssertionError(
             f"y_action self-check failed for mu={mu + 1} on {X}"

@@ -3,22 +3,25 @@
 Every object the engine computes is a map from exponent keys to exact
 coefficients: polynomials in x, normal-ordered Weyl operators x^a d^b and
 PBW monomials in U(g).  `TermMap` owns that map and its invariants (keys are
-tuples, no zero coefficient is stored); `merge` is the one accumulation step
-that every product loop uses.  Multi-indices are plain tuples of
+tuples, no zero coefficient is stored); `merge` is the accumulation step of
+the memoized builders, and `linear_combination` forms every sum of scaled
+term maps in one integer pass.  Multi-indices are plain tuples of
 non-negative ints.
 """
 
 from __future__ import annotations
 
 import re
+from math import lcm
 
-from .scalars import ONE, Scalar, as_scalar
+from .scalars import ONE, Scalar, as_scalar, from_numerators, numerators
 
 __all__ = [
     "mi_add",
     "mi_degree",
     "mi_unit",
     "merge",
+    "linear_combination",
     "TermMap",
     "Polynomial",
     "parse_polynomial",
@@ -46,6 +49,40 @@ def merge(dst: dict, key, coeff):
         dst[key] = s
     else:
         dst.pop(key, None)
+
+
+def linear_combination(pairs) -> dict:
+    """sum_k c_k M_k over the (c_k, M_k) pairs of Scalars and term dicts.
+
+    The sibling of `weyl.sum_of_products` for sums of scaled maps: every
+    operand is read as Gaussian-integer numerators (`numerators`), the real
+    and imaginary parts accumulate as ints over one common denominator, and
+    each output coefficient is normalised once.  A key whose sum vanishes is
+    absent from the result.
+    """
+    pairs = [(c, M) for c, M in pairs if c and M]
+    dc, nc = numerators([c for c, _ in pairs])
+    dm = 1
+    parts = []
+    for (_, M), c in zip(pairs, nc):
+        d, nm = numerators(M.values())
+        dm = lcm(dm, d)
+        parts.append((c, d, M, nm))
+    acc = {}  # key -> [re, im] numerators over dc * dm
+    get = acc.get
+    for (p, q), d, M, nm in parts:
+        m = dm // d
+        p *= m
+        q *= m
+        for k, (r, s) in zip(M, nm):
+            t = get(k)
+            if t is None:
+                acc[k] = [p * r - q * s, p * s + q * r]
+            else:
+                t[0] += p * r - q * s
+                t[1] += p * s + q * r
+    den = dc * dm
+    return {k: from_numerators(p, q, den) for k, (p, q) in acc.items() if p or q}
 
 
 # -- rendering ------------------------------------------------------------------

@@ -336,7 +336,7 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
 
     def combination(terms):
         """sum c * A * B over the (c, A, B) with c != 0, valid through order."""
-        pairs = [(A.scale(c), B) for c, A, B in terms if c]
+        pairs = [(A, B, c) for c, A, B in terms if c]
         if not pairs:
             return WeylOp.zero(n, valid_order=order)
         return sum_of_products(pairs, order)

@@ -13,7 +13,7 @@ from itertools import product
 
 from .lie import LieAlgebra, dual_algebra
 from .pbw import PBWElement, pbw_mul
-from .poly import Polynomial, mi_degree
+from .poly import Polynomial, linear_combination, mi_degree
 from .realization import (
     Realization,
     check,
@@ -25,7 +25,7 @@ from .realization import (
     weyl_realization,
     x_linear_bracket,
 )
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .weyl import InsufficientOrder
 
 __all__ = [
@@ -52,6 +52,7 @@ class StarContext:
         self.primal = primal
         self.dual = dual
         self.order = order
+        # (route, a) -> omega(X^a); ("inv", route, a) -> omega_inv(x^a) terms
         self._omega_cache = {}
 
     def realization(self, which: str) -> Realization:
@@ -95,28 +96,40 @@ def omega(ctx: StarContext, X: PBWElement, which: str = "primal") -> Polynomial:
     """The ordering map: act with the realized monomial operators on 1."""
     if X.degree() > ctx.order:
         raise InsufficientOrder(X.degree(), ctx.order)
-    out = Polynomial.zero(ctx.algebra.n)
-    for exps, c in X.terms.items():
-        out = out + _omega_mono(ctx, which, exps).scale(c)
+    return Polynomial(ctx.algebra.n)._like(linear_combination(
+        (c, _omega_mono(ctx, which, exps).terms) for exps, c in X.terms.items()
+    ))
+
+
+def _omega_inv_mono(ctx: StarContext, which: str, exps) -> dict:
+    """omega^{-1}(x^a) as a PBW term map, memoized next to the omega images.
+
+    omega(X^a) = x^a + (terms of lower degree), so
+    omega^{-1}(x^a) = X^a - sum_{k != a} r_k omega^{-1}(x^k) with r = omega(X^a).
+    """
+    key = ("inv", which, exps)
+    hit = ctx._omega_cache.get(key)
+    if hit is not None:
+        return hit
+    r = _omega_mono(ctx, which, exps).terms
+    d = mi_degree(exps)
+    if r.get(exps) != ONE or any(mi_degree(k) >= d for k in r if k != exps):
+        raise ValueError(f"omega(X^{list(exps)}) is not x^a plus terms of lower degree")
+    out = linear_combination(
+        [(ONE, {exps: ONE})]
+        + [(-c, _omega_inv_mono(ctx, which, k)) for k, c in r.items() if k != exps]
+    )
+    ctx._omega_cache[key] = out
     return out
 
 
 def omega_inv(ctx: StarContext, f: Polynomial, which: str = "primal") -> PBWElement:
-    """Inverse ordering map, by descending-degree triangularity."""
+    """Inverse ordering map, a sum of memoized monomial inverses."""
     if f.degree() > ctx.order:
         raise InsufficientOrder(f.degree(), ctx.order)
-    n = ctx.algebra.n
-    out = PBWElement.zero(n)
-    rem = f
-    while not rem.is_zero():
-        d = rem.degree()
-        top = rem.homogeneous_part(d)
-        lift = PBWElement(n, dict(top.terms))
-        out = out + lift
-        rem = rem - omega(ctx, lift, which)
-        if rem.degree() >= d and d > 0:  # pragma: no cover - triangularity guard
-            raise AssertionError("omega lift failed to lower the degree")
-    return out
+    return PBWElement(ctx.algebra.n)._like(linear_combination(
+        (c, _omega_inv_mono(ctx, which, exps)) for exps, c in f.terms.items()
+    ))
 
 
 def star(ctx: StarContext, f: Polynomial, g: Polynomial, which: str = "primal") -> Polynomial:

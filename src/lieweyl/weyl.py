@@ -245,7 +245,8 @@ class OpMatrix:
 
 
 def sum_of_products(pairs, valid_order=INF) -> WeylOp:
-    """sum_k A_k B_k over the (A_k, B_k) pairs, each right factor x-free.
+    """sum_k c_k A_k B_k over the (A_k, B_k) or (A_k, B_k, c_k) items, each
+    right factor x-free and each constant c_k a Scalar (1 when absent).
 
     (x^a d^b)(d^e) = x^a d^(b+e); a right factor with x raises ValueError.
     Every operand is read as Gaussian-integer numerators over one common
@@ -262,19 +263,22 @@ def sum_of_products(pairs, valid_order=INF) -> WeylOp:
     zero = (0,) * n
     vo = valid_order
     den = 1
-    parts = []  # (A, its den, its numerators, B, its den, its numerators)
-    for A, B in pairs:
+    parts = []  # (A, its numerators, c, B's numerators, the pair's den, B)
+    for A, B, *c in pairs:
         if A.n != n or B.n != n:
             raise ValueError(f"dimension mismatch: {A.n}, {B.n} vs {n}")
         vo = min(vo, A.valid_order, B.valid_order)
         da, na = numerators(A.terms.values())
         db, nb = numerators(B.terms.values())
-        parts.append((A, da, na, B, db, nb))
-        den = lcm(den, da * db)
+        dc, nc = numerators(c)  # c is [] or [the constant]
+        parts.append((A, na, nc[0] if nc else (1, 0), nb, da * db * dc, B))
+        den = lcm(den, da * db * dc)
     acc = {}  # key -> [re, im] numerators over den
     get = acc.get
-    for A, da, na, B, db, nb in parts:
-        m = den // (da * db)
+    for A, na, (u, v), nb, d, B in parts:
+        m = den // d
+        u *= m
+        v *= m
         right = []
         for (x, e), (r, s) in zip(B.terms, nb):
             if x != zero:
@@ -282,8 +286,7 @@ def sum_of_products(pairs, valid_order=INF) -> WeylOp:
             right.append((sum(e), e, r, s))
         right.sort()
         for (a, b), (p, q) in zip(A.terms, na):
-            p *= m
-            q *= m
+            p, q = p * u - q * v, p * v + q * u
             room = vo - sum(b)
             for deg, e, r, s in right:
                 if deg > room:

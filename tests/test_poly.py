@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lieweyl import Polynomial, Scalar, parse_polynomial
+from lieweyl.poly import linear_combination, merge
 
 N = 3
 
@@ -126,3 +129,36 @@ def test_latex_unit_imaginary_part(text, latex):
     # the coefficient of x1, bracketed when it has both parts
     f = Polynomial(1, {(1,): Scalar.parse(text)})
     assert f.render(latex=True) == f"{latex} x_{{1}}"
+
+
+# Gaussian rationals, some with denominators far past a machine word, zero
+# parts included
+wide = st.fractions(max_denominator=9) | st.builds(
+    Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**90)
+)
+gaussians = st.builds(Scalar, wide, wide | st.just(0))
+term_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    gaussians.filter(bool),
+    max_size=4,
+)
+ONE = Scalar(1)
+
+
+@given(st.lists(st.tuples(gaussians, term_dicts), max_size=4), st.booleans())
+@example([], False)
+@example([(ONE, {})], False)
+@example([(ONE, {(1, 0): Scalar(Fraction(1, 3), 2)})], True)
+@example([(Scalar(2), {(0, 1): ONE}), (ONE, {(0, 1): Scalar(-2), (1, 1): ONE})], False)
+def test_linear_combination_is_the_merged_sum_of_scalar_products(pairs, cancel):
+    if cancel and pairs:
+        c, M = pairs[0]
+        pairs.append((-c, M))
+    expected = {}
+    for c, M in pairs:
+        for k, v in M.items():
+            merge(expected, k, c * v)
+    out = linear_combination(pairs)
+    # a key whose sum cancels is absent, not stored with a zero coefficient
+    assert out == expected
+    assert all(out.values())

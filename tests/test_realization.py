@@ -134,7 +134,7 @@ def test_appendix_forms_each_truncated_product_once(monkeypatch):
         terms = list(terms)
         pairs.extend(
             1
-            for a, b in terms
+            for a, b, *_ in terms
             if a.terms and b.terms and a.valid_order < INF and b.valid_order < INF
         )
         return kernel(terms, valid_order)

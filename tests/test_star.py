@@ -1,26 +1,37 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from lieweyl import (
+    I,
     InsufficientOrder,
+    OpMatrix,
     PBWElement,
     Polynomial,
     Scalar,
+    StarContext,
+    WeylOp,
+    dual_algebra,
     duality_check,
     first_order_check,
     g2_algebra,
+    kappa_algebra,
     make_context,
     omega,
     omega_inv,
     parse_polynomial,
     pbw_mul,
     poisson_first_order,
+    realization_from_phi,
     star,
+    su2_algebra,
     verify_duality,
 )
 from lieweyl.realization import random_polynomial
-from conftest import standard_algebras
+from conftest import random_monomial, standard_algebras
 
 
 def test_g2_star_examples():
@@ -52,6 +63,73 @@ def test_omega_roundtrip():
             f = random_polynomial(rng, g.n, 5)
             assert omega(ctx, omega_inv(ctx, f)) == f
             assert omega(ctx, omega_inv(ctx, f, "dual"), "dual") == f
+
+
+def _gaussian(rng):
+    re, im = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+    return Scalar(re, im)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [su2_algebra(), g2_algebra(), kappa_algebra([I, Scalar(1), Scalar(Fraction(1, 2))])],
+    ids=["su2", "g2", "kappa(1i,1,1/2)"],
+)
+@pytest.mark.parametrize("which", ["primal", "dual"])
+def test_omega_inv_inverts_omega_on_pbw_elements(g, which):
+    rng = random.Random(67)
+    ctx = make_context(g, 5)
+    for _ in range(6):
+        X = PBWElement.zero(g.n)
+        for _ in range(4):
+            X = X + random_monomial(rng, g.n, 5).scale(_gaussian(rng))
+        assert omega_inv(ctx, omega(ctx, X, which), which) == X
+
+
+class _CountingDict(dict):
+    """A memo that counts how often each key is written."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_omega_inv_forms_each_monomial_inverse_once():
+    # the 20 monomials of degree <= 3 in three variables, lifted twice on each
+    # route: every inverse is formed once and memoized, 40 in all
+    ctx = make_context(su2_algebra(), 6)
+    ctx._omega_cache = _CountingDict()
+    every = Polynomial(3, {a: Scalar(1) for a in product(range(4), repeat=3) if sum(a) <= 3})
+    for _ in range(2):
+        for which in ("primal", "dual"):
+            omega_inv(ctx, every, which)
+            star(ctx, every, every, which)
+    inverses = {k: v for k, v in ctx._omega_cache.writes.items() if k[0] == "inv"}
+    assert len(inverses) == 40 and set(inverses.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "phi0, x1_image",
+    [
+        ([[2, 0], [0, 1]], "2*x1"),  # the coefficient of x1 is not 1
+        ([[0, 1], [1, 0]], "x2"),  # no x1 at all
+        ([[1, 1], [0, 1]], "x1 + x2"),  # x1, but another term of degree 1
+    ],
+)
+def test_omega_inv_rejects_a_realization_that_is_not_unitriangular(phi0, x1_image):
+    # phi(0) != I: omega(X^a) is not x^a plus terms of lower degree, so the
+    # descending-degree inverse does not exist
+    g = g2_algebra()
+    phi = OpMatrix(2, [[WeylOp.constant(2, c) for c in row] for row in phi0])
+    real = realization_from_phi(g, phi)
+    ctx = StarContext(g, dual_algebra(g), real, real, 3)
+    assert omega(ctx, PBWElement.generator(2, 0)) == parse_polynomial(x1_image, 2)
+    with pytest.raises(ValueError, match="lower degree"):
+        omega_inv(ctx, parse_polynomial("x1", 2))
 
 
 def test_omega_inv_symmetrization_on_squares():

@@ -138,8 +138,9 @@ orders = st.integers(0, 4) | st.just(INF)
 
 @st.composite
 def product_sums(draw):
-    """(pairs, cap): 1-4 pairs (A, B) with x in A only, some of them empty or
-    truncated, the last one possibly cancelling the first, and a valid-order cap."""
+    """(pairs, cap): 1-4 pairs (A, B), some with a constant c as (A, B, c), with
+    x in A only, some of them empty or truncated, the last one possibly
+    cancelling the first, and a valid-order cap."""
     n = draw(st.integers(1, 3))
     mi = st.tuples(*[st.integers(0, 2)] * n)
     zero = (0,) * n
@@ -153,10 +154,11 @@ def product_sums(draw):
         st.dictionaries(mi, gauss_q, max_size=3),
         orders,
     )
-    pairs = draw(st.lists(st.tuples(left, right), min_size=1, max_size=3))
+    pair = st.tuples(left, right) | st.tuples(left, right, gauss_q)
+    pairs = draw(st.lists(pair, min_size=1, max_size=3))
     if draw(st.booleans()):
-        A, B = pairs[0]
-        pairs.append((A, -B))
+        A, B, *c = pairs[0]
+        pairs.append((A, -B, *c))
     return pairs, draw(orders)
 
 
@@ -166,7 +168,7 @@ def product_sums(draw):
 @settings(max_examples=120, deadline=None)
 def test_sum_of_products_is_the_sum_of_normal_ordered_products(case):
     pairs, cap = case
-    prods = [product(A, B) for A, B in pairs]
+    prods = [product(A, B).scale(c[0] if c else 1) for A, B, *c in pairs]
     vo = min([cap, *(p.valid_order for p in prods)])
     expected = {}
     for p in prods:
