@@ -263,22 +263,23 @@ def sum_of_products(pairs, valid_order=INF) -> WeylOp:
     zero = (0,) * n
     vo = valid_order
     den = 1
-    parts = []  # (A, its numerators, c, B's numerators, the pair's den, B)
+    parts = []  # (A, its den, its numerators times c, B, its den, its numerators)
     for A, B, *c in pairs:
         if A.n != n or B.n != n:
             raise ValueError(f"dimension mismatch: {A.n}, {B.n} vs {n}")
         vo = min(vo, A.valid_order, B.valid_order)
         da, na = numerators(A.terms.values())
+        if c:
+            dc, ((u, v),) = numerators(c)
+            da *= dc
+            na = [(p * u - q * v, p * v + q * u) for p, q in na]
         db, nb = numerators(B.terms.values())
-        dc, nc = numerators(c)  # c is [] or [the constant]
-        parts.append((A, na, nc[0] if nc else (1, 0), nb, da * db * dc, B))
-        den = lcm(den, da * db * dc)
+        parts.append((A, da, na, B, db, nb))
+        den = lcm(den, da * db)
     acc = {}  # key -> [re, im] numerators over den
     get = acc.get
-    for A, na, (u, v), nb, d, B in parts:
-        m = den // d
-        u *= m
-        v *= m
+    for A, da, na, B, db, nb in parts:
+        m = den // (da * db)
         right = []
         for (x, e), (r, s) in zip(B.terms, nb):
             if x != zero:
@@ -286,7 +287,8 @@ def sum_of_products(pairs, valid_order=INF) -> WeylOp:
             right.append((sum(e), e, r, s))
         right.sort()
         for (a, b), (p, q) in zip(A.terms, na):
-            p, q = p * u - q * v, p * v + q * u
+            p *= m
+            q *= m
             room = vo - sum(b)
             for deg, e, r, s in right:
                 if deg > room:
