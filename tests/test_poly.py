@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lieweyl import Polynomial, Scalar, parse_polynomial
+from lieweyl import ONE, Polynomial, Scalar, parse_polynomial
 from lieweyl.poly import linear_combination, merge
 
 N = 3
@@ -142,7 +142,6 @@ term_dicts = st.dictionaries(
     gaussians.filter(bool),
     max_size=4,
 )
-ONE = Scalar(1)
 
 
 @given(st.lists(st.tuples(gaussians, term_dicts), max_size=4), st.booleans())
