@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import partial
 
 from .lie import LieAlgebra, kappa_algebra
-from .poly import Polynomial, merge, mi_unit
+from .poly import Polynomial, linear_combination, mi_unit
 from .realization import (
     Realization,
     adjoint_matrix,
@@ -29,7 +29,7 @@ from .realization import (
 from .scalars import Scalar
 from .series import TruncSeries, series_coeffs
 from .star import first_order_matches, make_context, poisson_first_order, star
-from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op
+from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op, sum_of_products
 
 __all__ = [
     "KappaParams",
@@ -195,18 +195,26 @@ class KappaStarContext:
 
 def _a_chains(b, f: Polynomial) -> dict:
     """{d: [f_d, A f_d, A^2 f_d, ...]} over the homogeneous parts f_d of f,
-    with A = b . d; each chain stops before its first zero."""
+    with A = b . d; each chain stops before its first zero.
+
+    Each entry is held as the x-free WeylOp with key (0, k) for x^k, so that
+    `sum_of_products` multiplies two of them as polynomials and `deriv_d`
+    differentiates them.
+    """
+    z = (0,) * f.n
     parts = {}
     for key, c in f.terms.items():
-        parts.setdefault(sum(key), {})[key] = c
-    zero = f._like({})
+        parts.setdefault(sum(key), {})[z, key] = c
+    zero = WeylOp.zero(f.n)
     chains = {}
     for d, terms in parts.items():
-        h = f._like(terms)
+        h = zero._like(terms)
         chain = chains[d] = []
         while h.terms:
             chain.append(h)
-            h = sum((h.partial(mu).scale(c) for mu, c in enumerate(b) if c), zero)
+            h = zero._like(linear_combination(
+                (c, h.deriv_d(mu).terms) for mu, c in enumerate(b) if c
+            ))
     return chains
 
 
@@ -216,7 +224,8 @@ def bidiff_star(
     """The closed bi-differential star-product of the kappa space:
 
     f * g = sum w(s, d - s, t, e - t) (A^s f_d)(A^t g_e) over the homogeneous
-    parts f_d, g_e, with A = b . d and the weights w of `_weights`.
+    parts f_d, g_e, with A = b . d and the weights w of `_weights`, formed in
+    one `sum_of_products` call.
     Raises InsufficientOrder when deg f + deg g exceeds the context's order.
     """
     deg = f.degree() + g.degree()
@@ -225,19 +234,17 @@ def bidiff_star(
     weights = ctx.weights(dual)
     b = ctx.params.b
     g_chains = _a_chains(b, g)
-    out = {}
-    for d, f_chain in _a_chains(b, f).items():
-        for e, g_chain in g_chains.items():
-            for s, fs in enumerate(f_chain):
-                right = {}
-                for t, gt in enumerate(g_chain):
-                    w = weights.get((s, d - s, t, e - t))
-                    if w:
-                        for key, c in gt.terms.items():
-                            merge(right, key, c * w)
-                for key, c in (fs * g._like(right)).terms.items():
-                    merge(out, key, c)
-    return f._like(out)
+    items = [
+        (fs, gt, w)
+        for d, f_chain in _a_chains(b, f).items()
+        for e, g_chain in g_chains.items()
+        for s, fs in enumerate(f_chain)
+        for t, gt in enumerate(g_chain)
+        if (w := weights.get((s, d - s, t, e - t)))
+    ]
+    if not items:
+        return f._like({})
+    return f._like({k: c for (_, k), c in sum_of_products(items).terms.items()})
 
 
 def kappa_poisson_check(ctx: KappaStarContext, f: Polynomial, g: Polynomial) -> bool:

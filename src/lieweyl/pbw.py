@@ -9,8 +9,8 @@ degree-lexicographic order and is memoized per algebra.
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .poly import TermMap, linear_combination, merge, mi_degree, mi_unit
-from .scalars import Scalar
+from .poly import TermMap, linear_combination, mi_degree, mi_unit
+from .scalars import ONE, Scalar
 
 __all__ = ["PBWElement", "pbw_mul", "t_action", "tinv_action", "y_action"]
 
@@ -49,13 +49,12 @@ def _straighten(g: LieAlgebra, word) -> dict:
         a, b = word[i], word[i + 1]
         if a > b:
             # X_a X_b = X_b X_a + sum_lam C_{a b lam} X_lam
-            out = dict(_straighten(g, word[:i] + (b, a) + word[i + 2 :]))
-            cab = g.c[a][b]
-            for lam in range(n):
-                c = cab[lam]
-                if c:
-                    for k, v in _straighten(g, word[:i] + (lam,) + word[i + 2 :]).items():
-                        merge(out, k, v * c)
+            head, tail = word[:i], word[i + 2 :]
+            out = linear_combination([
+                (ONE, _straighten(g, head + (b, a) + tail)),
+                *((c, _straighten(g, head + (lam,) + tail))
+                  for lam, c in enumerate(g.c[a][b]) if c),
+            ])
             cache[word] = out
             return out
     exps = [0] * n

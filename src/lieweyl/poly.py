@@ -3,16 +3,18 @@
 Every object the engine computes is a map from exponent keys to exact
 coefficients: polynomials in x, normal-ordered Weyl operators x^a d^b and
 PBW monomials in U(g).  `TermMap` owns that map and its invariants (keys are
-tuples, no zero coefficient is stored); `merge` is the accumulation step of
-the memoized builders, and `linear_combination` forms every sum of scaled
-term maps in one integer pass.  Multi-indices are plain tuples of
-non-negative ints.
+tuples, no zero coefficient is stored).  Coefficients accumulate in two
+places only: the two-operand `TermMap.__add__`, and `linear_combination`,
+which forms every longer sum of scaled term maps (the product of two
+polynomials, the memoized builders of pbw.py and star.py) in one integer
+pass.  Multi-indices are plain tuples of non-negative ints.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
+from operator import add
 
 from .scalars import ONE, Scalar, as_scalar, from_numerators, numerators
 
@@ -20,7 +22,6 @@ __all__ = [
     "mi_add",
     "mi_degree",
     "mi_unit",
-    "merge",
     "linear_combination",
     "TermMap",
     "Polynomial",
@@ -29,7 +30,7 @@ __all__ = [
 
 
 def mi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mi_degree(a) -> int:
@@ -39,16 +40,6 @@ def mi_degree(a) -> int:
 def mi_unit(n: int, mu: int):
     """The exponent vector of x_mu (0-based)."""
     return tuple(1 if k == mu else 0 for k in range(n))
-
-
-def merge(dst: dict, key, coeff):
-    """Add coeff to dst[key], dropping the entry when the sum vanishes."""
-    s = dst.get(key)
-    s = coeff if s is None else s + coeff
-    if s:
-        dst[key] = s
-    else:
-        dst.pop(key, None)
 
 
 def linear_combination(pairs) -> dict:
@@ -133,12 +124,9 @@ class TermMap:
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = Scalar.coerce(c)
-                if c:
-                    merge(self.terms, tuple(k), c)
+        terms = terms or {}
+        coeffs = map(Scalar.coerce, terms.values())
+        self.terms = {tuple(k): c for k, c in zip(terms, coeffs) if c}
 
     @classmethod
     def zero(cls, n):
@@ -183,7 +171,13 @@ class TermMap:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            merge(out, k, c)
+            s = out.get(k)
+            if s is None:
+                out[k] = c
+            elif s := s + c:
+                out[k] = s
+            else:
+                del out[k]
         return self._like(out)
 
     def __sub__(self, other):
@@ -291,22 +285,21 @@ class Polynomial(TermMap):
         if not isinstance(other, Polynomial):
             return self._scale_by(other)
         self._check(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                merge(out, mi_add(k1, k2), c1 * c2)
-        return self._like(out)
+        right = other.terms.items()
+        return self._like(linear_combination(
+            (c1, {mi_add(k1, k2): c2 for k2, c2 in right})
+            for k1, c1 in self.terms.items()
+        ))
 
     __rmul__ = __mul__
 
     def partial(self, mu: int) -> "Polynomial":
         """Partial derivative with respect to x_mu (0-based)."""
-        out = {}
-        for k, c in self.terms.items():
-            e = k[mu]
-            if e:
-                merge(out, k[:mu] + (e - 1,) + k[mu + 1 :], c * e)
-        return self._like(out)
+        return self._like({
+            k[:mu] + (e - 1,) + k[mu + 1 :]: c * e
+            for k, c in self.terms.items()
+            if (e := k[mu])
+        })
 
 
 _FACTOR = re.compile(r"^(?:x(\d+))(?:\^(\d+))?$")
@@ -337,7 +330,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
     if depth:
         raise ValueError(f"unbalanced parentheses in {text!r}")
     terms.append(buf)
-    out = Polynomial.zero(n)
+    pairs = []
     for term in terms:
         coeff = Scalar(1)
         exps = [0] * n
@@ -360,5 +353,5 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                 coeff = coeff * Scalar.parse(factor)
             if neg:
                 coeff = -coeff
-        out = out + Polynomial(n, {tuple(exps): coeff})
-    return out
+        pairs.append((coeff, {tuple(exps): ONE}))
+    return Polynomial(n)._like(linear_combination(pairs))

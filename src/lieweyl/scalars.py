@@ -14,6 +14,7 @@ over one common denominator, and `from_numerators` normalises a result once.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 from math import gcd, lcm
 
@@ -103,6 +104,8 @@ class Scalar:
         """Parse "p/q", "p/q+r/si" or a pure-imaginary "r/si" form.
 
         Accepts unicode minus and "·"-free plain text; whitespace ignored.
+        Every part is an integer or an integer fraction: a decimal point or
+        an exponent ("1.5", "1e5") raises ValueError.
         """
         if not isinstance(text, str):
             raise ValueError(f"scalar {text!r} is not a string")
@@ -116,9 +119,9 @@ class Scalar:
                 # an integer fraction "p/q")
                 for k in range(len(body) - 1, 0, -1):
                     if body[k] in "+-":
-                        return Scalar(Q(body[:k]), _imag_part(body[k:]))
+                        return Scalar(_rational(body[:k]), _imag_part(body[k:]))
                 return Scalar(0, _imag_part(body))
-            return Scalar(Q(s), 0)
+            return Scalar(_rational(s), 0)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed scalar {text!r}") from exc
 
@@ -277,12 +280,23 @@ def from_numerators(re: int, im: int, den: int) -> Scalar:
     return _new(re // g, den // g, im // h, den // h)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _rational(text: str) -> Q:
+    # only p or p/q reaches Fraction, which would expand an exponent such as
+    # "1e9999999999" into a power of ten
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not an integer fraction: {text!r}")
+    return Q(text)
+
+
 def _imag_part(body: str):
     if body in ("", "+"):
         return 1
     if body == "-":
         return -1
-    return Q(body)
+    return _rational(body)
 
 
 ZERO = Scalar(0)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from math import lcm, perm, prod
-from operator import add
+from operator import add, sub
 
-from .poly import Polynomial, TermMap, merge, mi_add, mi_degree
+from .poly import Polynomial, TermMap, linear_combination, mi_degree
 from .scalars import Scalar, from_numerators, numerators
 from .series import TruncSeries
 
@@ -133,13 +133,8 @@ class WeylOp(TermMap):
 
     def __add__(self, other):
         """Sum, truncated to the lower valid order of the two operands."""
-        self._check(other)
         vo = min(self.valid_order, other.valid_order)
-        terms = {k: c for k, c in self.terms.items() if mi_degree(k[1]) <= vo}
-        for k, c in other.terms.items():
-            if mi_degree(k[1]) <= vo:
-                merge(terms, k, c)
-        return self._like(terms, vo)
+        return TermMap.__add__(self.truncate(vo), other.truncate(vo))
 
     def __mul__(self, other):
         """Product by an x-free right factor, or by a scalar."""
@@ -149,12 +144,14 @@ class WeylOp(TermMap):
 
     def deriv_d(self, lam: int) -> "WeylOp":
         """Formal coefficientwise derivative in the variable d_lam."""
-        terms = {}
-        for (a, b), c in self.terms.items():
-            e = b[lam]
-            if e:
-                merge(terms, (a, b[:lam] + (e - 1,) + b[lam + 1 :]), c * e)
-        return self._like(terms, self.valid_order - 1)
+        return self._like(
+            {
+                (a, b[:lam] + (e - 1,) + b[lam + 1 :]): c * e
+                for (a, b), c in self.terms.items()
+                if (e := b[lam])
+            },
+            self.valid_order - 1,
+        )
 
     # -- action on polynomials ----------------------------------------------
 
@@ -165,15 +162,17 @@ class WeylOp(TermMap):
         fdeg = f.degree()
         if self.valid_order < fdeg:
             raise InsufficientOrder(fdeg, self.valid_order)
-        out = {}
-        for exps, fc in f.terms.items():
-            for (a, b), c in self.terms.items():
-                # xe!/(xe - be)! per coordinate: 0 when d^be kills x^xe
-                factor = prod(map(perm, exps, b))
-                if factor:
-                    key = mi_add(a, tuple(xe - be for xe, be in zip(exps, b)))
-                    merge(out, key, fc * c * factor)
-        return f._like(out)
+        # x^a d^b sends x^e to e!/(e - b)! x^(a + e - b), one-to-one in e;
+        # the factor is 0 when d^b kills x^e, as it kills all of f if |b| > deg f
+        return f._like(linear_combination(
+            (c, {
+                tuple(map(add, a, map(sub, e, b))): fc * factor
+                for e, fc in f.terms.items()
+                if (factor := prod(map(perm, e, b)))
+            })
+            for (a, b), c in self.terms.items()
+            if sum(b) <= fdeg
+        ))
 
 
 class OpMatrix:

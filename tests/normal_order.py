@@ -1,15 +1,29 @@
-"""Normal-ordered product of Weyl operators, kept as a test oracle.
+"""Test oracles: the normal-ordered product of Weyl operators, a one-add-
+per-term `merge`, and polynomials as sympy expressions.
 
 The library multiplies only by x-free right factors and takes every
 commutator with x from derivatives (`x_free_bracket`, `x_linear_bracket`).
 This module keeps the general product so that those can be checked against
 an independent normal ordering, itself checked against composed `apply`.
+It accumulates with its own `merge`, one Scalar add per term, and shares no
+accumulation code with the library.  `sympy_poly` hands a polynomial to
+sympy, whose expand and diff share no code with the library at all.
 """
 
 from math import comb, perm
 
 from lieweyl import WeylOp
-from lieweyl.poly import merge, mi_degree
+from lieweyl.poly import mi_degree
+
+
+def merge(dst: dict, key, coeff):
+    """Add coeff to dst[key], dropping the entry when the sum vanishes."""
+    s = dst.get(key)
+    s = coeff if s is None else s + coeff
+    if s:
+        dst[key] = s
+    else:
+        dst.pop(key, None)
 
 
 def product(A: WeylOp, B: WeylOp) -> WeylOp:
@@ -43,3 +57,14 @@ def product(A: WeylOp, B: WeylOp) -> WeylOp:
 
 def commutator(A: WeylOp, B: WeylOp) -> WeylOp:
     return product(A, B) - product(B, A)
+
+
+def sympy_poly(f, xs):
+    """f as a sympy expression in the symbols xs."""
+    import sympy
+
+    return sympy.Add(*(
+        (sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im))
+        * sympy.Mul(*(x**e for x, e in zip(xs, k)))
+        for k, c in f.terms.items()
+    ))

@@ -142,6 +142,21 @@ def test_star_degree_exceeds_order(capsys):
     assert code == 2 and "order" in err
 
 
+# Fraction would expand "1e9999999999" into a power of ten and never return;
+# a scalar is an integer or an integer fraction, so these are bad input
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "g2", "1e9999999999*x1", "x2"],
+        ["star", "g2", "x1", "1.5"],
+        ["validate", "kappa", "--kappa-b", "1e9999999999,1"],
+    ],
+)
+def test_exponent_or_decimal_scalar_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "malformed scalar" in err
+
+
 # Exact stdout of the CLI: the renderers on an algebra with Gaussian and
 # pure-imaginary coefficients, and whole verify reports, passing and failing.
 # Each golden_*.txt file holds one "=== <case>/<format>" header per output.

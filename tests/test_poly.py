@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieweyl import ONE, Polynomial, Scalar, parse_polynomial
-from lieweyl.poly import linear_combination, merge
+from lieweyl.poly import linear_combination
+from normal_order import merge, sympy_poly
 
 N = 3
 
@@ -29,6 +30,17 @@ def test_ring_axioms(f, g, h):
     assert f * (g + h) == f * g + f * h
     assert f + Polynomial.zero(N) == f
     assert f * Polynomial.one(N) == f
+
+
+@given(polys(gaussian=True), polys(gaussian=True), st.integers(0, N - 1))
+@settings(max_examples=50, deadline=None)
+def test_product_and_partial_against_sympy(f, g, mu):
+    # sympy's expand and diff share no code with Polynomial.__mul__ or partial
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{N + 1}")
+    F, G = sympy_poly(f, xs), sympy_poly(g, xs)
+    assert sympy.expand(sympy_poly(f * g, xs) - F * G) == 0
+    assert sympy.expand(sympy_poly(f.partial(mu), xs) - sympy.diff(F, xs[mu])) == 0
 
 
 @given(polys())

@@ -22,7 +22,9 @@ def test_parse_forms():
     assert Scalar.parse("−1/2") == Scalar(-1) / 2  # unicode minus
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/2+", "1//2", "1/0"])
+@pytest.mark.parametrize(
+    "bad", ["", "x", "1/2+", "1//2", "1/0", "1e5", "1.5", "1e9999999999", "1/2+1e3i"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         Scalar.parse(bad)

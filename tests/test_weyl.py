@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from normal_order import commutator, product
+from normal_order import commutator, product, sympy_poly
 
 from lieweyl import (
     InsufficientOrder,
@@ -106,6 +106,34 @@ def test_product_is_composition_of_actions(ops):
     # the action on polynomials shares no code with the normal-ordered product
     _, A, B, f = ops
     assert product(A, B).apply(f) == A.apply(B.apply(f))
+
+
+gauss_q = st.builds(Scalar, *[st.fractions(-4, 4, max_denominator=9)] * 2)
+
+
+@st.composite
+def actions(draw):
+    """(n, A, f): an exact sum of c x^a d^b and a polynomial, Gaussian-rational
+    coefficients, exponents up to 3."""
+    n = draw(st.integers(1, 3))
+    mi = st.tuples(*[st.integers(0, 3)] * n)
+    A = WeylOp(n, draw(st.dictionaries(st.tuples(mi, mi), gauss_q, max_size=4)))
+    return n, A, Polynomial(n, draw(st.dictionaries(mi, gauss_q, max_size=4)))
+
+
+@given(actions())
+@settings(max_examples=50, deadline=None)
+def test_apply_against_sympy(case):
+    # sympy's diff and expand share no code with WeylOp.apply
+    sympy = pytest.importorskip("sympy")
+    n, A, f = case
+    xs = sympy.symbols(f"x1:{n + 1}")
+    F = sympy_poly(f, xs)
+    expected = sympy.Add(*(
+        sympy_poly(Polynomial(n, {a: c}), xs) * sympy.diff(F, *zip(xs, b))
+        for (a, b), c in A.terms.items()
+    ))
+    assert sympy.expand(sympy_poly(A.apply(f), xs) - expected) == 0
 
 
 @given(operands(), st.integers(0, 4), st.integers(0, 4))
