@@ -194,28 +194,22 @@ class KappaStarContext:
 
 
 def _a_chains(b, f: Polynomial) -> dict:
-    """{d: [f_d, A f_d, A^2 f_d, ...]} over the homogeneous parts f_d of f,
-    with A = b . d; each chain stops before its first zero.
-
-    Each entry is held as the x-free WeylOp with key (0, k) for x^k, so that
-    `sum_of_products` multiplies two of them as polynomials and `deriv_d`
-    differentiates them.
+    """{(s, m): the degree-m part of A^s f, which is A^s f_{s+m}} over the
+    nonzero parts, with A = b . d.  Each is held as the x-free WeylOp with key
+    (0, k) for x^k, so that `sum_of_products` multiplies them as polynomials.
     """
     z = (0,) * f.n
     parts = {}
-    for key, c in f.terms.items():
-        parts.setdefault(sum(key), {})[z, key] = c
+    h, s = f, 0
+    while h.terms:
+        for k, c in h.terms.items():
+            parts.setdefault((s, sum(k)), {})[z, k] = c
+        h = f._like(linear_combination(
+            (c, h.partial(mu).terms) for mu, c in enumerate(b) if c
+        ))
+        s += 1
     zero = WeylOp.zero(f.n)
-    chains = {}
-    for d, terms in parts.items():
-        h = zero._like(terms)
-        chain = chains[d] = []
-        while h.terms:
-            chain.append(h)
-            h = zero._like(linear_combination(
-                (c, h.deriv_d(mu).terms) for mu, c in enumerate(b) if c
-            ))
-    return chains
+    return {sm: zero._like(terms) for sm, terms in parts.items()}
 
 
 def bidiff_star(
@@ -223,8 +217,8 @@ def bidiff_star(
 ) -> Polynomial:
     """The closed bi-differential star-product of the kappa space:
 
-    f * g = sum w(s, d - s, t, e - t) (A^s f_d)(A^t g_e) over the homogeneous
-    parts f_d, g_e, with A = b . d and the weights w of `_weights`, formed in
+    f * g = sum w(s, m, t, k) (A^s f)_m (A^t g)_k over the degree-m and
+    degree-k parts, with A = b . d and the weights w of `_weights`, formed in
     one `sum_of_products` call.
     Raises InsufficientOrder when deg f + deg g exceeds the context's order.
     """
@@ -233,14 +227,12 @@ def bidiff_star(
         raise InsufficientOrder(deg, ctx.order)
     weights = ctx.weights(dual)
     b = ctx.params.b
-    g_chains = _a_chains(b, g)
+    g_parts = _a_chains(b, g)
     items = [
-        (fs, gt, w)
-        for d, f_chain in _a_chains(b, f).items()
-        for e, g_chain in g_chains.items()
-        for s, fs in enumerate(f_chain)
-        for t, gt in enumerate(g_chain)
-        if (w := weights.get((s, d - s, t, e - t)))
+        (fp, gp, w)
+        for sm, fp in _a_chains(b, f).items()
+        for tk, gp in g_parts.items()
+        if (w := weights.get(sm + tk))
     ]
     if not items:
         return f._like({})

@@ -3,10 +3,9 @@
 Every object the engine computes is a map from exponent keys to exact
 coefficients: polynomials in x, normal-ordered Weyl operators x^a d^b and
 PBW monomials in U(g).  `TermMap` owns that map and its invariants (keys are
-tuples, no zero coefficient is stored).  Coefficients accumulate in two
-places only: the two-operand `TermMap.__add__`, and `linear_combination`,
-which forms every longer sum of scaled term maps (the product of two
-polynomials, the memoized builders of pbw.py and star.py) in one integer
+tuples, no zero coefficient is stored).  Coefficients add in the two-operand
+`TermMap.__add__`, and `linear_combination` forms every longer sum of scaled
+term maps (a product of polynomials, the memoized builders) in one integer
 pass.  Multi-indices are plain tuples of non-negative ints.
 """
 
@@ -172,9 +171,8 @@ class TermMap:
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k)
-            if s is None:
-                out[k] = c
-            elif s := s + c:
+            s = c if s is None else s + c
+            if s:
                 out[k] = s
             else:
                 del out[k]
@@ -330,7 +328,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
     if depth:
         raise ValueError(f"unbalanced parentheses in {text!r}")
     terms.append(buf)
-    pairs = []
+    out = Polynomial.zero(n)
     for term in terms:
         coeff = Scalar(1)
         exps = [0] * n
@@ -353,5 +351,5 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                 coeff = coeff * Scalar.parse(factor)
             if neg:
                 coeff = -coeff
-        pairs.append((coeff, {tuple(exps): ONE}))
-    return Polynomial(n)._like(linear_combination(pairs))
+        out = out + Polynomial(n, {tuple(exps): coeff})
+    return out

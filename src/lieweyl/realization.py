@@ -16,8 +16,8 @@ from functools import partial
 from itertools import combinations, product
 
 from .lie import LieAlgebra
-from .poly import Polynomial, linear_combination, mi_unit
-from .scalars import ONE, Scalar
+from .poly import Polynomial, mi_unit
+from .scalars import Scalar
 from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_of_products
 
@@ -211,14 +211,14 @@ def random_rational(rng) -> Scalar:
 
 
 def random_polynomial(rng, n: int, max_degree: int, terms: int = 4) -> Polynomial:
-    pairs = []
+    out = Polynomial.zero(n)
     for _ in range(terms):
         d = rng.randint(0, max_degree)
         exps = [0] * n
         for _ in range(d):
             exps[rng.randrange(n)] += 1
-        pairs.append((random_rational(rng), {tuple(exps): ONE}))
-    return Polynomial(n)._like(linear_combination(pairs))
+        out = out + Polynomial(n, {tuple(exps): random_rational(rng)})
+    return out
 
 
 def verify_symmetrization(g: LieAlgebra, order, m_max, trials, rng) -> dict:

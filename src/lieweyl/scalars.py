@@ -112,6 +112,10 @@ class Scalar:
         s = text.strip().replace("−", "-").replace(" ", "")
         if not s:
             raise ValueError("empty scalar")
+        # only integers and "/" reach Fraction, which would expand an exponent
+        # such as "1e9999999999" into a power of ten
+        if not re.fullmatch(r"[0-9/+-]*[iI]?", s):
+            raise ValueError(f"malformed scalar {text!r}")
         try:
             if s.endswith("i") or s.endswith("I"):
                 body = s[:-1]
@@ -119,9 +123,9 @@ class Scalar:
                 # an integer fraction "p/q")
                 for k in range(len(body) - 1, 0, -1):
                     if body[k] in "+-":
-                        return Scalar(_rational(body[:k]), _imag_part(body[k:]))
+                        return Scalar(Q(body[:k]), _imag_part(body[k:]))
                 return Scalar(0, _imag_part(body))
-            return Scalar(_rational(s), 0)
+            return Scalar(Q(s), 0)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed scalar {text!r}") from exc
 
@@ -280,23 +284,12 @@ def from_numerators(re: int, im: int, den: int) -> Scalar:
     return _new(re // g, den // g, im // h, den // h)
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
-def _rational(text: str) -> Q:
-    # only p or p/q reaches Fraction, which would expand an exponent such as
-    # "1e9999999999" into a power of ten
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"not an integer fraction: {text!r}")
-    return Q(text)
-
-
 def _imag_part(body: str):
     if body in ("", "+"):
         return 1
     if body == "-":
         return -1
-    return _rational(body)
+    return Q(body)
 
 
 ZERO = Scalar(0)

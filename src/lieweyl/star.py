@@ -13,7 +13,7 @@ from itertools import product
 
 from .lie import LieAlgebra, dual_algebra
 from .pbw import PBWElement, pbw_mul
-from .poly import Polynomial, linear_combination, mi_add, mi_degree, mi_unit
+from .poly import Polynomial, linear_combination, mi_degree
 from .realization import (
     Realization,
     check,
@@ -151,20 +151,26 @@ def duality_check(ctx: StarContext, f: Polynomial, g: Polynomial) -> bool:
 def poisson_first_order(g: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
     """Lie-Poisson bracket {f, h} = sum C_{al be rho} x_rho (d_al f)(d_be h)."""
     n = g.n
+    out = Polynomial.zero(n)
+    df = [f.partial(al) for al in range(n)]
     dh = [h.partial(be) for be in range(n)]
-    pairs = []
     for al in range(n):
-        df = f.partial(al)
+        if df[al].is_zero():
+            continue
         for be in range(n):
-            if not any(g.c[al][be]):
+            if dh[be].is_zero():
                 continue
-            terms = (df * dh[be]).terms.items()
-            for rho, c in enumerate(g.c[al][be]):
-                if c:
-                    # x_rho times the product: one-to-one on keys
-                    x_rho = mi_unit(n, rho)
-                    pairs.append((c, {mi_add(k, x_rho): v for k, v in terms}))
-    return Polynomial(n)._like(linear_combination(pairs))
+            lin = Polynomial(
+                n,
+                {
+                    tuple(1 if k == rho else 0 for k in range(n)): g.c[al][be][rho]
+                    for rho in range(n)
+                    if g.c[al][be][rho]
+                },
+            )
+            if not lin.is_zero():
+                out = out + lin * df[al] * dh[be]
+    return out
 
 
 def verify_duality(ctx: StarContext, trials: int, rng, max_degree: int = 3) -> dict:
