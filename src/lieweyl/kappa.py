@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import partial
 
 from .lie import LieAlgebra, kappa_algebra
-from .poly import Polynomial, linear_combination, mi_unit
+from .poly import Polynomial, linear_combination, mi_unit, product_terms
 from .realization import (
     Realization,
     adjoint_matrix,
@@ -29,7 +29,7 @@ from .realization import (
 from .scalars import Scalar
 from .series import TruncSeries, series_coeffs
 from .star import first_order_matches, make_context, poisson_first_order, star
-from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op, sum_of_products
+from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op
 
 __all__ = [
     "KappaParams",
@@ -176,15 +176,19 @@ class KappaStarContext:
     """The closed star product of one kappa space, cut at one order.
 
     Each route's weight table (`_weights`) is built on first use and kept; it
-    gives the product of any f, g with deg f + deg g <= order.
+    gives the product of any f, g with deg f + deg g <= order.  The A-chains
+    of every polynomial it multiplies (`_a_chains`) are kept too, for all
+    partners and both routes, so this memo grows with the polynomials it
+    multiplies: build one context per run, as `verify_kappa` does.
     """
 
-    __slots__ = ("params", "order", "_tables")
+    __slots__ = ("params", "order", "_tables", "_chains")
 
     def __init__(self, params: KappaParams, order: int):
         self.params = params
         self.order = order
         self._tables = {}
+        self._chains = {}
 
     def weights(self, dual: bool = False) -> dict:
         table = self._tables.get(dual)
@@ -192,24 +196,26 @@ class KappaStarContext:
             table = self._tables[dual] = _weights(self.order, dual)
         return table
 
+    def a_chains(self, f: Polynomial) -> dict:
+        chains = self._chains.get(f)
+        if chains is None:
+            chains = self._chains[f] = _a_chains(self.params.b, f)
+        return chains
+
 
 def _a_chains(b, f: Polynomial) -> dict:
     """{(s, m): the degree-m part of A^s f, which is A^s f_{s+m}} over the
-    nonzero parts, with A = b . d.  Each is held as the x-free WeylOp with key
-    (0, k) for x^k, so that `sum_of_products` multiplies them as polynomials.
-    """
-    z = (0,) * f.n
+    nonzero parts, with A = b . d."""
     parts = {}
     h, s = f, 0
     while h.terms:
         for k, c in h.terms.items():
-            parts.setdefault((s, sum(k)), {})[z, k] = c
+            parts.setdefault((s, sum(k)), {})[k] = c
         h = f._like(linear_combination(
             (c, h.partial(mu).terms) for mu, c in enumerate(b) if c
         ))
         s += 1
-    zero = WeylOp.zero(f.n)
-    return {sm: zero._like(terms) for sm, terms in parts.items()}
+    return {sm: f._like(terms) for sm, terms in parts.items()}
 
 
 def bidiff_star(
@@ -219,24 +225,20 @@ def bidiff_star(
 
     f * g = sum w(s, m, t, k) (A^s f)_m (A^t g)_k over the degree-m and
     degree-k parts, with A = b . d and the weights w of `_weights`, formed in
-    one `sum_of_products` call.
+    one `product_terms` call over the context's memoized chains.
     Raises InsufficientOrder when deg f + deg g exceeds the context's order.
     """
     deg = f.degree() + g.degree()
     if deg > ctx.order:
         raise InsufficientOrder(deg, ctx.order)
     weights = ctx.weights(dual)
-    b = ctx.params.b
-    g_parts = _a_chains(b, g)
-    items = [
+    g_parts = ctx.a_chains(g)
+    return f._like(product_terms(
         (fp, gp, w)
-        for sm, fp in _a_chains(b, f).items()
+        for sm, fp in ctx.a_chains(f).items()
         for tk, gp in g_parts.items()
         if (w := weights.get(sm + tk))
-    ]
-    if not items:
-        return f._like({})
-    return f._like({k: c for (_, k), c in sum_of_products(items).terms.items()})
+    ))
 
 
 def kappa_poisson_check(ctx: KappaStarContext, f: Polynomial, g: Polynomial) -> bool:

@@ -5,31 +5,32 @@ coefficients: polynomials in x, normal-ordered Weyl operators x^a d^b and
 PBW monomials in U(g).  `TermMap` owns that map and its invariants (keys are
 tuples, no zero coefficient is stored).  Coefficients add in the two-operand
 `TermMap.__add__`, and `linear_combination` forms every longer sum of scaled
-term maps (a product of polynomials, the memoized builders) in one integer
-pass.  Multi-indices are plain tuples of non-negative ints.
+term maps (the memoized builders) in one integer pass.  Multi-indices are
+plain tuples of non-negative ints.
+
+`product_terms` is the one product kernel, for operators and polynomials:
+each factor stores on first use its numerators and its keys packed into
+ints (x in the low fields, d or a polynomial's x in the high ones), so a
+product key is one int addition and each output key is unpacked once.
 """
 
 from __future__ import annotations
 
 import re
-from math import lcm
-from operator import add
+from math import inf, lcm
+from operator import lshift
 
 from .scalars import ONE, Scalar, as_scalar, from_numerators, numerators
 
 __all__ = [
-    "mi_add",
     "mi_degree",
     "mi_unit",
     "linear_combination",
+    "product_terms",
     "TermMap",
     "Polynomial",
     "parse_polynomial",
 ]
-
-
-def mi_add(a, b):
-    return tuple(map(add, a, b))
 
 
 def mi_degree(a) -> int:
@@ -44,7 +45,7 @@ def mi_unit(n: int, mu: int):
 def linear_combination(pairs) -> dict:
     """sum_k c_k M_k over the (c_k, M_k) pairs of Scalars and term dicts.
 
-    The sibling of `weyl.sum_of_products` for sums of scaled maps: every
+    The sibling of `product_terms` for sums of scaled maps: every
     operand is read as Gaussian-integer numerators (`numerators`), the real
     and imaginary parts accumulate as ints over one common denominator, and
     each output coefficient is normalised once.  A key whose sum vanishes is
@@ -73,6 +74,84 @@ def linear_combination(pairs) -> dict:
                 t[1] += p * s + q * r
     den = dc * dm
     return {k: from_numerators(p, q, den) for k, (p, q) in acc.items() if p or q}
+
+
+def _form(M, width=1):
+    """M's stored form, at least `width` bits wide: (width, den, rows sorted
+    by degree as (degree, packed key, re, im), x-free).  A new form is at
+    least as wide as M's largest exponent and twice its largest degree."""
+    form = M._form
+    if form is not None and form[0] >= width:
+        return form
+    den, nums = numerators(M.terms.values())
+    lo = M.n * (len(M.KEY_PARTS) - 1)  # the x fields lead; the degree is of the rest
+    rows, top = [], 0
+    for k, (p, q) in zip(M.terms, nums):
+        f = sum(M._split(k), ())
+        d = sum(f[lo:])
+        top = max(top, d + d, *f)
+        rows.append((d, f, p, q))
+    width = max(width, top.bit_length())
+    shifts = range(0, (lo + M.n) * width, width)
+    rows = sorted((d, sum(map(lshift, f, shifts)), p, q) for d, f, p, q in rows)
+    low = (1 << lo * width) - 1
+    M._form = form = (width, den, rows, not any(r[1] & low for r in rows))
+    return form
+
+
+def product_terms(items, cap=inf) -> dict:
+    """{key: Scalar} of sum_k c_k A_k B_k over the (A_k, B_k) or (A_k, B_k, c_k)
+    items of one TermMap type, each c_k a Scalar (1 when absent) and each B_k
+    x-free, keeping the product terms of degree <= cap.
+
+    Each factor is read through its stored form (`_form`), the parts
+    accumulate as ints over one denominator and each output coefficient is
+    normalised once.  The call runs at the widest stored width among its
+    factors, which holds every exponent and every deg A + deg B, so no field
+    of a sum of keys carries; a narrower form is rebuilt at that width.
+    """
+    items = list(items)
+    if not items:
+        return {}
+    n, width, den, live = items[0][0].n, 1, 1, []
+    for A, B, *c in items:
+        if A.n != n or B.n != n:
+            raise ValueError(f"dimension mismatch: {A.n}, {B.n} vs {n}")
+        if A.terms and B.terms:
+            # a right factor is more often stored, so its width goes first
+            _, db, _, x_free = fb = _form(B, width)
+            if not x_free:
+                raise ValueError("the right factor of a product must be x-free")
+            width, da, *_ = _form(A, fb[0])
+            dc, ((u, v),) = numerators(c) if c else (1, ((1, 0),))
+            live.append((A, B, da * db * dc, u, v))
+            den = lcm(den, da * db * dc)
+    acc = {}  # packed key -> [re, im] numerators over den
+    get = acc.get
+    for A, B, d, u, v in live:
+        m = den // d
+        u *= m
+        v *= m
+        rb = _form(B, width)[2]
+        for dega, ka, p, q in _form(A, width)[2]:
+            room = cap - dega
+            p, q = p * u - q * v, p * v + q * u
+            for degb, kb, r, s in rb:
+                if degb > room:
+                    break
+                key = ka + kb
+                t = get(key)
+                if t is None:
+                    acc[key] = [p * r - q * s, p * s + q * r]
+                else:
+                    t[0] += p * r - q * s
+                    t[1] += p * s + q * r
+    join, mask = items[0][0]._join, (1 << width) - 1
+    shifts = range(0, n * len(items[0][0].KEY_PARTS) * width, width)
+    return {
+        join([k >> s & mask for s in shifts], n): from_numerators(p, q, den)
+        for k, (p, q) in acc.items() if p or q
+    }
 
 
 # -- rendering ------------------------------------------------------------------
@@ -117,12 +196,13 @@ class TermMap:
     LaTeX symbol) and split a key into those parts with `_split`.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_form")
 
     KEY_PARTS = (("exps", "x", "x"),)
 
     def __init__(self, n: int, terms=None):
         self.n = n
+        self._form = None
         terms = terms or {}
         coeffs = map(Scalar.coerce, terms.values())
         self.terms = {tuple(k): c for k, c in zip(terms, coeffs) if c}
@@ -140,11 +220,17 @@ class TermMap:
         out = object.__new__(type(self))
         out.n = self.n
         out.terms = terms
+        out._form = None
         return out
 
     @staticmethod
     def _split(key):
         return (key,)
+
+    @staticmethod
+    def _join(fields, n):
+        """The key whose `_split` parts, concatenated, are the list `fields`."""
+        return tuple(fields)
 
     @staticmethod
     def _sort_key(item):
@@ -283,11 +369,7 @@ class Polynomial(TermMap):
         if not isinstance(other, Polynomial):
             return self._scale_by(other)
         self._check(other)
-        right = other.terms.items()
-        return self._like(linear_combination(
-            (c1, {mi_add(k1, k2): c2 for k2, c2 in right})
-            for k1, c1 in self.terms.items()
-        ))
+        return self._like(product_terms(((self, other),)))
 
     __rmul__ = __mul__
 

@@ -72,11 +72,12 @@ def adjoint_matrix(g: LieAlgebra) -> OpMatrix:
 
 
 def _contract_x(row, valid_order) -> WeylOp:
-    """sum_al x_al * row[al], valid through at most valid_order."""
-    n = row[0].n
-    return sum_of_products(
-        ((WeylOp.x(n, al), op) for al, op in enumerate(row)), valid_order
-    )
+    """sum_al x_al * row[al] for x-free row[al], valid through at most
+    valid_order: each term d^b of row[al] becomes x_al d^b, and no two meet."""
+    vo = min([valid_order, *(op.valid_order for op in row)])
+    units = [mi_unit(row[0].n, al) for al in range(len(row))]
+    return row[0]._like({(e, b): c for e, op in zip(units, row)
+                         for (_, b), c in op.terms.items() if sum(b) <= vo}, vo)
 
 
 def x_free_bracket(F: WeylOp, row) -> WeylOp:

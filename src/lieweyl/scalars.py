@@ -7,7 +7,7 @@ Henrici's gcd tricks (Knuth, TAOCP vol. 2, section 4.5.1), so no gcd is taken
 of a full product.  `Q` (`fractions.Fraction`) is the rational type of the
 public `re`/`im` parts, of the series coefficients and of parsing.
 
-Loops that sum many products (`weyl.sum_of_products`) skip the per-product
+Loops that sum many products (`poly.product_terms`) skip the per-product
 normalisation: `numerators` writes Scalars as Gaussian-integer numerators
 over one common denominator, and `from_numerators` normalises a result once.
 """
@@ -44,6 +44,8 @@ def _ratio(v):
         return v, 1
     if isinstance(v, float):
         raise TypeError(f"float {v!r} is not an exact scalar")
+    if isinstance(v, str) and not (s := Scalar.parse(v))._c:
+        return s._a, s._b  # parse refuses an exponent, which Q would expand
     v = Q(v)
     return v.numerator, v.denominator
 

@@ -13,7 +13,7 @@ from itertools import product
 
 from .lie import LieAlgebra, dual_algebra
 from .pbw import PBWElement, pbw_mul
-from .poly import Polynomial, linear_combination, mi_degree
+from .poly import Polynomial, linear_combination, mi_degree, product_terms
 from .realization import (
     Realization,
     check,
@@ -149,28 +149,22 @@ def duality_check(ctx: StarContext, f: Polynomial, g: Polynomial) -> bool:
 
 
 def poisson_first_order(g: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
-    """Lie-Poisson bracket {f, h} = sum C_{al be rho} x_rho (d_al f)(d_be h)."""
+    """Lie-Poisson bracket {f, h} = sum C_{al be rho} (d_al f)(x_rho d_be h),
+    formed in one `product_terms` call."""
     n = g.n
-    out = Polynomial.zero(n)
     df = [f.partial(al) for al in range(n)]
-    dh = [h.partial(be) for be in range(n)]
-    for al in range(n):
-        if df[al].is_zero():
-            continue
-        for be in range(n):
-            if dh[be].is_zero():
-                continue
-            lin = Polynomial(
-                n,
-                {
-                    tuple(1 if k == rho else 0 for k in range(n)): g.c[al][be][rho]
-                    for rho in range(n)
-                    if g.c[al][be][rho]
-                },
-            )
-            if not lin.is_zero():
-                out = out + lin * df[al] * dh[be]
-    return out
+    xdh = {}
+    for be in range(n):
+        dh = h.partial(be).terms
+        for rho in range(n):
+            xdh[rho, be] = f._like({
+                k[:rho] + (k[rho] + 1,) + k[rho + 1 :]: c for k, c in dh.items()
+            })
+    return f._like(product_terms(
+        (df[al], xdh[rho, be], c)
+        for al, be, rho in product(range(n), repeat=3)
+        if (c := g.c[al][be][rho])
+    ))
 
 
 def verify_duality(ctx: StarContext, trials: int, rng, max_degree: int = 3) -> dict:

@@ -7,25 +7,25 @@ valid_order = math.inf.
 
 The only product is `sum_of_products`: sum_k A_k B_k for x-free right
 factors B_k, so no product needs reordering, (x^a d^b)(d^e) = x^a d^(b+e).
-It writes every operand as Gaussian-integer numerators over one common
-denominator, accumulates with int multiply-adds and normalises each output
-coefficient once.  Its valid order is the least valid order of all the
-factors and of an optional cap, as if the products were formed one by one
-and added; `A * B` is its one-pair case.  `deriv_d` lowers the order by one,
-so the commutators with x formed from it (realization.py) are certified
-through N - 1 for operators valid through N.  The rule is never clamped: a
-negative valid_order certifies no coefficient at all, not even the constant
-term, and `apply` then raises InsufficientOrder for every polynomial.
+It runs the kernel `poly.product_terms` on each operator's stored form
+(packed keys, numerators over one denominator).  Its valid order is the
+least valid order of all the factors and of an optional cap, as if the
+products were formed one by one and added; `A * B` is its one-pair case.
+`deriv_d` lowers the order by one, so the commutators with x formed from it
+(realization.py) are certified through N - 1 for operators valid through N.
+The rule is never clamped: a negative valid_order certifies no coefficient
+at all, not even the constant term, and `apply` then raises
+InsufficientOrder for every polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from math import lcm, perm, prod
+from math import perm, prod
 from operator import add, sub
 
-from .poly import Polynomial, TermMap, linear_combination, mi_degree
-from .scalars import Scalar, from_numerators, numerators
+from .poly import Polynomial, TermMap, linear_combination, mi_degree, product_terms
+from .scalars import Scalar
 from .series import TruncSeries
 
 __all__ = [
@@ -73,6 +73,10 @@ class WeylOp(TermMap):
     @staticmethod
     def _split(key):
         return key
+
+    @staticmethod
+    def _join(fields, n):
+        return tuple(fields[:n]), tuple(fields[n:])
 
     @staticmethod
     def _sort_key(item):
@@ -248,86 +252,41 @@ def sum_of_products(pairs, valid_order=INF) -> WeylOp:
     right factor x-free and each constant c_k a Scalar (1 when absent).
 
     (x^a d^b)(d^e) = x^a d^(b+e); a right factor with x raises ValueError.
-    Every operand is read as Gaussian-integer numerators over one common
-    denominator, so the real and imaginary parts accumulate as ints and each
-    output coefficient is normalised once.  The result is valid through the
-    least valid order of every factor and of `valid_order`, and keeps no term
-    beyond it: with the right terms sorted by degree each left term stops at
-    the first past that window.
+    Formed by the kernel `poly.product_terms`.  The result is valid through
+    the least valid order of every factor and of `valid_order`, and keeps no
+    term beyond it.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("sum_of_products needs at least one pair")
-    n = pairs[0][0].n
-    zero = (0,) * n
-    vo = valid_order
-    den = 1
-    parts = []  # (A, its den, its numerators times c, B, its den, its numerators)
-    for A, B, *c in pairs:
-        if A.n != n or B.n != n:
-            raise ValueError(f"dimension mismatch: {A.n}, {B.n} vs {n}")
-        vo = min(vo, A.valid_order, B.valid_order)
-        da, na = numerators(A.terms.values())
-        if c:
-            dc, ((u, v),) = numerators(c)
-            da *= dc
-            na = [(p * u - q * v, p * v + q * u) for p, q in na]
-        db, nb = numerators(B.terms.values())
-        parts.append((A, da, na, B, db, nb))
-        den = lcm(den, da * db)
-    acc = {}  # key -> [re, im] numerators over den
-    get = acc.get
-    for A, da, na, B, db, nb in parts:
-        m = den // (da * db)
-        right = []
-        for (x, e), (r, s) in zip(B.terms, nb):
-            if x != zero:
-                raise ValueError("the right factor of a WeylOp product must be x-free")
-            right.append((sum(e), e, r, s))
-        right.sort()
-        for (a, b), (p, q) in zip(A.terms, na):
-            p *= m
-            q *= m
-            room = vo - sum(b)
-            for deg, e, r, s in right:
-                if deg > room:
-                    break
-                key = (a, tuple(map(add, b, e)))
-                t = get(key)
-                if t is None:
-                    acc[key] = [p * r - q * s, p * s + q * r]
-                else:
-                    t[0] += p * r - q * s
-                    t[1] += p * s + q * r
-    return pairs[0][0]._like(
-        {k: from_numerators(p, q, den) for k, (p, q) in acc.items() if p or q}, vo
-    )
+    vo = min([valid_order, *[M.valid_order for item in pairs for M in item[:2]]])
+    return pairs[0][0]._like(product_terms(pairs, vo), vo)
 
 
 def matrix_series(f: TruncSeries, M: OpMatrix) -> OpMatrix:
     """Evaluate sum_k f_k M^k, exact through derivative degree order(f).
 
     Requires every entry of M to be x-free with vanishing constant term, so
-    M^k has minimum derivative degree k and the truncation is exact.  The
-    result is valid through order(f), or less if M is valid through less.
+    M^k has minimum derivative degree k and the truncation is exact.  An
+    entry is valid through order(f), or less where a power it sums is.
     """
-    for row in M.entries:
-        for op in row:
-            for (a, b), _ in op.terms.items():
-                if mi_degree(a) != 0 or mi_degree(b) == 0:
-                    raise ValueError(
-                        "matrix_series requires x-free entries with zero constant term"
-                    )
+    if any(any(a) or not any(b) for row in M.entries for op in row for a, b in op.terms):
+        raise ValueError("matrix_series requires x-free entries with zero constant term")
     order = f.order
     amb = M.entries[0][0].n
-    acc = OpMatrix.zero(amb, M.n)
-    power = OpMatrix.identity(amb, M.n)
+    cols = list(zip(*M.entries))
+    power = OpMatrix.identity(amb, M.n).entries
+    terms = []  # (f_k, the entries of M^k) for the nonzero f_k
     for k in range(order + 1):
         if f[k]:
-            acc = acc + power.scale(f[k])
+            terms.append((Scalar.coerce(f[k]), power))
         if k < order:
-            power = (power * M).truncate(order)
-    return acc.truncate(order)
+            power = [[sum_of_products(zip(row, col), order) for col in cols] for row in power]
+    return OpMatrix(M.n, [[
+        WeylOp(amb, linear_combination((c, P[mu][nu].terms) for c, P in terms),
+               min([order, *(P[mu][nu].valid_order for _, P in terms)]))
+        for nu in range(M.n)] for mu in range(M.n)
+    ])
 
 
 def series_in_op(f: TruncSeries, A: WeylOp) -> WeylOp:

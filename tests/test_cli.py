@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -225,6 +226,19 @@ def test_golden_rendering(capsys, case, fmt):
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == expected_code
     assert out == _golden()[f"{case}/{fmt}"]
+
+
+def test_verify_at_the_largest_order_is_byte_identical(capsys):
+    # the closure suite at the CLI's largest order multiplies operators of
+    # degree 32 cut at 31, where the product kernel's packed fields are widest
+    code, out, _ = run(
+        capsys, "verify", "kappa", "--kappa-b", "1i,1", "--suite", "closure",
+        "--order", str(MAX_ORDER), "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "027750575bafd27c81d2eadf7ce10f5822beec2e3fc32f9d176010ef041d8e6f"
+    )
 
 
 def test_tmatrix_json(capsys):

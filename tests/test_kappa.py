@@ -198,6 +198,36 @@ def test_verify_kappa_builds_one_table_per_route(monkeypatch):
     assert built == {False: 1, True: 1}
 
 
+def test_context_builds_the_chains_of_each_polynomial_once(monkeypatch):
+    built = Counter()
+    chains = kappa._a_chains
+
+    def counting(b, f):
+        built[f] += 1
+        return chains(b, f)
+
+    monkeypatch.setattr(kappa, "_a_chains", counting)
+    p = KappaParams([I, Scalar(1), Scalar(1) / 2])
+    rng = random.Random(29)
+    f, g = random_polynomial(rng, 3, 3), random_polynomial(rng, 3, 3)
+
+    def products(ctx):
+        return [
+            bidiff_star(ctx, f, g),
+            bidiff_star(ctx, g, f),
+            bidiff_star(ctx, f, g, dual=True),
+            kappa_poisson_check(ctx, f, g),
+        ]
+
+    shared = products(KappaStarContext(p, 6))
+    # the poisson check multiplies the nonzero homogeneous parts of f and g
+    parts = {h.homogeneous_part(d) for h in (f, g) for d in range(h.degree() + 1)}
+    assert built == Counter({f, g, *parts} - {Polynomial.zero(3)})
+    for _ in range(2):
+        assert products(KappaStarContext(p, 6)) == shared
+    assert shared[-1]
+
+
 @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
 def test_weight_table_depends_on_neither_b_nor_n(dual):
     tables = [KappaStarContext(KappaParams(b), 6).weights(dual) for b in PARAM_SETS]

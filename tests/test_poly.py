@@ -43,6 +43,25 @@ def test_product_and_partial_against_sympy(f, g, mu):
     assert sympy.expand(sympy_poly(f.partial(mu), xs) - sympy.diff(F, xs[mu])) == 0
 
 
+@given(
+    polys(n=2, max_degree=64, max_terms=3, gaussian=True),
+    polys(n=2, max_degree=64, max_terms=3, gaussian=True),
+    st.sampled_from([(31, 0), (33, 31), (64, 1), (40, 40)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_product_with_exponents_past_each_field_width_against_sympy(f, g, e):
+    # exponents up to 64 make the product's packed fields 5 to 7 bits wide; f
+    # is multiplied again after a wider product, through its widened form
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x1:3")
+    h = Polynomial(2, {e: Scalar(1, 2)})
+    for right in (g, h, g):
+        got = sympy_poly(f * right, xs)
+        assert sympy.expand(got - sympy_poly(f, xs) * sympy_poly(right, xs)) == 0
+    x40 = Polynomial(1, {(40,): ONE})
+    assert (x40 * x40).terms == {(80,): ONE}
+
+
 @given(polys())
 def test_homogeneous_decomposition(f):
     total = Polynomial.zero(N)

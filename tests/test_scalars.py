@@ -30,6 +30,15 @@ def test_parse_rejects(bad):
         Scalar.parse(bad)
 
 
+@pytest.mark.parametrize("bad", ["1e9999999999", "1e5", "1.5", "1/0", "2i", "x"])
+def test_constructor_reads_text_as_parse_does(bad):
+    # a text part goes through Scalar.parse, so an exponent is never expanded
+    for make in (lambda: Scalar(bad), lambda: Scalar(0, bad)):
+        with pytest.raises(ValueError):
+            make()
+    assert Scalar("-3/4", "1/2") == Scalar(Fraction(-3, 4), Fraction(1, 2))
+
+
 @given(scalars)
 def test_str_roundtrip(s):
     assert Scalar.parse(str(s)) == s

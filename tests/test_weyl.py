@@ -209,6 +209,63 @@ def test_sum_of_products_is_the_sum_of_normal_ordered_products(case):
     assert all(out.terms.values())
 
 
+def _cut_product(A, B, cap):
+    """The oracle for sum_of_products([(A, B)], cap)."""
+    prod = product(A, B)
+    return prod.truncate(min(cap, prod.valid_order))
+
+
+@st.composite
+def wide_product_sums(draw):
+    """(pairs, cap) as product_sums draws them, with exponents of 31-64 next to
+    small ones, so that the fields of the packed keys are 5 to 7 bits wide and
+    a sum of keys reaches each width's limit."""
+    n = draw(st.integers(1, 2))
+    mi = st.tuples(*[st.integers(0, 2) | st.integers(31, 64)] * n)
+    zero = (0,) * n
+    left = st.dictionaries(st.tuples(mi, mi), gauss_q, min_size=1, max_size=3)
+    right = st.dictionaries(mi, gauss_q, min_size=1, max_size=3)
+    pair = st.tuples(
+        left.map(lambda t: WeylOp(n, t)),
+        right.map(lambda t: WeylOp(n, {(zero, e): c for e, c in t.items()})),
+    )
+    cap = st.sampled_from([31, 32, 63, 64, 127, INF])
+    return draw(st.lists(pair, min_size=1, max_size=3)), draw(cap)
+
+
+D40 = WeylOp(1, {((0,), (40,)): Scalar(1)})
+
+
+@given(wide_product_sums())
+@example(([(D40, D40)], INF))
+@example(([(D40, D40)], 31))
+@example(([(D40, D40)], 80))
+@settings(max_examples=60, deadline=None)
+def test_sum_of_products_with_exponents_past_each_field_width(case):
+    pairs, cap = case
+    expected = WeylOp.zero(pairs[0][0].n, cap)
+    for A, B in pairs:
+        expected = expected + _cut_product(A, B, cap)
+    out = sum_of_products(pairs, cap)
+    assert out.terms == expected.terms and out.valid_order == cap
+
+
+def test_stored_form_is_widened_and_kept_across_calls():
+    # one left operand under two caps and two field widths: its stored form is
+    # rebuilt once, wider, and the narrower calls after that read the wide one
+    z = (0, 0)
+    A = WeylOp(2, {((1, 0), (3, 0)): Scalar(1, 2), ((0, 2), (0, 1)): Scalar(0, 1)})
+    narrow = d(1) * d(0)
+    wide = WeylOp(2, {(z, (40, 0)): Scalar(1), (z, (0, 33)): Scalar(-2, 3)})
+    widths = []
+    for B, cap in [(narrow, INF), (narrow, 3), (wide, INF), (wide, 31), (narrow, INF)]:
+        out = sum_of_products([(A, B)], cap)
+        assert out == _cut_product(A, B, cap) and out.valid_order == cap
+        widths.append(A._form[0])
+    assert widths[0] == widths[1] < widths[2] == widths[3] == widths[4]
+    assert (D40 * D40).terms == {((0,), (80,)): Scalar(1)}
+
+
 def test_sum_of_products_needs_a_pair():
     with pytest.raises(ValueError):
         sum_of_products([])
@@ -293,6 +350,15 @@ def test_series_keep_a_truncated_input_order():
     # an exact input is valid through the order of the series
     assert matrix_series(exp6, C).valid_order() == 6
     assert series_in_op(exp6, d(0, 1)).valid_order == 6
+
+
+def test_series_valid_order_counts_only_the_powers_it_sums():
+    C = adjoint_matrix(su2_algebra()).truncate(2)
+    # f_0 alone sums no power of C, so the cut of C does not bound the result
+    only_f0 = matrix_series(TruncSeries([1, 0, 0, 0]), C)
+    assert only_f0 == OpMatrix.identity(3) and only_f0.valid_order() == 3
+    assert matrix_series(TruncSeries([0, 0, 0, 5]), C).valid_order() == 2
+    assert matrix_series(TruncSeries([0, 0, 0]), C).valid_order() == 2
 
 
 @pytest.mark.parametrize(
