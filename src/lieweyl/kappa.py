@@ -176,10 +176,9 @@ class KappaStarContext:
     """The closed star product of one kappa space, cut at one order.
 
     Each route's weight table (`_weights`) is built on first use and kept; it
-    gives the product of any f, g with deg f + deg g <= order.  The A-chains
-    of every polynomial it multiplies (`_a_chains`) are kept too, for all
-    partners and both routes, so this memo grows with the polynomials it
-    multiplies: build one context per run, as `verify_kappa` does.
+    gives the product of any f, g with deg f + deg g <= order.  So are the
+    A-chains (`_a_chains`) of every polynomial it multiplies, a memo that grows
+    with those polynomials: build one context per run, as `verify_kappa` does.
     """
 
     __slots__ = ("params", "order", "_tables", "_chains")

@@ -102,14 +102,10 @@ def _form(M, width=1):
 def product_terms(items, cap=inf) -> dict:
     """{key: Scalar} of sum_k c_k A_k B_k over the (A_k, B_k) or (A_k, B_k, c_k)
     items of one TermMap type, each c_k a Scalar (1 when absent) and each B_k
-    x-free, keeping the product terms of degree <= cap.
-
-    Each factor is read through its stored form (`_form`), the parts
-    accumulate as ints over one denominator and each output coefficient is
-    normalised once.  The call runs at the widest stored width among its
+    x-free, keeping the product terms of degree <= cap.  Each factor is read
+    through its stored form; the call runs at the widest one among its
     factors, which holds every exponent and every deg A + deg B, so no field
-    of a sum of keys carries; a narrower form is rebuilt at that width.
-    """
+    of a sum of keys carries, and a narrower form is rebuilt at that width."""
     items = list(items)
     if not items:
         return {}

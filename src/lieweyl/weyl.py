@@ -55,7 +55,7 @@ class InsufficientOrder(Exception):
 class WeylOp(TermMap):
     """Normal-ordered operator: {(a, b): coeff} meaning sum c * x^a d^b."""
 
-    __slots__ = ("valid_order",)
+    __slots__ = ("valid_order", "_derivs")
 
     KEY_PARTS = (("x", "x", "x"), ("d", "d", "\\partial"))
 
@@ -147,15 +147,17 @@ class WeylOp(TermMap):
         return self._scale_by(other)
 
     def deriv_d(self, lam: int) -> "WeylOp":
-        """Formal coefficientwise derivative in the variable d_lam."""
-        return self._like(
-            {
-                (a, b[:lam] + (e - 1,) + b[lam + 1 :]): c * e
+        """Formal coefficientwise derivative in the variable d_lam.  The suites
+        take each one many times, so all n are formed at the first call."""
+        try:
+            return self._derivs[lam]
+        except AttributeError:
+            self._derivs = [self._like({
+                (a, b[:mu] + (e - 1,) + b[mu + 1 :]): c * e
                 for (a, b), c in self.terms.items()
-                if (e := b[lam])
-            },
-            self.valid_order - 1,
-        )
+                if (e := b[mu])
+            }, self.valid_order - 1) for mu in range(self.n)]
+        return self._derivs[lam]
 
     # -- action on polynomials ----------------------------------------------
 

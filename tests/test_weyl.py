@@ -306,6 +306,8 @@ def test_deriv_d():
     op = x(0) * d(0) * d(0)  # x1 d1^2
     assert op.deriv_d(0) == x(0).scale(Scalar(2)) * d(0)
     assert op.deriv_d(1).is_zero()
+    # formed once per operator and kept: the suites take each one many times
+    assert op.deriv_d(0) is op.deriv_d(0) and op.deriv_d(0).valid_order == INF
 
 
 def test_matrix_series_vs_manual():
