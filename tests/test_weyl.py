@@ -218,8 +218,8 @@ def _cut_product(A, B, cap):
 @st.composite
 def wide_product_sums(draw):
     """(pairs, cap) as product_sums draws them, with exponents of 31-64 next to
-    small ones, so that the fields of the packed keys are 5 to 7 bits wide and
-    a sum of keys reaches each width's limit."""
+    small ones: sums of two exponents cross 32, 64 and 128, the limits of 5-,
+    6- and 7-bit fields of the packed keys."""
     n = draw(st.integers(1, 2))
     mi = st.tuples(*[st.integers(0, 2) | st.integers(31, 64)] * n)
     zero = (0,) * n
