@@ -29,7 +29,7 @@ from .realization import (
 from .scalars import Scalar
 from .series import TruncSeries, series_coeffs
 from .star import first_order_matches, make_context, poisson_first_order, star
-from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op
+from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op, sum_of_products
 
 __all__ = [
     "KappaParams",
@@ -87,11 +87,11 @@ def _function_of_c(p: KappaParams, f: TruncSeries) -> OpMatrix:
     minus_a = -p.a_op()
     # corr = (f(-A) - f(0))/(-A) is the one series summed: f(-A) = f(0) - A corr
     corr = series_in_op(TruncSeries(f.coeffs[1:]), minus_a)
-    diag = WeylOp.constant(n, f[0]) + minus_a * corr
     d_corr = [(WeylOp.d(n, nu) * corr).truncate(order) for nu in range(n)]
     rows = [[d_corr[nu].scale(b_mu) for nu in range(n)] for b_mu in p.b]
-    for mu in range(n):
-        rows[mu][mu] = rows[mu][mu] + diag
+    one, f0 = WeylOp.one(n), WeylOp.constant(n, f[0])
+    for mu, b_mu in enumerate(p.b):
+        rows[mu][mu] = sum_of_products([(d_corr[mu], one, b_mu), (f0, one), (minus_a, corr)])
     return OpMatrix(n, rows)
 
 

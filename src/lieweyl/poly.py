@@ -3,10 +3,11 @@
 Every object the engine computes is a map from exponent keys to exact
 coefficients: polynomials in x, normal-ordered Weyl operators x^a d^b and
 PBW monomials in U(g).  `TermMap` owns that map and its invariants (keys are
-tuples, no zero coefficient is stored).  Coefficients add in the two-operand
-`TermMap.__add__`, and `linear_combination` forms every longer sum of scaled
-term maps (the memoized builders) in one integer pass.  Multi-indices are
-plain tuples of non-negative ints.
+tuples, no zero coefficient is stored).  Coefficients of polynomials and PBW
+elements add in the two-operand `TermMap.__add__` (operators add through
+`product_terms`, see weyl.py), and `linear_combination` forms every longer
+sum of scaled term maps (the memoized builders) in one integer pass.
+Multi-indices are plain tuples of non-negative ints.
 
 `product_terms` is the one product kernel, for operators and polynomials:
 each factor stores on first use its numerators and its keys packed into
@@ -101,16 +102,19 @@ def _form(M, width=1):
 
 def product_terms(items, cap=inf) -> dict:
     """{key: Scalar} of sum_k c_k A_k B_k over the (A_k, B_k) or (A_k, B_k, c_k)
-    items of one TermMap type, each c_k a Scalar (1 when absent) and each B_k
-    x-free, keeping the product terms of degree <= cap.  Each factor is read
-    through its stored form; the call runs at the widest one among its
-    factors, which holds every exponent and every deg A + deg B, so no field
-    of a sum of keys carries, and a narrower form is rebuilt at that width."""
+    items of one TermMap type (TypeError otherwise), each c_k a Scalar (1 when
+    absent) and each B_k x-free, keeping the product terms of degree <= cap.
+    Each factor is read through its stored form; the call runs at the widest
+    one among its factors, which holds every exponent and every deg A + deg B,
+    so no field of a sum of keys carries, and a narrower form is rebuilt at
+    that width."""
     items = list(items)
     if not items:
         return {}
-    n, width, den, live = items[0][0].n, 1, 1, []
+    n, kind, width, den, live = items[0][0].n, type(items[0][0]), 1, 1, []
     for A, B, *c in items:
+        if type(A) is not kind or type(B) is not kind:
+            raise TypeError(f"a product of {kind.__name__}s has a factor of another type")
         if A.n != n or B.n != n:
             raise ValueError(f"dimension mismatch: {A.n}, {B.n} vs {n}")
         if A.terms and B.terms:
@@ -243,6 +247,8 @@ class TermMap:
         return not self.terms
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"{type(self).__name__} and {type(other).__name__} do not add")
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 

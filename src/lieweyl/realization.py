@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 from .lie import LieAlgebra
 from .poly import Polynomial, mi_unit
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_of_products
 
@@ -80,9 +80,14 @@ def _contract_x(row, valid_order) -> WeylOp:
                          for (_, b), c in op.terms.items() if sum(b) <= vo}, vo)
 
 
+def _bracket_items(F: WeylOp, row, c=ONE):
+    """The `sum_of_products` items of c [F, sum_al x_al row[al]]."""
+    return ((F.deriv_d(al), op, c) for al, op in enumerate(row))
+
+
 def x_free_bracket(F: WeylOp, row) -> WeylOp:
     """[F, sum_al x_al row[al]] = sum_al (d_al F) row[al] for x-free F and row."""
-    return sum_of_products((F.deriv_d(al), op) for al, op in enumerate(row))
+    return sum_of_products(_bracket_items(F, row))
 
 
 def x_linear_bracket(P: OpMatrix, mu: int, Q: OpMatrix, nu: int) -> WeylOp:
@@ -94,7 +99,8 @@ def x_linear_bracket(P: OpMatrix, mu: int, Q: OpMatrix, nu: int) -> WeylOp:
     """
     p_row, q_row = P.entries[mu], Q.entries[nu]
     R = [
-        x_free_bracket(p, q_row) - x_free_bracket(q, p_row) for p, q in zip(p_row, q_row)
+        sum_of_products([*_bracket_items(p, q_row), *_bracket_items(q, p_row, -ONE)])
+        for p, q in zip(p_row, q_row)
     ]
     return _contract_x(R, min(P.valid_order(), Q.valid_order()) - 1)
 
@@ -167,14 +173,6 @@ def residual_check(identity, order, residuals, cut=None) -> dict:
     return check(identity, order, True)
 
 
-def _minus(res: WeylOp, terms) -> WeylOp:
-    """res - sum c * op over the (c, op) pairs with c != 0."""
-    for c, op in terms:
-        if c:
-            res = res - op.scale(c)
-    return res
-
-
 def _over_cube(n, residual, **label):
     """(label with 1-based "indices", residual(i, j, k)) for every index triple."""
     for ijk in product(range(n), repeat=3):
@@ -183,9 +181,12 @@ def _over_cube(n, residual, **label):
 
 def closure_residual(g: LieAlgebra, real: Realization):
     """[xhat_mu, xhat_nu] - sum_al C_{mu nu al} xhat_al for mu < nu."""
+    one = WeylOp.one(g.n)
     for mu, nu in combinations(range(g.n), 2):
-        comm = x_linear_bracket(real.phi, mu, real.phi, nu)
-        yield mu, nu, _minus(comm, zip(g.c[mu][nu], real.xhat))
+        yield mu, nu, sum_of_products([
+            (x_linear_bracket(real.phi, mu, real.phi, nu), one),
+            *((xhat, one, -c) for c, xhat in zip(g.c[mu][nu], real.xhat) if c),
+        ])
 
 
 def verify_realization(g: LieAlgebra, phi: OpMatrix, order) -> dict:
@@ -227,15 +228,12 @@ def verify_symmetrization(g: LieAlgebra, order, m_max, trials, rng) -> dict:
     if m_max > order:
         raise InsufficientOrder(m_max, order)
     real = weyl_realization(g, order)
-    n = g.n
+    n, one = g.n, WeylOp.one(g.n)
     checks = []
     for trial in range(trials):
         ks = [random_rational(rng) for _ in range(n)]
-        op = WeylOp.zero(n, valid_order=order)
-        lin = Polynomial.zero(n)
-        for mu in range(n):
-            op = op + real.xhat[mu].scale(ks[mu])
-            lin = lin + Polynomial.variable(n, mu).scale(ks[mu])
+        op = sum_of_products([(xhat, one, k) for xhat, k in zip(real.xhat, ks)], order)
+        lin = Polynomial(n, {mi_unit(n, mu): k for mu, k in enumerate(ks)})
         acted = expected = Polynomial.one(n)
         for _ in range(m_max):
             acted, expected = op.apply(acted), expected * lin
@@ -257,15 +255,20 @@ def verify_shift_relations(g: LieAlgebra, order) -> dict:
     x_free = all(op.xdeg() == 0 for M in (T, Tinv) for row in M.entries for op in row)
     checks = [check("T-commutativity", order, x_free)]
 
+    one = WeylOp.one(n)
     # [That_{mu nu}, xhat_lam] = sum_be C_{mu lam be} That_{be nu}
     def t_x(mu, nu, lam):
-        comm = x_free_bracket(T[mu, nu], real.phi.entries[lam])
-        return _minus(comm, ((g.c[mu][lam][be], T[be, nu]) for be in range(n)))
+        return sum_of_products([
+            *_bracket_items(T[mu, nu], real.phi.entries[lam]),
+            *((T[be, nu], one, -c) for be in range(n) if (c := g.c[mu][lam][be])),
+        ])
 
     # [Tinv_{mu nu}, xhat_lam] = sum_al C_{lam al nu} Tinv_{mu al}
     def tinv_x(mu, nu, lam):
-        comm = x_free_bracket(Tinv[mu, nu], real.phi.entries[lam])
-        return _minus(comm, ((g.c[lam][al][nu], Tinv[mu, al]) for al in range(n)))
+        return sum_of_products([
+            *_bracket_items(Tinv[mu, nu], real.phi.entries[lam]),
+            *((Tinv[mu, al], one, -c) for al in range(n) if (c := g.c[lam][al][nu])),
+        ])
 
     checks.append(residual_check("T-x-commutator", order - 1, _over_cube(n, t_x)))
     checks.append(residual_check("Tinv-x-commutator", order - 1, _over_cube(n, tinv_x)))
@@ -298,25 +301,30 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     # D[m][mu] = sum_k (-1)^k binom(m, k) C^k K_mu C^(m-k) and
     # E[m][mu] = sum_{k>=1} (-1)^(k-1) binom(m, k) C^(k-1) K_mu C^(m-k), where
     # (K_mu)_{al be} = C_{mu al be}; by Pascal's rule D_m = D_{m-1} C - C D_{m-1}
-    # and E_m = E_{m-1} C + D_{m-1}, from D_0 = K_mu and E_0 = 0
+    # and E_m = E_{m-1} C + D_{m-1}, from D_0 = K_mu and E_0 = 0, one sum per entry
     D = [[OpMatrix(n, [[WeylOp.constant(n, c) for c in r] for r in K]) for K in g.c]]
     E = [[OpMatrix.zero(n)] * n]
+    zero, one, cols = WeylOp.zero(n), WeylOp.one(n), list(zip(*C.entries))
     for _ in range(m_max):
-        E.append([e * C + d for e, d in zip(E[-1], D[-1])])
-        D.append([d * C - C * d for d in D[-1]])
+        E.append([OpMatrix(n, [[
+            sum_of_products([*zip(row, col), (d[a, b], one)]) for b, col in enumerate(cols)
+        ] for a, row in enumerate(e.entries)]) for e, d in zip(E[-1], D[-1])])
+        D.append([OpMatrix(n, [[
+            sum_of_products([*zip(row, col), *((C[a, k], d[k, b], -ONE) for k in range(n))])
+            for b, col in enumerate(cols)
+        ] for a, row in enumerate(d.entries)]) for d in D[-1]])
 
     # identity relating C^m to the structure constants (power m)
     def power_contraction(m, mu, lam, nu):
-        lhs = WeylOp.zero(n)
-        for al in range(n):
-            c = g.c[al][lam][nu]
-            if c:
-                lhs = lhs + powers[m][mu, al].scale(c)
-        return lhs - D[m][mu][lam, nu]
+        return sum_of_products([
+            *((powers[m][mu, al], one, c) for al in range(n) if (c := g.c[al][lam][nu])),
+            (D[m][mu][lam, nu], one, -ONE),
+        ])
 
     # formal derivative of C^m
     def power_derivative(m, lam, mu, nu):
-        return powers[m][mu, nu].deriv_d(lam) - E[m][mu][lam, nu]
+        lhs = (powers[m][mu, nu].deriv_d(lam), one)
+        return sum_of_products([lhs, (E[m][mu][lam, nu], one, -ONE)])
 
     def over_powers(residual):
         for m in range(1, m_max + 1):
@@ -335,20 +343,12 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     T = T_hi.truncate(order)
     F = matrix_series(series_coeffs("dexp_neg", order), C)
 
-    def combination(terms):
-        """sum c * A * B over the (c, A, B) with c != 0, valid through order."""
-        pairs = [(A, B, c) for c, A, B in terms if c]
-        if not pairs:
-            return WeylOp.zero(n, valid_order=order)
-        return sum_of_products(pairs, order)
-
     def exp_derivative(lam, mu, nu):
-        lhs = T_hi[mu, nu].deriv_d(lam).truncate(order)
-        rhs = combination(
-            (g.c[mu][al][be], F[lam, al], T[be, nu])
-            for al, be in product(range(n), repeat=2)
-        )
-        return lhs - rhs
+        return sum_of_products([
+            (T_hi[mu, nu].deriv_d(lam), one),
+            *((F[lam, al], T[be, nu], -c) for al, be in product(range(n), repeat=2)
+              if (c := g.c[mu][al][be])),
+        ], order)
 
     checks.append(
         residual_check("exp-derivative", order, _over_cube(n, exp_derivative))
@@ -356,19 +356,19 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
 
     # triple contraction equals the negated structure constants; its inner
     # sum M[mu, nu, al] = sum_{be rho} C_{be rho al} Tinv_{mu rho} Tinv_{nu be}
-    # does not depend on kap
+    # does not depend on kap; the zero item keeps an empty sum valid through order
     Tinv = matrix_series(series_coeffs("exp_neg", order), C)
     M = {
-        (mu, nu, al): combination(
-            (g.c[be][rho][al], Tinv[mu, rho], Tinv[nu, be])
-            for be, rho in product(range(n), repeat=2)
-        )
+        (mu, nu, al): sum_of_products([(zero, one), *(
+            (Tinv[mu, rho], Tinv[nu, be], c) for be, rho in product(range(n), repeat=2)
+            if (c := g.c[be][rho][al])
+        )], order)
         for mu, nu, al in product(range(n), repeat=3)
     }
 
     def triple_contraction(mu, nu, kap):
-        acc = sum_of_products((T[al, kap], M[mu, nu, al]) for al in range(n))
-        return acc + WeylOp.constant(n, g.c[mu][nu][kap])
+        c = WeylOp.constant(n, g.c[mu][nu][kap])
+        return sum_of_products([*((T[al, kap], M[mu, nu, al]) for al in range(n)), (c, one)])
 
     checks.append(
         residual_check("triple-contraction", order, _over_cube(n, triple_contraction))

@@ -10,7 +10,9 @@ factors B_k, so no product needs reordering, (x^a d^b)(d^e) = x^a d^(b+e).
 It runs the kernel `poly.product_terms` on each operator's stored form
 (packed keys, numerators over one denominator).  Its valid order is the
 least valid order of all the factors and of an optional cap, as if the
-products were formed one by one and added; `A * B` is its one-pair case.
+products were formed one by one and added.  `A * B` is its one-pair case,
+and `A + B` and `A - B` its two-item case with the unit as right factor, so
+every sum of operators keeps that one valid-order rule.
 `deriv_d` lowers the order by one, so the commutators with x formed from it
 (realization.py) are certified through N - 1 for operators valid through N.
 The rule is never clamped: a negative valid_order certifies no coefficient
@@ -25,7 +27,7 @@ from math import perm, prod
 from operator import add, sub
 
 from .poly import Polynomial, TermMap, linear_combination, mi_degree, product_terms
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .series import TruncSeries
 
 __all__ = [
@@ -135,10 +137,15 @@ class WeylOp(TermMap):
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        """Sum, truncated to the lower valid order of the two operands."""
-        vo = min(self.valid_order, other.valid_order)
-        return TermMap.__add__(self.truncate(vo), other.truncate(vo))
+    def __add__(self, other, sign=ONE):
+        """self + sign * other, valid through the lower valid order of the two."""
+        if not isinstance(other, WeylOp):
+            return NotImplemented
+        one = WeylOp.one(self.n)
+        return sum_of_products(((self, one), (other, one, sign)))
+
+    def __sub__(self, other):
+        return self.__add__(other, -ONE)
 
     def __mul__(self, other):
         """Product by an x-free right factor, or by a scalar."""
@@ -209,33 +216,12 @@ class OpMatrix:
     def valid_order(self):
         return min(op.valid_order for row in self.entries for op in row)
 
-    def __add__(self, other):
-        return OpMatrix(
-            self.n,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __sub__(self, other):
-        return OpMatrix(
-            self.n,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
     def __mul__(self, other):
         cols = list(zip(*other.entries))
         return OpMatrix(
             self.n,
             [[sum_of_products(zip(row, col)) for col in cols] for row in self.entries],
         )
-
-    def scale(self, c) -> "OpMatrix":
-        return OpMatrix(self.n, [[op.scale(c) for op in row] for row in self.entries])
 
     def truncate(self, order) -> "OpMatrix":
         return OpMatrix(

@@ -1,18 +1,21 @@
 """Test oracles: the normal-ordered product of Weyl operators, a one-add-
-per-term `merge`, and polynomials as sympy expressions.
+per-term `merge`, the sum of two operators over `Fraction` pairs, and
+polynomials as sympy expressions.
 
 The library multiplies only by x-free right factors and takes every
 commutator with x from derivatives (`x_free_bracket`, `x_linear_bracket`).
 This module keeps the general product so that those can be checked against
 an independent normal ordering, itself checked against composed `apply`.
-It accumulates with its own `merge`, one Scalar add per term, and shares no
-accumulation code with the library.  `sympy_poly` hands a polynomial to
+It accumulates with its own `merge`, one Scalar add per term, and `added`
+with its own `Fraction` arithmetic, and shares no accumulation code with
+the library.  `sympy_poly` hands a polynomial to
 sympy, whose expand and diff share no code with the library at all.
 """
 
+from fractions import Fraction
 from math import comb, perm
 
-from lieweyl import WeylOp
+from lieweyl import Scalar, WeylOp
 from lieweyl.poly import mi_degree
 
 
@@ -55,8 +58,24 @@ def product(A: WeylOp, B: WeylOp) -> WeylOp:
     return WeylOp(A.n, out, valid_order=vo)
 
 
+def added(A: WeylOp, B: WeylOp, sign=1) -> WeylOp:
+    """A + sign * B: each operand's terms cut at the lower valid order of the
+    two, and the coefficients added as (re, im) pairs of Fractions."""
+    if A.n != B.n:
+        raise ValueError("dimension mismatch")
+    vo = min(A.valid_order, B.valid_order)
+    acc = {}
+    for op, s in ((A, 1), (B, sign)):
+        for (a, b), c in op.terms.items():
+            if mi_degree(b) <= vo:
+                re, im = acc.get((a, b), (Fraction(0), Fraction(0)))
+                acc[a, b] = (re + s * c.re, im + s * c.im)
+    terms = {k: Scalar(re, im) for k, (re, im) in acc.items() if re or im}
+    return WeylOp(A.n, terms, valid_order=vo)
+
+
 def commutator(A: WeylOp, B: WeylOp) -> WeylOp:
-    return product(A, B) - product(B, A)
+    return added(product(A, B), product(B, A), -1)
 
 
 def sympy_poly(f, xs):

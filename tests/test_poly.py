@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lieweyl import ONE, Polynomial, Scalar, parse_polynomial
-from lieweyl.poly import linear_combination
+from lieweyl import ONE, PBWElement, Polynomial, Scalar, WeylOp, parse_polynomial
+from lieweyl.poly import linear_combination, product_terms
 from normal_order import merge, sympy_poly
 
 N = 3
@@ -192,3 +192,12 @@ def test_linear_combination_is_the_merged_sum_of_scalar_products(pairs, cancel):
     # a key whose sum cancels is absent, not stored with a zero coefficient
     assert out == expected
     assert all(out.values())
+
+
+def test_product_terms_rejects_factors_of_another_type():
+    x1, d1, X1 = Polynomial.variable(2, 0), WeylOp.d(2, 0), PBWElement.generator(2, 0)
+    for items in ([(x1, x1), (d1, d1)], [(x1, X1)], [(d1, x1)]):
+        with pytest.raises(TypeError):
+            product_terms(items)
+    with pytest.raises(TypeError):
+        x1 + X1

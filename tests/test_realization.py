@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from normal_order import commutator
 from lieweyl import (
     I,
     InsufficientOrder,
+    KappaParams,
     OpMatrix,
     Scalar,
     WeylOp,
@@ -16,10 +18,13 @@ from lieweyl import (
     g2_algebra,
     kappa_algebra,
     load_algebra,
+    make_context,
     realization_from_phi,
     su2_algebra,
     t_realization,
     verify_appendix,
+    verify_duality,
+    verify_kappa,
     verify_realization,
     verify_shift_relations,
     verify_symmetrization,
@@ -74,13 +79,8 @@ def test_dual_closure_flipped_sign():
 def test_corrupted_phi_fails_with_witness():
     g = g2_algebra()
     phi = weyl_realization(g, 4).phi
-    bad = phi + OpMatrix(
-        2,
-        [
-            [WeylOp.d(2, 0).scale(Scalar(1) / 3), WeylOp.zero(2)],
-            [WeylOp.zero(2), WeylOp.zero(2)],
-        ],
-    )
+    bad = OpMatrix(2, phi.entries)
+    bad.entries[0][0] = phi[0, 0] + WeylOp.d(2, 0).scale(Scalar(1) / 3)
     rep = verify_realization(g, bad, 4)
     assert not rep["pass"]
     failing = [c for c in rep["checks"] if not c["pass"] and "witness" in c]
@@ -143,6 +143,33 @@ def test_appendix_forms_each_truncated_product_once(monkeypatch):
         monkeypatch.setattr(module, "sum_of_products", counting)
     assert verify_appendix(su2_algebra(), 4, 4)["pass"]
     assert len(pairs) == 162
+
+
+@pytest.mark.parametrize("name", ["su2", "kappa"])
+def test_suites_form_no_pairwise_operator_sums(name, monkeypatch):
+    # every operator sum of the suites lists its terms in one sum_of_products
+    # call; A + B and A - B are that call's two-item case, and no suite uses it
+    calls = Counter()
+    for op in ("__add__", "__sub__"):
+        def counting(*args, _op=op, _fn=getattr(WeylOp, op)):
+            calls[_op] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(WeylOp, op, counting)
+    p = KappaParams([I, Scalar(1)])
+    g = su2_algebra() if name == "su2" else p.algebra()
+    order, rng = 4, random.Random(0)
+    reports = [
+        verify_realization(g, weyl_realization(g, order).phi, order),
+        verify_symmetrization(g, order, 4, 2, rng),
+        verify_shift_relations(g, order),
+        verify_appendix(g, order, 4),
+        verify_duality(make_context(g, order), 2, rng),
+    ]
+    if name == "kappa":
+        reports.append(verify_kappa(p, order, 2, rng))
+    assert all(rep["pass"] for rep in reports)
+    assert not calls
 
 
 def test_realization_from_phi_rejects_x():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from normal_order import commutator, product, sympy_poly
+from normal_order import added, commutator, product, sympy_poly
 
 from lieweyl import (
     InsufficientOrder,
@@ -245,7 +245,7 @@ def test_sum_of_products_with_exponents_past_each_field_width(case):
     pairs, cap = case
     expected = WeylOp.zero(pairs[0][0].n, cap)
     for A, B in pairs:
-        expected = expected + _cut_product(A, B, cap)
+        expected = added(expected, _cut_product(A, B, cap))
     out = sum_of_products(pairs, cap)
     assert out.terms == expected.terms and out.valid_order == cap
 
@@ -269,6 +269,45 @@ def test_stored_form_is_widened_and_kept_across_calls():
 def test_sum_of_products_needs_a_pair():
     with pytest.raises(ValueError):
         sum_of_products([])
+
+
+@st.composite
+def operand_pairs(draw):
+    """(A, B): operators with x and d in both, some empty or truncated, B
+    sometimes sharing A's keys so that coefficients add and cancel."""
+    n = draw(st.integers(1, 3))
+    mi = st.tuples(*[st.integers(0, 2)] * n)
+    op = st.builds(
+        lambda t, vo: WeylOp(n, t, vo),
+        st.dictionaries(st.tuples(mi, mi), gauss_q, max_size=4),
+        orders,
+    )
+    A, B = draw(op), draw(op)
+    if draw(st.booleans()):
+        B = WeylOp(n, {**B.terms, **A.terms}, B.valid_order)
+    return A, B
+
+
+@given(operand_pairs())
+@example((x(0) * d(0), -(x(0) * d(0)).truncate(1)))
+@example((WeylOp.zero(2, 3), WeylOp.zero(2)))
+@settings(max_examples=120, deadline=None)
+def test_sum_and_difference_are_the_merged_cut_operands(ops):
+    A, B = ops
+    for ours, oracle in ((A + B, added(A, B)), (A - B, added(A, B, -1))):
+        assert ours.terms == oracle.terms
+        assert ours.valid_order == min(A.valid_order, B.valid_order)
+    wider = WeylOp.zero(A.n + 1)
+    for bad in (lambda: A + wider, lambda: A - wider, lambda: wider + B):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_operator_sum_with_a_polynomial_raises():
+    f = Polynomial.variable(2, 0)
+    for bad in (lambda: x(0) + f, lambda: x(0) - f, lambda: f + x(0)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 @pytest.mark.parametrize(
@@ -317,14 +356,17 @@ def test_matrix_series_vs_manual():
     f = series_coeffs("exp", order)
     M = matrix_series(f, C)
     # manual sum of powers
-    acc = OpMatrix.identity(2)
+    acc = OpMatrix.identity(2).entries
     power = OpMatrix.identity(2)
     fact = Scalar(1)
     for k in range(1, order + 1):
         power = (power * C).truncate(order)
         fact = fact * Scalar(k)
-        acc = acc + power.scale(Scalar(1) / fact)
-    assert M.truncate(order) == acc.truncate(order)
+        acc = [
+            [added(a, p.scale(Scalar(1) / fact)) for a, p in zip(ra, rp)]
+            for ra, rp in zip(acc, power.entries)
+        ]
+    assert M.truncate(order) == OpMatrix(2, acc).truncate(order)
 
 
 def test_matrix_series_rejects_bad_entries():
