@@ -45,11 +45,12 @@ __all__ = [
 
 
 class KappaParams:
-    __slots__ = ("b",)
+    __slots__ = ("b", "_algebra")
 
     def __init__(self, b):
-        # b_mu = i a_mu, Scalars
+        # b_mu = i a_mu, Scalars; one algebra, so its caches and C's chain are shared
         object.__setattr__(self, "b", tuple(Scalar.coerce(x) for x in b))
+        object.__setattr__(self, "_algebra", kappa_algebra(self.b))
 
     def __setattr__(self, *_):
         raise AttributeError("KappaParams is immutable")
@@ -67,7 +68,7 @@ class KappaParams:
         return len(self.b)
 
     def algebra(self) -> LieAlgebra:
-        return kappa_algebra(self.b)
+        return self._algebra
 
     def a_op(self) -> WeylOp:
         """The operator A = sum b_mu d_mu."""
@@ -98,12 +99,10 @@ def _function_of_c(p: KappaParams, f: TruncSeries) -> OpMatrix:
 def kappa_power_check(p: KappaParams, order: int) -> bool:
     """C^k == (-1)^{k-1} A^{k-1} (b x d) + (-1)^k A^k I through the order,
     for every k = 1..order."""
-    C = adjoint_matrix(p.algebra())
-    power = OpMatrix.identity(p.n)
+    powers = adjoint_matrix(p.algebra()).powers(order, order)
     for k in range(1, order + 1):
-        power = (power * C).truncate(order)
         t_k = TruncSeries([int(j == k) for j in range(order + 2)])
-        if power != _function_of_c(p, t_k).truncate(order):
+        if powers[k] != _function_of_c(p, t_k).truncate(order):
             return False
     return True
 

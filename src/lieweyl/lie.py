@@ -29,7 +29,8 @@ __all__ = [
 
 class LieAlgebra:
     """Immutable structure constants; equality and hash ignore the name and
-    the per-algebra memo caches of PBW straightening and shift actions."""
+    the per-algebra memo caches: PBW straightening, the shift actions, and the
+    adjoint matrix C with its power chain, which grows to the largest order asked."""
 
     __slots__ = ("n", "c", "name", "_caches")
 

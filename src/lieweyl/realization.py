@@ -60,15 +60,15 @@ class Realization:
 
 
 def adjoint_matrix(g: LieAlgebra) -> OpMatrix:
-    """The operator matrix C_{mu nu} = sum_al C_{mu al nu} d_al."""
-    n = g.n
-    z = (0,) * n
-    units = [mi_unit(n, al) for al in range(n)]
-    rows = [
-        [WeylOp(n, {(z, e): g.c[mu][al][nu] for al, e in enumerate(units)}) for nu in range(n)]
-        for mu in range(n)
-    ]
-    return OpMatrix(n, rows)
+    """The operator matrix C_{mu nu} = sum_al C_{mu al nu} d_al, built once per
+    algebra and kept in its cache, so every series in C reads one power chain."""
+    memo = g.cache("adjoint_matrix")
+    if "C" not in memo:
+        n, z = g.n, (0,) * g.n
+        units = [mi_unit(n, al) for al in range(n)]
+        memo["C"] = OpMatrix(n, [[WeylOp(n, {(z, e): c[al][nu] for al, e in enumerate(units)})
+                                  for nu in range(n)] for c in g.c])
+    return memo["C"]
 
 
 def _contract_x(row, valid_order) -> WeylOp:
@@ -161,13 +161,14 @@ def residual_check(identity, order, residuals, cut=None) -> dict:
 
     `residuals` yields (label, WeylOp) pairs and is consumed up to the first
     residual that does not vanish; the witness is that label followed by the
-    residual's first term.  `cut` defaults to `order`.
+    residual's first term through `cut` (`sorted_terms` order), found without
+    copying the residual.  `cut` defaults to `order`.
     """
     cut = order if cut is None else cut
     for label, res in residuals:
-        res = res.truncate(cut)
-        if not res.is_zero():
-            (a, b), coeff = res.sorted_terms()[0]
+        kept = [(k, c) for k, c in res.terms.items() if sum(k[1]) <= cut]
+        if kept:
+            (a, b), coeff = min(kept, key=WeylOp._sort_key)
             witness = {**label, "x": list(a), "d": list(b), "coeff": str(coeff)}
             return check(identity, order, False, witness)
     return check(identity, order, True)
@@ -294,9 +295,8 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     """Exponential-matrix identities underpinning the dual realization."""
     n = g.n
     C = adjoint_matrix(g)
-    powers = [OpMatrix.identity(n)]
-    for _ in range(m_max):
-        powers.append(powers[-1] * C)
+    # one chain, cut where T_hi and the exact powers C^m (of degree m) need it
+    powers = C.powers(m_max, max(order + 1, m_max))
 
     # D[m][mu] = sum_k (-1)^k binom(m, k) C^k K_mu C^(m-k) and
     # E[m][mu] = sum_{k>=1} (-1)^(k-1) binom(m, k) C^(k-1) K_mu C^(m-k), where

@@ -13,6 +13,8 @@ least valid order of all the factors and of an optional cap, as if the
 products were formed one by one and added.  `A * B` is its one-pair case,
 and `A + B` and `A - B` its two-item case with the unit as right factor, so
 every sum of operators keeps that one valid-order rule.
+`matrix_series` reads the powers of its matrix from the chain an `OpMatrix`
+keeps (`OpMatrix.powers`), each formed once, grown to the largest order asked.
 `deriv_d` lowers the order by one, so the commutators with x formed from it
 (realization.py) are certified through N - 1 for operators valid through N.
 The rule is never clamped: a negative valid_order certifies no coefficient
@@ -189,9 +191,9 @@ class WeylOp(TermMap):
 
 
 class OpMatrix:
-    """Square matrix of WeylOps."""
+    """Square matrix of WeylOps; it keeps the chain of its powers (`powers`)."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_chain")
 
     def __init__(self, n: int, entries):
         self.n = n
@@ -216,12 +218,23 @@ class OpMatrix:
     def valid_order(self):
         return min(op.valid_order for row in self.entries for op in row)
 
-    def __mul__(self, other):
+    def __mul__(self, other, cap=INF):
         cols = list(zip(*other.entries))
         return OpMatrix(
             self.n,
-            [[sum_of_products(zip(row, col)) for col in cols] for row in self.entries],
+            [[sum_of_products(zip(row, col), cap) for col in cols] for row in self.entries],
         )
+
+    def powers(self, k, cap) -> list:
+        """[M^0, ..., M^k] from the kept chain, M^j (j >= 1) valid through at most
+        its cap >= `cap`: extended on demand, rebuilt only for a larger cap."""
+        chain = getattr(self, "_chain", None)
+        if chain is None or chain[0] < cap:
+            chain = self._chain = (cap, [OpMatrix.identity(self.entries[0][0].n, self.n)])
+        cap, chain = chain
+        while len(chain) <= k:
+            chain.append(chain[-1].__mul__(self, cap))
+        return chain[: k + 1]
 
     def truncate(self, order) -> "OpMatrix":
         return OpMatrix(
@@ -255,23 +268,19 @@ def matrix_series(f: TruncSeries, M: OpMatrix) -> OpMatrix:
     """Evaluate sum_k f_k M^k, exact through derivative degree order(f).
 
     Requires every entry of M to be x-free with vanishing constant term, so
-    M^k has minimum derivative degree k and the truncation is exact.  An
-    entry is valid through order(f), or less where a power it sums is.
+    M^k has minimum derivative degree k and the truncation is exact.  The
+    powers up to f's last nonzero coefficient are read from M's kept chain,
+    and terms past order(f) are dropped.  An entry is valid through
+    order(f), or less where a power it sums is.
     """
     if any(any(a) or not any(b) for row in M.entries for op in row for a, b in op.terms):
         raise ValueError("matrix_series requires x-free entries with zero constant term")
     order = f.order
-    amb = M.entries[0][0].n
-    cols = list(zip(*M.entries))
-    power = OpMatrix.identity(amb, M.n).entries
-    terms = []  # (f_k, the entries of M^k) for the nonzero f_k
-    for k in range(order + 1):
-        if f[k]:
-            terms.append((Scalar.coerce(f[k]), power))
-        if k < order:
-            power = [[sum_of_products(zip(row, col), order) for col in cols] for row in power]
+    last = max((k for k in range(order + 1) if f[k]), default=-1)
+    terms = [(Scalar.coerce(f[k]), P.entries)
+             for k, P in enumerate(M.powers(last, order)) if f[k]]
     return OpMatrix(M.n, [[
-        WeylOp(amb, linear_combination((c, P[mu][nu].terms) for c, P in terms),
+        WeylOp(M.entries[0][0].n, linear_combination((c, P[mu][nu].terms) for c, P in terms),
                min([order, *(P[mu][nu].valid_order for _, P in terms)]))
         for nu in range(M.n)] for mu in range(M.n)
     ])

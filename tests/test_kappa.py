@@ -70,13 +70,15 @@ def test_power_check_forms_each_power_once(b, monkeypatch):
     products = Counter()
     mul = OpMatrix.__mul__
 
-    def counted(a, other):
+    def counted(a, other, *cap):
         products[a.n] += 1
-        return mul(a, other)
+        return mul(a, other, *cap)
 
     monkeypatch.setattr(OpMatrix, "__mul__", counted)
     p = KappaParams(b)
-    assert kappa_power_check(p, 6)
+    # the powers are the kept chain of the algebra's C: the n x n products are
+    # its 6 links, formed by the first check and read again by the second
+    assert kappa_power_check(p, 6) and kappa_power_check(p, 6)
     # the 1x1 products are the series in A inside _function_of_c
     assert products[p.n] == 6
 

@@ -145,6 +145,37 @@ def test_appendix_forms_each_truncated_product_once(monkeypatch):
     assert len(pairs) == 162
 
 
+@pytest.mark.parametrize("cut", [1, 2, 3, INF])
+def test_residual_witness_is_the_first_term_through_the_cut(cut):
+    res = WeylOp(2, {((1, 0), (0, 3)): Scalar(1), ((0, 1), (1, 1)): Scalar(4),
+                     ((1, 0), (1, 1)): Scalar(3), ((0, 0), (0, 2)): Scalar(2)})
+    rep = realization.residual_check("r", 5, [({"m": 1}, res)], cut=cut)
+    kept = res.truncate(cut).sorted_terms()
+    assert rep["pass"] == (not kept)
+    if kept:
+        (a, b), coeff = kept[0]
+        assert rep["witness"] == {"m": 1, "x": list(a), "d": list(b), "coeff": str(coeff)}
+
+
+def test_appendix_run_forms_the_power_chain_once(monkeypatch):
+    # the CLI's appendix suite: every series in C, and the exact powers C^m,
+    # read one chain of the algebra's C, cut at order + 1 for exp(C) there
+    g, order = su2_algebra(), 6
+    C = adjoint_matrix(g)
+    links = []
+    mul = OpMatrix.__mul__
+
+    def counted(a, other, *cap):
+        if other is C:
+            links.append(cap)
+        return mul(a, other, *cap)
+
+    monkeypatch.setattr(OpMatrix, "__mul__", counted)
+    assert verify_appendix(g, order, 5)["pass"] and verify_shift_relations(g, order)["pass"]
+    assert adjoint_matrix(g) is C
+    assert links == [(order + 1,)] * (order + 1)
+
+
 @pytest.mark.parametrize("name", ["su2", "kappa"])
 def test_suites_form_no_pairwise_operator_sums(name, monkeypatch):
     # every operator sum of the suites lists its terms in one sum_of_products

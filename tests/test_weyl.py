@@ -405,6 +405,69 @@ def test_series_valid_order_counts_only_the_powers_it_sums():
     assert matrix_series(TruncSeries([0, 0, 0]), C).valid_order() == 2
 
 
+def fresh_series(f, C):
+    """sum_k f_k C^k through order(f) by a plain loop: powers by the Leibniz
+    oracle `product`, sums by `added`, with no chain and no library kernel."""
+    amb, order = C[0, 0].n, f.order
+    power = OpMatrix.identity(amb, C.n).entries
+    acc = [[WeylOp.zero(amb, order) for _ in range(C.n)] for _ in range(C.n)]
+    for k in range(order + 1):
+        if f[k]:
+            acc = [[added(a, p, f[k].re) for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
+        power = [[_dot(row, col, amb) for col in zip(*C.entries)] for row in power]
+    return acc
+
+
+def _dot(row, col, amb):
+    out = WeylOp.zero(amb)
+    for a, b in zip(row, col):
+        out = added(out, product(a, b))
+    return out
+
+
+SERIES_KINDS = ["psi", "psi_tilde", "exp", "exp_neg", "dexp", "dexp_neg"]
+
+
+@given(
+    st.sampled_from(SERIES_KINDS), st.integers(0, 8), st.integers(1, 3),
+    st.sampled_from([None, 1, 3]), st.sampled_from([su2_algebra, g2_algebra]),
+)
+@settings(max_examples=40, deadline=None)
+def test_series_from_a_kept_chain_matches_a_fresh_evaluation(kind, order, extra, cut, algebra):
+    C = adjoint_matrix(algebra())
+    if cut is not None:
+        C = C.truncate(cut)
+    # a wider series first, so the chain is kept at a larger cap than f needs
+    matrix_series(series_coeffs("exp", order + extra), C)
+    f = series_coeffs(kind, order)
+    got = matrix_series(f, C)
+    assert C._chain[0] == order + extra
+    for row, fresh_row in zip(got.entries, fresh_series(f, C)):
+        for op, fresh in zip(row, fresh_row):
+            assert op == fresh and op.valid_order == fresh.valid_order
+
+
+def test_series_forms_no_power_past_its_last_nonzero_coefficient(monkeypatch):
+    links = []
+    mul = OpMatrix.__mul__
+
+    def counted(a, other, *cap):
+        links.append(cap)
+        return mul(a, other, *cap)
+
+    monkeypatch.setattr(OpMatrix, "__mul__", counted)
+    C = adjoint_matrix(su2_algebra())
+    assert matrix_series(TruncSeries([0, 0, 0, 0]), C) == OpMatrix.zero(3)
+    assert not links
+    matrix_series(TruncSeries([1, 0, 2, 0, 0, 0]), C)
+    assert links == [(5,), (5,)]
+    # a lower cap reads the kept chain, a larger one rebuilds it
+    matrix_series(TruncSeries([0, 0, 0, 1]), C)
+    assert links == [(5,)] * 3
+    matrix_series(TruncSeries([0, 1, 0, 0, 0, 0, 0]), C)
+    assert links == [(5,)] * 3 + [(6,)]
+
+
 @pytest.mark.parametrize(
     "A", [x(0, 1) * d(0, 1), d(0, 1) + WeylOp.one(1)], ids=["with-x", "with-constant"]
 )
