@@ -12,9 +12,10 @@ It runs the kernel `poly.product_terms` on each operator's stored form
 least valid order of all the factors and of an optional cap, as if the
 products were formed one by one and added.  `A * B` is its one-pair case,
 and `A + B` and `A - B` its two-item case with the unit as right factor, so
-every sum of operators keeps that one valid-order rule.
-`matrix_series` reads the powers of its matrix from the chain an `OpMatrix`
-keeps (`OpMatrix.powers`), each formed once, grown to the largest order asked.
+every sum of operators keeps that one valid-order rule; it is the one place
+a product is cut.  `matrix_series` takes matrices linear in d and reads
+their powers, homogeneous and uncut, from the chain an `OpMatrix` keeps
+(`OpMatrix.powers`), each formed once and extended on demand.
 `deriv_d` lowers the order by one, so the commutators with x formed from it
 (realization.py) are certified through N - 1 for operators valid through N.
 The rule is never clamped: a negative valid_order certifies no coefficient
@@ -218,22 +219,22 @@ class OpMatrix:
     def valid_order(self):
         return min(op.valid_order for row in self.entries for op in row)
 
-    def __mul__(self, other, cap=INF):
+    def __mul__(self, other):
         cols = list(zip(*other.entries))
         return OpMatrix(
             self.n,
-            [[sum_of_products(zip(row, col), cap) for col in cols] for row in self.entries],
+            [[sum_of_products(zip(row, col)) for col in cols] for row in self.entries],
         )
 
-    def powers(self, k, cap) -> list:
-        """[M^0, ..., M^k] from the kept chain, M^j (j >= 1) valid through at most
-        its cap >= `cap`: extended on demand, rebuilt only for a larger cap."""
+    def powers(self, k) -> list:
+        """[M^0, ..., M^k] from the kept chain, uncut and extended on demand; its
+        M^1 is a new matrix over M's operators, so no cycle runs through M."""
         chain = getattr(self, "_chain", None)
-        if chain is None or chain[0] < cap:
-            chain = self._chain = (cap, [OpMatrix.identity(self.entries[0][0].n, self.n)])
-        cap, chain = chain
+        if chain is None:
+            chain = self._chain = [OpMatrix.identity(self.entries[0][0].n, self.n),
+                                   OpMatrix(self.n, self.entries)]
         while len(chain) <= k:
-            chain.append(chain[-1].__mul__(self, cap))
+            chain.append(chain[-1] * chain[1])
         return chain[: k + 1]
 
     def truncate(self, order) -> "OpMatrix":
@@ -267,25 +268,24 @@ def sum_of_products(pairs, valid_order=INF) -> WeylOp:
 def matrix_series(f: TruncSeries, M: OpMatrix) -> OpMatrix:
     """Evaluate sum_k f_k M^k, exact through derivative degree order(f).
 
-    Requires every entry of M to be x-free with vanishing constant term, so
-    M^k has minimum derivative degree k and the truncation is exact.  The
-    powers up to f's last nonzero coefficient are read from M's kept chain,
-    and terms past order(f) are dropped.  An entry is valid through
-    order(f), or less where a power it sums is.
+    Requires every entry of M to be x-free and linear in d (each term d^b has
+    |b| = 1), so M^k is homogeneous of degree k and the powers up to f's last
+    nonzero coefficient, read uncut from M's kept chain, have no term past
+    order(f).  An entry is valid through order(f), or less where a power it
+    sums is.
     """
-    if any(any(a) or not any(b) for row in M.entries for op in row for a, b in op.terms):
-        raise ValueError("matrix_series requires x-free entries with zero constant term")
+    if any(any(a) or sum(b) != 1 for row in M.entries for op in row for a, b in op.terms):
+        raise ValueError("matrix_series requires x-free entries linear in d")
     order = f.order
     last = max((k for k in range(order + 1) if f[k]), default=-1)
-    terms = [(Scalar.coerce(f[k]), P.entries)
-             for k, P in enumerate(M.powers(last, order)) if f[k]]
+    terms = [(Scalar.coerce(f[k]), P.entries) for k, P in enumerate(M.powers(last)) if f[k]]
     return OpMatrix(M.n, [[
-        WeylOp(M.entries[0][0].n, linear_combination((c, P[mu][nu].terms) for c, P in terms),
-               min([order, *(P[mu][nu].valid_order for _, P in terms)]))
+        M.entries[0][0]._like(linear_combination((c, P[mu][nu].terms) for c, P in terms),
+                              min([order, *(P[mu][nu].valid_order for _, P in terms)]))
         for nu in range(M.n)] for mu in range(M.n)
     ])
 
 
 def series_in_op(f: TruncSeries, A: WeylOp) -> WeylOp:
-    """Evaluate a univariate series at an x-free operator with zero constant term."""
+    """Evaluate a univariate series at an x-free operator linear in d."""
     return matrix_series(f, OpMatrix(1, [[A]]))[0, 0]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lieweyl
-from lieweyl import lie, realization
+from lieweyl import OpMatrix, lie, realization
 from lieweyl.cli import MAX_ORDER, main
 
 # a 3-dimensional antisymmetric spec that violates the Jacobi identity
@@ -239,6 +239,16 @@ def test_verify_at_the_largest_order_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "027750575bafd27c81d2eadf7ce10f5822beec2e3fc32f9d176010ef041d8e6f"
     )
+
+
+def test_verify_all_forms_eight_matrix_products(capsys, monkeypatch):
+    # every suite reads one uncut chain of C: its links C^2..C^7 (exp(C) at
+    # order + 1 in the appendix suite), then the shift suite's T Tinv and Tinv T
+    products = []
+    mul = OpMatrix.__mul__
+    monkeypatch.setattr(OpMatrix, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+    code, _, _ = run(capsys, "verify", "su2", "--suite", "all", "--order", "6")
+    assert code == 0 and len(products) == 8
 
 
 def test_tmatrix_json(capsys):

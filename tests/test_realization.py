@@ -159,21 +159,24 @@ def test_residual_witness_is_the_first_term_through_the_cut(cut):
 
 def test_appendix_run_forms_the_power_chain_once(monkeypatch):
     # the CLI's appendix suite: every series in C, and the exact powers C^m,
-    # read one chain of the algebra's C, cut at order + 1 for exp(C) there
+    # read one uncut chain of the algebra's C, as far as C^(order + 1) for exp(C)
     g, order = su2_algebra(), 6
     C = adjoint_matrix(g)
     links = []
     mul = OpMatrix.__mul__
 
-    def counted(a, other, *cap):
-        if other is C:
-            links.append(cap)
-        return mul(a, other, *cap)
+    def counted(a, other):
+        links.append(other)
+        return mul(a, other)
 
     monkeypatch.setattr(OpMatrix, "__mul__", counted)
     assert verify_appendix(g, order, 5)["pass"] and verify_shift_relations(g, order)["pass"]
     assert adjoint_matrix(g) is C
-    assert links == [(order + 1,)] * (order + 1)
+    # the links C^2..C^(order + 1), each the one before times the chain's C,
+    # then the shift suite's T Tinv and Tinv T
+    chain = C.powers(order + 1)
+    assert [o is chain[1] for o in links] == [True] * order + [False] * 2
+    assert chain[1] is not C and chain[1] == C
 
 
 @pytest.mark.parametrize("name", ["su2", "kappa"])
@@ -219,6 +222,9 @@ def test_realization_from_phi_rejects_x():
 def test_guaranteed_order():
     real = weyl_realization(g2_algebra(), 6)
     assert real.guaranteed_order == 5
+    # an exact phi keeps exact commutators
+    exact = realization_from_phi(g2_algebra(), OpMatrix.identity(2))
+    assert exact.order == exact.guaranteed_order == INF
 
 
 @pytest.mark.parametrize(

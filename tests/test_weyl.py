@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from normal_order import added, commutator, product, sympy_poly
 
 from lieweyl import (
     InsufficientOrder,
+    KappaParams,
     OpMatrix,
     Polynomial,
     Scalar,
@@ -15,11 +17,13 @@ from lieweyl import (
     adjoint_matrix,
     g2_algebra,
     matrix_series,
+    realization_from_phi,
     series_coeffs,
     series_in_op,
     su2_algebra,
     sum_of_products,
 )
+from lieweyl.kappa import _function_of_c
 from lieweyl.weyl import INF
 
 
@@ -437,11 +441,10 @@ def test_series_from_a_kept_chain_matches_a_fresh_evaluation(kind, order, extra,
     C = adjoint_matrix(algebra())
     if cut is not None:
         C = C.truncate(cut)
-    # a wider series first, so the chain is kept at a larger cap than f needs
+    # a wider series first, so the chain is kept longer than f needs
     matrix_series(series_coeffs("exp", order + extra), C)
     f = series_coeffs(kind, order)
     got = matrix_series(f, C)
-    assert C._chain[0] == order + extra
     for row, fresh_row in zip(got.entries, fresh_series(f, C)):
         for op, fresh in zip(row, fresh_row):
             assert op == fresh and op.valid_order == fresh.valid_order
@@ -451,25 +454,63 @@ def test_series_forms_no_power_past_its_last_nonzero_coefficient(monkeypatch):
     links = []
     mul = OpMatrix.__mul__
 
-    def counted(a, other, *cap):
-        links.append(cap)
-        return mul(a, other, *cap)
+    def counted(a, other):
+        links.append(a)
+        return mul(a, other)
 
     monkeypatch.setattr(OpMatrix, "__mul__", counted)
     C = adjoint_matrix(su2_algebra())
     assert matrix_series(TruncSeries([0, 0, 0, 0]), C) == OpMatrix.zero(3)
     assert not links
+    # C^2 = C C, read from the chain's C: no product by the identity
     matrix_series(TruncSeries([1, 0, 2, 0, 0, 0]), C)
-    assert links == [(5,), (5,)]
-    # a lower cap reads the kept chain, a larger one rebuilds it
+    assert links == [C]
+    # the chain is extended, never rebuilt, and a longer series of lower
+    # degree reads it as it is
     matrix_series(TruncSeries([0, 0, 0, 1]), C)
-    assert links == [(5,)] * 3
+    assert len(links) == 2
     matrix_series(TruncSeries([0, 1, 0, 0, 0, 0, 0]), C)
-    assert links == [(5,)] * 3 + [(6,)]
+    assert links == C.powers(2)[1:]
+
+
+@given(
+    product_sums(), st.integers(0, 2), st.sampled_from(SERIES_KINDS), st.integers(0, 6),
+    st.sampled_from([None, 1, 3]), st.sampled_from([su2_algebra, g2_algebra]),
+    st.lists(gauss_q, min_size=2, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_no_operator_keeps_a_term_past_its_valid_order(case, lam, kind, order, cut, algebra, b):
+    # the invariant that lets a product be compared or summed without a cut
+    pairs, cap = case
+    out = sum_of_products(pairs, cap)
+    ops = [out, out.deriv_d(lam % out.n)]
+    g = algebra()
+    C = adjoint_matrix(g) if cut is None else adjoint_matrix(g).truncate(cut)
+    phi = matrix_series(series_coeffs(kind, order), C)
+    ops += [op for row in phi.entries for op in row] + realization_from_phi(g, phi).xhat
+    closed = _function_of_c(KappaParams(b), series_coeffs(kind, order + 1))
+    ops += [op for row in closed.entries for op in row]
+    assert all(op.truncate(op.valid_order).terms == op.terms for op in ops)
+
+
+def test_power_chain_holds_no_reference_cycle():
+    # an algebra dropped with its chain is freed at once, not by the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        g = su2_algebra()
+        matrix_series(series_coeffs("exp", 6), adjoint_matrix(g))
+        gc.collect()
+        del g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
-    "A", [x(0, 1) * d(0, 1), d(0, 1) + WeylOp.one(1)], ids=["with-x", "with-constant"]
+    "A",
+    [x(0, 1) * d(0, 1), d(0, 1) + WeylOp.one(1), d(0, 1) * d(0, 1), d(0) + d(0) * d(1)],
+    ids=["with-x", "with-constant", "d1*d1", "d1+d1*d2"],
 )
 def test_series_in_op_rejects_bad_operator(A):
     with pytest.raises(ValueError):
