@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .kappa import KappaParams, verify_kappa
 from .lie import (
@@ -317,7 +318,9 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lieweyl",
         description="Exact realizations of Lie-algebra-type noncommutative "

@@ -29,8 +29,9 @@ __all__ = [
 
 class LieAlgebra:
     """Immutable structure constants; equality and hash ignore the name and
-    the per-algebra memo caches: PBW straightening, the shift actions, and the
-    adjoint matrix C with its power chain, which grows to the largest order asked."""
+    the per-algebra memo caches: PBW straightening and the shift actions, each
+    entry a numerator form (`poly.linear_form`), and the adjoint matrix C with
+    its power chain, which grows to the largest order asked."""
 
     __slots__ = ("n", "c", "name", "_caches")
 

@@ -3,14 +3,15 @@
 Elements are stored on the ordered monomial basis X_1^{v_1} ... X_n^{v_n}.
 Products are straightened by bubbling adjacent out-of-order generator pairs
 through the bracket relations; the rewriting terminates by the usual
-degree-lexicographic order and is memoized per algebra.
+degree-lexicographic order and is memoized per algebra, each entry a
+numerator form (`poly.linear_form`); Scalars appear only in the results.
 """
 
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .poly import TermMap, linear_combination, mi_degree, mi_unit
-from .scalars import ONE, Scalar
+from .poly import TermMap, form_terms, linear_combination, linear_form, mi_degree, mi_unit
+from .scalars import Scalar, numerators
 
 __all__ = ["PBWElement", "pbw_mul", "t_action", "tinv_action", "y_action"]
 
@@ -38,42 +39,46 @@ def _word_of(exps):
     return tuple(word)
 
 
-def _straighten(g: LieAlgebra, word) -> dict:
-    """PBW normal form of a generator word, as a term map."""
+def _straighten(g: LieAlgebra, word) -> tuple:
+    """PBW normal form of a generator word, as a memoized form."""
     cache = g.cache("straighten")
     hit = cache.get(word)
     if hit is not None:
         return hit
-    n = g.n
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
         if a > b:
             # X_a X_b = X_b X_a + sum_lam C_{a b lam} X_lam
             head, tail = word[:i], word[i + 2 :]
-            out = linear_combination([
-                (ONE, _straighten(g, head + (b, a) + tail)),
-                *((c, _straighten(g, head + (lam,) + tail))
-                  for lam, c in enumerate(g.c[a][b]) if c),
+            dc, us, vs = numerators(g.c[a][b])
+            out = linear_form([
+                (1, 0, 1, _straighten(g, head + (b, a) + tail)),
+                *((u, v, dc, _straighten(g, head + (lam,) + tail))
+                  for lam, (u, v) in enumerate(zip(us, vs)) if u or v),
             ])
             cache[word] = out
             return out
-    exps = [0] * n
+    exps = [0] * g.n
     for mu in word:
         exps[mu] += 1
-    out = {tuple(exps): Scalar(1)}
+    out = 1, [(tuple(exps), 1, 0)]
     cache[word] = out
     return out
 
 
 def pbw_mul(g: LieAlgebra, A: PBWElement, B: PBWElement) -> PBWElement:
-    """Product in U(g), straightened to the PBW basis."""
+    """Product in U(g), straightened to the PBW basis; each c_a c_b enters the
+    sum as Gaussian-integer numerators over d_a d_b, not as a Scalar product."""
     if A.n != g.n or B.n != g.n:
         raise ValueError("dimension mismatch")
-    left = [(_word_of(k), c) for k, c in A.terms.items()]
-    right = [(_word_of(k), c) for k, c in B.terms.items()]
-    return A._like(linear_combination(
-        (ca * cb, _straighten(g, wa + wb)) for wa, ca in left for wb, cb in right
-    ))
+    da, pa, qa = numerators(A.terms.values())
+    db, pb, qb = numerators(B.terms.values())
+    left = list(zip(map(_word_of, A.terms), pa, qa))
+    right = list(zip(map(_word_of, B.terms), pb, qb))
+    return A._like(form_terms(linear_form(
+        (p * r - q * s, p * s + q * r, da * db, _straighten(g, wa + wb))
+        for wa, p, q in left for wb, r, s in right
+    )))
 
 
 def _check_index(g, *idx):
@@ -82,8 +87,8 @@ def _check_index(g, *idx):
             raise IndexError(f"generator index {k} out of range 0..{g.n - 1}")
 
 
-def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> dict:
-    """T_{mu nu}, or T^{-1}_{mu nu} if `inverse`, on one PBW monomial.
+def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> tuple:
+    """T_{mu nu}, or T^{-1}_{mu nu} if `inverse`, on one PBW monomial, as a form.
 
     Peels the leftmost generator, X = X_al * rest, so that
       T_{mu nu} |> X = X_al (T_{mu nu} |> rest)
@@ -98,20 +103,19 @@ def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> dict:
     if hit is not None:
         return hit
     if mi_degree(exps) == 0:
-        out = {exps: Scalar(1)} if mu == nu else {}
+        out = (1, [(exps, 1, 0)] if mu == nu else [])
     else:
         al = next(i for i, e in enumerate(exps) if e)
         rest = exps[:al] + (exps[al] - 1,) + exps[al + 1 :]
-        pairs = [
-            (c, _straighten(g, (al,) + _word_of(k)))
-            for k, c in _shift_mono(g, inverse, mu, nu, rest).items()
-        ]
-        for rho in range(g.n):
-            c = -g.c[rho][al][nu] if inverse else g.c[mu][al][rho]
-            if c:
+        dr, rows = _shift_mono(g, inverse, mu, nu, rest)
+        items = [(p, q, dr, _straighten(g, (al,) + _word_of(k))) for k, p, q in rows]
+        dc, us, vs = numerators(
+            [-g.c[rho][al][nu] for rho in range(g.n)] if inverse else g.c[mu][al])
+        for rho, (u, v) in enumerate(zip(us, vs)):
+            if u or v:
                 inner = (mu, rho) if inverse else (rho, nu)
-                pairs.append((c, _shift_mono(g, inverse, *inner, rest)))
-        out = linear_combination(pairs)
+                items.append((u, v, dc, _shift_mono(g, inverse, *inner, rest)))
+        out = linear_form(items)
     cache[key] = out
     return out
 

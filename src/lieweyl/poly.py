@@ -5,9 +5,12 @@ coefficients: polynomials in x, normal-ordered Weyl operators x^a d^b and
 PBW monomials in U(g).  `TermMap` owns that map and its invariants (keys are
 tuples, no zero coefficient is stored).  Coefficients of polynomials and PBW
 elements add in the two-operand `TermMap.__add__` (operators add through
-`product_terms`, see weyl.py), and `linear_combination` forms every longer
-sum of scaled term maps (the memoized builders) in one integer pass.
-Multi-indices are plain tuples of non-negative ints.
+`product_terms`, see weyl.py), and `linear_form` forms every longer sum of
+scaled term maps in one integer pass, as a numerator form (den, [(key, re,
+im), ...]) in lowest common terms.  The memos of the star path (PBW
+straightening, the shift actions, omega and its inverse) store these forms
+instead of Scalar dicts; `linear_combination` is the sum with Scalars at
+its edges.  Multi-indices are plain tuples of non-negative ints.
 
 `product_terms` is the one product kernel, for operators and polynomials:
 each factor stores on first use its numerators and its keys packed into
@@ -18,7 +21,7 @@ product key is one int addition and each output key is unpacked once.
 from __future__ import annotations
 
 import re
-from math import inf, lcm
+from math import gcd, inf, lcm
 from operator import lshift
 
 from .scalars import ONE, Scalar, as_scalar, from_numerators, numerators
@@ -27,6 +30,8 @@ __all__ = [
     "mi_degree",
     "mi_unit",
     "linear_combination",
+    "linear_form",
+    "form_terms",
     "product_terms",
     "TermMap",
     "Polynomial",
@@ -43,38 +48,62 @@ def mi_unit(n: int, mu: int):
     return tuple(1 if k == mu else 0 for k in range(n))
 
 
-def linear_combination(pairs) -> dict:
-    """sum_k c_k M_k over the (c_k, M_k) pairs of Scalars and term dicts.
+def linear_form(items) -> tuple:
+    """sum_k c_k M_k as a form (den, [(key, re, im), ...]) in lowest terms.
 
-    The sibling of `product_terms` for sums of scaled maps: every
-    operand is read as Gaussian-integer numerators (`numerators`), the real
-    and imaginary parts accumulate as ints over one common denominator, and
-    each output coefficient is normalised once.  A key whose sum vanishes is
-    absent from the result.
+    Each item is (u, v, d, M): c_k = (u + v i)/d with d > 0, and M_k a form,
+    read as stored, or a {key: Scalar} dict, read through `numerators`.  The
+    parts accumulate as ints over one common denominator, and the result is
+    divided by the gcd of den and every numerator, so numbers cannot grow
+    along a chain of memo entries built from each other.  A key whose sum
+    vanishes is absent.
     """
-    pairs = [(c, M) for c, M in pairs if c and M]
-    dc, nc = numerators([c for c, _ in pairs])
-    dm = 1
-    parts = []
-    for (_, M), c in zip(pairs, nc):
-        d, nm = numerators(M.values())
-        dm = lcm(dm, d)
-        parts.append((c, d, M, nm))
-    acc = {}  # key -> [re, im] numerators over dc * dm
+    den, parts = 1, []
+    for u, v, d, M in items:
+        if type(M) is dict:
+            dm, res, ims = numerators(M.values())
+            M = dm, zip(M, res, ims)
+        dm, rows = M
+        d *= dm
+        den = lcm(den, d)
+        parts.append((u, v, d, rows))
+    acc = {}  # key -> [re, im] numerators over den
     get = acc.get
-    for (p, q), d, M, nm in parts:
-        m = dm // d
+    for p, q, d, rows in parts:
+        m = den // d
         p *= m
         q *= m
-        for k, (r, s) in zip(M, nm):
+        for k, r, s in rows:
             t = get(k)
             if t is None:
                 acc[k] = [p * r - q * s, p * s + q * r]
             else:
                 t[0] += p * r - q * s
                 t[1] += p * s + q * r
-    den = dc * dm
-    return {k: from_numerators(p, q, den) for k, (p, q) in acc.items() if p or q}
+    rows = [(k, p, q) for k, (p, q) in acc.items() if p or q]
+    g = den
+    for _, p, q in rows:
+        if g == 1:
+            break
+        g = gcd(g, p, q)
+    if g > 1:
+        rows = [(k, p // g, q // g) for k, p, q in rows]
+    return den // g, rows
+
+
+def form_terms(form) -> dict:
+    """The {key: Scalar} term dict of a form."""
+    den, rows = form
+    return {k: from_numerators(p, q, den) for k, p, q in rows}
+
+
+def linear_combination(pairs) -> dict:
+    """{key: Scalar} of sum_k c_k M_k over the (c_k, M_k) pairs of Scalars and
+    forms or term dicts: the Scalars are read in one `numerators` call and
+    the sum is formed by `linear_form`."""
+    pairs = list(pairs)
+    dc, us, vs = numerators([c for c, _ in pairs])
+    return form_terms(linear_form((u, v, dc, M) for u, v, (_, M) in zip(us, vs, pairs)))
 
 
 def _form(M, width=1):
@@ -84,10 +113,10 @@ def _form(M, width=1):
     form = M._form
     if form is not None and form[0] >= width:
         return form
-    den, nums = numerators(M.terms.values())
+    den, res, ims = numerators(M.terms.values())
     lo = M.n * (len(M.KEY_PARTS) - 1)  # the x fields lead; the degree is of the rest
     rows, top = [], 0
-    for k, (p, q) in zip(M.terms, nums):
+    for k, p, q in zip(M.terms, res, ims):
         f = sum(M._split(k), ())
         d = sum(f[lo:])
         top = max(top, d + d, *f)
@@ -123,7 +152,7 @@ def product_terms(items, cap=inf) -> dict:
             if not x_free:
                 raise ValueError("the right factor of a product must be x-free")
             width, da, *_ = _form(A, fb[0])
-            dc, ((u, v),) = numerators(c) if c else (1, ((1, 0),))
+            dc, (u,), (v,) = numerators(c) if c else (1, (1,), (0,))
             live.append((A, B, da * db * dc, u, v))
             den = lcm(den, da * db * dc)
     acc = {}  # packed key -> [re, im] numerators over den

@@ -267,16 +267,17 @@ def as_scalar(v):
 
 
 def numerators(coeffs):
-    """(den, [(re, im), ...]): the Scalars `coeffs` (a list or a dict view,
-    read twice) as Gaussian-integer numerators over their least common
-    denominator den."""
+    """(den, [re, ...], [im, ...]): the Scalars `coeffs` (a list or a dict
+    view, read three times) as Gaussian-integer numerators over their least
+    common denominator den."""
     den = 1
     for s in coeffs:
         if den % s._b:
             den = lcm(den, s._b)
         if den % s._d:
             den = lcm(den, s._d)
-    return den, [(s._a * (den // s._b), s._c * (den // s._d)) for s in coeffs]
+    return (den, [s._a * (den // s._b) for s in coeffs],
+            [s._c * (den // s._d) for s in coeffs])
 
 
 def from_numerators(re: int, im: int, den: int) -> Scalar:

@@ -13,7 +13,7 @@ from itertools import product
 
 from .lie import LieAlgebra, dual_algebra
 from .pbw import PBWElement, pbw_mul
-from .poly import Polynomial, linear_combination, mi_degree, product_terms
+from .poly import Polynomial, form_terms, linear_combination, linear_form, mi_degree, product_terms
 from .realization import (
     Realization,
     check,
@@ -25,7 +25,7 @@ from .realization import (
     weyl_realization,
     x_linear_bracket,
 )
-from .scalars import ONE, Scalar
+from .scalars import Scalar
 from .weyl import InsufficientOrder
 
 __all__ = [
@@ -52,7 +52,8 @@ class StarContext:
         self.primal = primal
         self.dual = dual
         self.order = order
-        # (route, a) -> omega(X^a); ("inv", route, a) -> omega_inv(x^a) terms
+        # (route, a) -> omega(X^a); ("inv", route, a) -> omega_inv(x^a), both
+        # as reduced numerator forms (poly.linear_form)
         self._omega_cache = {}
 
     def realization(self, which: str) -> Realization:
@@ -76,18 +77,20 @@ def make_context(g: LieAlgebra, order: int) -> StarContext:
     )
 
 
-def _omega_mono(ctx: StarContext, which: str, exps) -> Polynomial:
+def _omega_mono(ctx: StarContext, which: str, exps) -> tuple:
+    """omega(X^a) as a memoized form: xhat_mu acting on omega(X^(a - e_mu))."""
     key = (which, exps)
     hit = ctx._omega_cache.get(key)
     if hit is not None:
         return hit
     n = ctx.algebra.n
     if mi_degree(exps) == 0:
-        out = Polynomial.one(n)
+        out = 1, [(exps, 1, 0)]
     else:
         mu = next(i for i, e in enumerate(exps) if e)
         rest = exps[:mu] + (exps[mu] - 1,) + exps[mu + 1 :]
-        out = ctx.realization(which).xhat[mu].apply(_omega_mono(ctx, which, rest))
+        f = Polynomial(n)._like(form_terms(_omega_mono(ctx, which, rest)))
+        out = linear_form([(1, 0, 1, ctx.realization(which).xhat[mu].apply(f).terms)])
     ctx._omega_cache[key] = out
     return out
 
@@ -97,12 +100,12 @@ def omega(ctx: StarContext, X: PBWElement, which: str = "primal") -> Polynomial:
     if X.degree() > ctx.order:
         raise InsufficientOrder(X.degree(), ctx.order)
     return Polynomial(ctx.algebra.n)._like(linear_combination(
-        (c, _omega_mono(ctx, which, exps).terms) for exps, c in X.terms.items()
+        (c, _omega_mono(ctx, which, exps)) for exps, c in X.terms.items()
     ))
 
 
-def _omega_inv_mono(ctx: StarContext, which: str, exps) -> dict:
-    """omega^{-1}(x^a) as a PBW term map, memoized next to the omega images.
+def _omega_inv_mono(ctx: StarContext, which: str, exps) -> tuple:
+    """omega^{-1}(x^a) as a memoized PBW form, kept next to the omega images.
 
     omega(X^a) = x^a + (terms of lower degree), so
     omega^{-1}(x^a) = X^a - sum_{k != a} r_k omega^{-1}(x^k) with r = omega(X^a).
@@ -111,13 +114,14 @@ def _omega_inv_mono(ctx: StarContext, which: str, exps) -> dict:
     hit = ctx._omega_cache.get(key)
     if hit is not None:
         return hit
-    r = _omega_mono(ctx, which, exps).terms
+    den, r = _omega_mono(ctx, which, exps)
     d = mi_degree(exps)
-    if r.get(exps) != ONE or any(mi_degree(k) >= d for k in r if k != exps):
+    # the form is reduced, so the coefficient 1 of x^a is the row (a, den, 0)
+    if (exps, den, 0) not in r or any(mi_degree(k) >= d for k, _, _ in r if k != exps):
         raise ValueError(f"omega(X^{list(exps)}) is not x^a plus terms of lower degree")
-    out = linear_combination(
-        [(ONE, {exps: ONE})]
-        + [(-c, _omega_inv_mono(ctx, which, k)) for k, c in r.items() if k != exps]
+    out = linear_form(
+        [(1, 0, 1, (1, [(exps, 1, 0)]))]
+        + [(-p, -q, den, _omega_inv_mono(ctx, which, k)) for k, p, q in r if k != exps]
     )
     ctx._omega_cache[key] = out
     return out

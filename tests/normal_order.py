@@ -1,5 +1,6 @@
 """Test oracles: the normal-ordered product of Weyl operators, a one-add-
-per-term `merge`, the sum of two operators over `Fraction` pairs, and
+per-term `merge`, the sum of two operators over `Fraction` pairs, the PBW
+product by straightening generator words over `Fraction` pairs, and
 polynomials as sympy expressions.
 
 The library multiplies only by x-free right factors and takes every
@@ -8,7 +9,8 @@ This module keeps the general product so that those can be checked against
 an independent normal ordering, itself checked against composed `apply`.
 It accumulates with its own `merge`, one Scalar add per term, and `added`
 with its own `Fraction` arithmetic, and shares no accumulation code with
-the library.  `sympy_poly` hands a polynomial to
+the library.  `pbw_product` rewrites whole words with a work list at their
+last descent, where the library memoizes words and splits at the first.  `sympy_poly` hands a polynomial to
 sympy, whose expand and diff share no code with the library at all.
 """
 
@@ -76,6 +78,53 @@ def added(A: WeylOp, B: WeylOp, sign=1) -> WeylOp:
 
 def commutator(A: WeylOp, B: WeylOp) -> WeylOp:
     return added(product(A, B), product(B, A), -1)
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gadd(acc, key, x):
+    re, im = acc.get(key, (0, 0))
+    acc[key] = (re + x[0], im + x[1])
+
+
+def constants(g):
+    """The structure constants of g as (re, im) pairs of Fractions."""
+    return [[[(Fraction(x.re), Fraction(x.im)) for x in row] for row in plane] for plane in g.c]
+
+
+def pbw_product(c, A, B):
+    """AB in U(g) on the ordered monomial basis, as {exponents: (re, im)}.
+
+    c[mu][nu][lam] is (re, im) of C_{mu nu lam}, and A and B map exponent
+    tuples to (re, im) pairs of Fractions.  A word X_w1 ... X_wk with a
+    descent a = w_i > w_(i+1) = b at its last one is replaced by the word with
+    X_b X_a there plus sum_lam C_{a b lam} times the word with X_lam there,
+    until every word is ordered.
+    """
+    n = len(c)
+    todo, out = {}, {}
+    for a, ca in A.items():
+        for b, cb in B.items():
+            word = tuple(mu for mu in range(n) for _ in range(a[mu]))
+            word += tuple(mu for mu in range(n) for _ in range(b[mu]))
+            _gadd(todo, word, _gmul(ca, cb))
+    while todo:
+        w, x = todo.popitem()
+        if not any(x):
+            continue
+        descents = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
+        if not descents:
+            _gadd(out, tuple(w.count(mu) for mu in range(n)), x)
+            continue
+        i = descents[-1]
+        a, b = w[i], w[i + 1]
+        _gadd(todo, w[:i] + (b, a) + w[i + 2 :], x)
+        for lam in range(n):
+            if any(c[a][b][lam]):
+                _gadd(todo, w[:i] + (lam,) + w[i + 2 :], _gmul(x, c[a][b][lam]))
+    return {k: v for k, v in out.items() if any(v)}
 
 
 def sympy_poly(f, xs):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lieweyl
-from lieweyl import OpMatrix, lie, realization
+from lieweyl import OpMatrix, cli, lie, realization
 from lieweyl.cli import MAX_ORDER, main
 
 # a 3-dimensional antisymmetric spec that violates the Jacobi identity
@@ -413,6 +413,21 @@ def test_order_must_be_positive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["realize", "g2", "--order", "0"])
     assert exc.value.code == 2
+
+
+def test_kept_parser_is_unchanged_by_parsing(capsys):
+    # main reuses one parser per process, so a call must not leave state in it
+    argv = ["star", "su2", "x1*x2", "x3", "--order", "4", "--check-duality"]
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    for bad in (["star", "su2", "x1", "x2", "--format", "yaml"], ["verify", "g2", "--order", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, second, _ = run(capsys, *argv)
+    assert code == 0 and second == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_import_skips_dataclasses():

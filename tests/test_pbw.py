@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieweyl import (
+    I,
     PBWElement,
     Scalar,
     abelian,
     g2_algebra,
+    kappa_algebra,
     pbw_mul,
     su2_algebra,
     t_action,
@@ -14,6 +18,7 @@ from lieweyl import (
     y_action,
 )
 from conftest import random_monomial, standard_algebras
+from normal_order import constants, pbw_product
 
 
 def test_straighten_g2():
@@ -51,6 +56,27 @@ def test_mul_degree_and_leading_term():
     prod = pbw_mul(g, A, B)
     assert prod.degree() <= A.degree() + B.degree()
     assert prod.terms[(2, 2, 2)] == Scalar(1)
+
+
+# su2 and g2 have real constants, kappa(1i,1,1/2) Gaussian ones
+ORACLE_ALGEBRAS = [su2_algebra(), g2_algebra(), kappa_algebra([I, Scalar(1), Scalar(1, 2)])]
+_part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _pbw_elements(draw, n):
+    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    pairs = st.tuples(_part, _part).filter(any)
+    return draw(st.dictionaries(exps, pairs, max_size=3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_pbw_mul_matches_word_straightening(data):
+    g = data.draw(st.sampled_from(ORACLE_ALGEBRAS))
+    A, B = data.draw(_pbw_elements(g.n)), data.draw(_pbw_elements(g.n))
+    got = pbw_mul(g, *(PBWElement(g.n, {k: Scalar(*v) for k, v in M.items()}) for M in (A, B)))
+    assert {k: (v.re, v.im) for k, v in got.terms.items()} == pbw_product(constants(g), A, B)
 
 
 def test_t_action_base_cases():

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieweyl import ONE, PBWElement, Polynomial, Scalar, WeylOp, parse_polynomial
-from lieweyl.poly import linear_combination, product_terms
+from lieweyl.poly import linear_combination, linear_form, product_terms
 from normal_order import merge, sympy_poly
 
 N = 3
@@ -192,6 +192,8 @@ def test_linear_combination_is_the_merged_sum_of_scalar_products(pairs, cancel):
     # a key whose sum cancels is absent, not stored with a zero coefficient
     assert out == expected
     assert all(out.values())
+    # the same operands read through their forms
+    assert linear_combination((c, linear_form([(1, 0, 1, M)])) for c, M in pairs) == expected
 
 
 def test_product_terms_rejects_factors_of_another_type():

@@ -1,7 +1,9 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -28,10 +30,15 @@ from lieweyl import (
     realization_from_phi,
     star,
     su2_algebra,
+    t_action,
     verify_duality,
+    y_action,
 )
+from lieweyl import pbw, poly
+from lieweyl.poly import form_terms, mi_unit
 from lieweyl.realization import random_polynomial
 from conftest import random_monomial, standard_algebras
+from normal_order import constants, pbw_product
 
 
 def test_g2_star_examples():
@@ -110,6 +117,115 @@ def test_omega_inv_forms_each_monomial_inverse_once():
             star(ctx, every, every, which)
     inverses = {k: v for k, v in ctx._omega_cache.writes.items() if k[0] == "inv"}
     assert len(inverses) == 40 and set(inverses.values()) == {1}
+
+
+def test_warm_star_reads_only_its_operands_and_forms_no_scalar_product(monkeypatch):
+    # on a warm context every memo entry is read through its stored form:
+    # `numerators` reads the coefficients of f, h, their two lifts and the
+    # lifted product, once each, and no Scalar product is formed
+    ctx = make_context(kappa_algebra([I, Scalar(1), Scalar(1, 2)]), 6)
+    f = parse_polynomial("(1/2+1i)*x1*x2 + x3^2 - 1/3*x1", 3)
+    h = parse_polynomial("x2*x3 + 2i*x1 + 5", 3)
+    first = star(ctx, f, h)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (poly, pbw):
+        monkeypatch.setattr(module, "numerators", counted("numerators", module.numerators))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, name, counted(name, getattr(Scalar, name)))
+    assert star(ctx, f, h) == first
+    assert calls == {"numerators": 5}
+
+
+def _memo_references(g):
+    """Each PBW memo entry of g recomputed over Fraction pairs: a word as the
+    product of its letters by `pbw_product`, and a shift action by its
+    peeling recursion with `pbw_product` for the left factor."""
+    c, n = constants(g), g.n
+    one = {(0,) * n: (1, 0)}
+
+    def word(w):
+        out = one
+        for mu in w:
+            out = pbw_product(c, out, {mi_unit(n, mu): (1, 0)})
+        return out
+
+    @cache
+    def shift(inverse, mu, nu, exps):
+        if not any(exps):
+            return one if mu == nu else {}
+        al = next(i for i, e in enumerate(exps) if e)
+        rest = exps[:al] + (exps[al] - 1,) + exps[al + 1 :]
+        out = dict(pbw_product(c, {mi_unit(n, al): (1, 0)}, shift(inverse, mu, nu, rest)))
+        sign = -1 if inverse else 1
+        for rho in range(n):
+            re, im = c[rho][al][nu] if inverse else c[mu][al][rho]
+            inner = (mu, rho) if inverse else (rho, nu)
+            for k, (p, q) in shift(inverse, *inner, rest).items():
+                r, s = out.get(k, (0, 0))
+                out[k] = (r + sign * (re * p - im * q), s + sign * (re * q + im * p))
+        return {k: v for k, v in out.items() if any(v)}
+
+    return {
+        "straighten": word,
+        "t_action": lambda key: shift(False, *key),
+        "tinv_action": lambda key: shift(True, *key),
+    }
+
+
+def _omega_reference(real, exps):
+    """omega(X^a) = xhat_1^a_1 ... xhat_n^a_n 1, by fresh `apply` calls."""
+    f = Polynomial.one(real.algebra.n)
+    for mu in reversed(range(len(exps))):
+        for _ in range(exps[mu]):
+            f = real.xhat[mu].apply(f)
+    return f
+
+
+@pytest.mark.parametrize(
+    "g, order, degree",
+    [(su2_algebra(), 8, 4), (kappa_algebra([I, Scalar(1), Scalar(1, 2)]), 6, 3)],
+    ids=["su2-order8", "kappa-1i,1,1/2-order6"],
+)
+def test_memo_forms_are_reduced_and_exact(g, order, degree):
+    # every memo entry on the star path is a numerator form (den, rows) in
+    # lowest common terms, and its Scalars are the entry's exact value
+    ctx = make_context(g, order)
+    rng = random.Random(5)
+    for _ in range(4):
+        f, h = random_polynomial(rng, 3, degree), random_polynomial(rng, 3, degree)
+        star(ctx, f, h)
+        star(ctx, h, f, "dual")
+        A = omega_inv(ctx, f)
+        y_action(g, rng.randrange(3), A)
+        t_action(g, rng.randrange(3), rng.randrange(3), A)
+    memos = [(None, ctx._omega_cache)]
+    for alg in (ctx.algebra, ctx.dual_alg):
+        refs = _memo_references(alg)
+        memos += [(refs[name], alg.cache(name)) for name in refs]
+    # the sweep fills the omega memo and all three of the algebra's
+    assert all(len(memo) for _, memo in memos[:4])
+    for ref, memo in memos:
+        for key, (den, rows) in memo.items():
+            assert den > 0 and gcd(den, *(x for _, p, q in rows for x in (p, q))) == 1
+            terms = form_terms((den, rows))
+            if ref is not None:
+                assert {k: (v.re, v.im) for k, v in terms.items()} == ref(key)
+            elif key[0] == "inv":
+                # omega(omega_inv(x^a)) = x^a
+                real = ctx.realization(key[1])
+                back = Polynomial.zero(g.n)
+                for k, c in terms.items():
+                    back = back + _omega_reference(real, k).scale(c)
+                assert back == Polynomial(g.n, {key[2]: Scalar(1)})
+            else:
+                assert terms == _omega_reference(ctx.realization(key[0]), key[1]).terms
 
 
 @pytest.mark.parametrize(
