@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import partial
 
 from .lie import LieAlgebra, kappa_algebra
-from .poly import Polynomial, linear_combination, mi_unit, product_terms
+from .poly import Polynomial, linear_form, mi_unit, product_terms
 from .realization import (
     Realization,
     adjoint_matrix,
@@ -26,7 +26,7 @@ from .realization import (
     t_realization,
     weyl_realization,
 )
-from .scalars import Scalar
+from .scalars import Scalar, from_numerators, numerators
 from .series import TruncSeries, series_coeffs
 from .star import first_order_matches, make_context, poisson_first_order, star
 from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op, sum_of_products
@@ -165,8 +165,9 @@ def _weights(order: int, dual: bool) -> dict:
     table = {}
     for m, r1 in enumerate(powers[0]):
         for k, r2 in enumerate(powers[1][: order - m + 1]):
-            for (_, (s, t)), c in sum_of_products([(r1, r2)], order - m - k).terms.items():
-                table[s, m, t, k] = c
+            den, rows = sum_of_products([(r1, r2)], order - m - k).form
+            for (_, (s, t)), p, q in rows:
+                table[s, m, t, k] = from_numerators(p, q, den)
     return table
 
 
@@ -203,16 +204,16 @@ class KappaStarContext:
 def _a_chains(b, f: Polynomial) -> dict:
     """{(s, m): the degree-m part of A^s f, which is A^s f_{s+m}} over the
     nonzero parts, with A = b . d."""
-    parts = {}
-    h, s = f, 0
-    while h.terms:
-        for k, c in h.terms.items():
-            parts.setdefault((s, sum(k)), {})[k] = c
-        h = f._like(linear_combination(
-            (c, h.partial(mu).terms) for mu, c in enumerate(b) if c
+    db, us, vs = numerators(b)
+    chains, h, s = {}, f, 0
+    while h.form[1]:
+        for m in sorted({sum(k) for k, _, _ in h.form[1]}):
+            chains[s, m] = h.homogeneous_part(m)
+        h = f._like(linear_form(
+            (u, v, db, h.partial(mu).form) for mu, (u, v) in enumerate(zip(us, vs)) if u or v
         ))
         s += 1
-    return {sm: f._like(terms) for sm, terms in parts.items()}
+    return chains
 
 
 def bidiff_star(

@@ -4,13 +4,14 @@ Elements are stored on the ordered monomial basis X_1^{v_1} ... X_n^{v_n}.
 Products are straightened by bubbling adjacent out-of-order generator pairs
 through the bracket relations; the rewriting terminates by the usual
 degree-lexicographic order and is memoized per algebra, each entry a
-numerator form (`poly.linear_form`); Scalars appear only in the results.
+numerator form, as every `PBWElement` stores; only the structure constants
+are read as Scalars.
 """
 
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .poly import TermMap, form_terms, linear_combination, linear_form, mi_degree, mi_unit
+from .poly import TermMap, linear_form, mi_degree, mi_unit
 from .scalars import Scalar, numerators
 
 __all__ = ["PBWElement", "pbw_mul", "t_action", "tinv_action", "y_action"]
@@ -61,7 +62,7 @@ def _straighten(g: LieAlgebra, word) -> tuple:
     exps = [0] * g.n
     for mu in word:
         exps[mu] += 1
-    out = 1, [(tuple(exps), 1, 0)]
+    out = 1, ((tuple(exps), 1, 0),)
     cache[word] = out
     return out
 
@@ -71,14 +72,12 @@ def pbw_mul(g: LieAlgebra, A: PBWElement, B: PBWElement) -> PBWElement:
     sum as Gaussian-integer numerators over d_a d_b, not as a Scalar product."""
     if A.n != g.n or B.n != g.n:
         raise ValueError("dimension mismatch")
-    da, pa, qa = numerators(A.terms.values())
-    db, pb, qb = numerators(B.terms.values())
-    left = list(zip(map(_word_of, A.terms), pa, qa))
-    right = list(zip(map(_word_of, B.terms), pb, qb))
-    return A._like(form_terms(linear_form(
-        (p * r - q * s, p * s + q * r, da * db, _straighten(g, wa + wb))
-        for wa, p, q in left for wb, r, s in right
-    )))
+    (da, left), (db, right) = A.form, B.form
+    right = [(_word_of(k), r, s) for k, r, s in right]
+    return A._like(linear_form(
+        (p * r - q * s, p * s + q * r, da * db, _straighten(g, _word_of(ka) + wb))
+        for ka, p, q in left for wb, r, s in right
+    ))
 
 
 def _check_index(g, *idx):
@@ -103,7 +102,7 @@ def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> tuple:
     if hit is not None:
         return hit
     if mi_degree(exps) == 0:
-        out = (1, [(exps, 1, 0)] if mu == nu else [])
+        out = (1, ((exps, 1, 0),) if mu == nu else ())
     else:
         al = next(i for i, e in enumerate(exps) if e)
         rest = exps[:al] + (exps[al] - 1,) + exps[al + 1 :]
@@ -122,8 +121,9 @@ def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> tuple:
 
 def _shift_action(g: LieAlgebra, inverse: bool, mu: int, nu: int, X: PBWElement):
     _check_index(g, mu, nu)
-    return X._like(linear_combination(
-        (c, _shift_mono(g, inverse, mu, nu, k)) for k, c in X.terms.items()
+    den, rows = X.form
+    return X._like(linear_form(
+        (p, q, den, _shift_mono(g, inverse, mu, nu, k)) for k, p, q in rows
     ))
 
 
@@ -146,10 +146,11 @@ def y_action(g: LieAlgebra, mu: int, X: PBWElement) -> PBWElement:
     """
     _check_index(g, mu)
     direct = pbw_mul(g, X, PBWElement.generator(g.n, mu))
-    via_shift = X._like(linear_combination(
-        (c, _straighten(g, (al,) + _word_of(k)))
+    via_shift = X._like(linear_form(
+        (p, q, den, _straighten(g, (al,) + _word_of(k)))
         for al in range(g.n)
-        for k, c in tinv_action(g, mu, al, X).terms.items()
+        for den, rows in [tinv_action(g, mu, al, X).form]
+        for k, p, q in rows
     ))
     if direct != via_shift:
         raise AssertionError(

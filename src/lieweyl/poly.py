@@ -2,20 +2,18 @@
 
 Every object the engine computes is a map from exponent keys to exact
 coefficients: polynomials in x, normal-ordered Weyl operators x^a d^b and
-PBW monomials in U(g).  `TermMap` owns that map and its invariants (keys are
-tuples, no zero coefficient is stored).  Coefficients of polynomials and PBW
-elements add in the two-operand `TermMap.__add__` (operators add through
-`product_terms`, see weyl.py), and `linear_form` forms every longer sum of
-scaled term maps in one integer pass, as a numerator form (den, [(key, re,
-im), ...]) in lowest common terms.  The memos of the star path (PBW
-straightening, the shift actions, omega and its inverse) store these forms
-instead of Scalar dicts; `linear_combination` is the sum with Scalars at
-its edges.  Multi-indices are plain tuples of non-negative ints.
+PBW monomials in U(g).  A `TermMap` stores one thing, its numerator form
+(den, ((key, re, im), ...)) with coefficients (re + im i)/den, in lowest
+terms: den > 0, gcd(den, every numerator) = 1, no zero row, den = 1 for
+the zero map.  The star path's memos store the same forms, and `.terms`
+builds a {key: Scalar} dict on demand, for the edges.  A key is a
+multi-index (a tuple of ints), or a pair of them for operators.
 
-`product_terms` is the one product kernel, for operators and polynomials:
-each factor stores on first use its numerators and its keys packed into
-ints (x in the low fields, d or a polynomial's x in the high ones), so a
-product key is one int addition and each output key is unpacked once.
+Every producer works on the ints and ends in the one gcd reduction,
+`reduce_form`.  `linear_form` forms every sum of scaled forms in one pass;
+`product_terms` is the one product kernel, for operators and polynomials.
+Each factor keeps its keys packed into ints (x in the low fields, d or a
+polynomial's x in the high ones), so a product key is one int addition.
 """
 
 from __future__ import annotations
@@ -29,9 +27,8 @@ from .scalars import ONE, Scalar, as_scalar, from_numerators, numerators
 __all__ = [
     "mi_degree",
     "mi_unit",
-    "linear_combination",
+    "reduce_form",
     "linear_form",
-    "form_terms",
     "product_terms",
     "TermMap",
     "Polynomial",
@@ -48,22 +45,27 @@ def mi_unit(n: int, mu: int):
     return tuple(1 if k == mu else 0 for k in range(n))
 
 
-def linear_form(items) -> tuple:
-    """sum_k c_k M_k as a form (den, [(key, re, im), ...]) in lowest terms.
+def reduce_form(den, rows) -> tuple:
+    """(den, rows), whose rows hold no zero, divided by the gcd of den and every
+    numerator, so numbers cannot grow along a chain of forms built from each
+    other; den is 1 when there is no row.  The rows come back as a tuple."""
+    g = den
+    for _, p, q in rows:
+        if g == 1:
+            break
+        g = gcd(g, p, q)
+    if g > 1:
+        return den // g, tuple([(k, p // g, q // g) for k, p, q in rows])
+    return den, tuple(rows)
 
-    Each item is (u, v, d, M): c_k = (u + v i)/d with d > 0, and M_k a form,
-    read as stored, or a {key: Scalar} dict, read through `numerators`.  The
-    parts accumulate as ints over one common denominator, and the result is
-    divided by the gcd of den and every numerator, so numbers cannot grow
-    along a chain of memo entries built from each other.  A key whose sum
-    vanishes is absent.
-    """
+
+def linear_form(items) -> tuple:
+    """sum_k c_k M_k as a reduced form, over items (u, v, d, M): c_k = (u + v i)/d
+    with d > 0, and M_k a form, whose rows may be any sequence.  The parts
+    accumulate as ints over one common denominator; a key whose sum vanishes
+    is absent."""
     den, parts = 1, []
-    for u, v, d, M in items:
-        if type(M) is dict:
-            dm, res, ims = numerators(M.values())
-            M = dm, zip(M, res, ims)
-        dm, rows = M
+    for u, v, d, (dm, rows) in items:
         d *= dm
         den = lcm(den, d)
         parts.append((u, v, d, rows))
@@ -80,78 +82,56 @@ def linear_form(items) -> tuple:
             else:
                 t[0] += p * r - q * s
                 t[1] += p * s + q * r
-    rows = [(k, p, q) for k, (p, q) in acc.items() if p or q]
-    g = den
-    for _, p, q in rows:
-        if g == 1:
-            break
-        g = gcd(g, p, q)
-    if g > 1:
-        rows = [(k, p // g, q // g) for k, p, q in rows]
-    return den // g, rows
+    return reduce_form(den, [(k, p, q) for k, (p, q) in acc.items() if p or q])
 
 
-def form_terms(form) -> dict:
-    """The {key: Scalar} term dict of a form."""
-    den, rows = form
-    return {k: from_numerators(p, q, den) for k, p, q in rows}
-
-
-def linear_combination(pairs) -> dict:
-    """{key: Scalar} of sum_k c_k M_k over the (c_k, M_k) pairs of Scalars and
-    forms or term dicts: the Scalars are read in one `numerators` call and
-    the sum is formed by `linear_form`."""
-    pairs = list(pairs)
-    dc, us, vs = numerators([c for c, _ in pairs])
-    return form_terms(linear_form((u, v, dc, M) for u, v, (_, M) in zip(us, vs, pairs)))
-
-
-def _form(M, width=1):
-    """M's stored form, at least `width` bits wide: (width, den, rows sorted
-    by degree as (degree, packed key, re, im), x-free).  A new form is at
-    least as wide as M's largest exponent and twice its largest degree."""
-    form = M._form
-    if form is not None and form[0] >= width:
-        return form
-    den, res, ims = numerators(M.terms.values())
+def _packed(M, width=1):
+    """M's packed keys, at least `width` bits wide: (width, den, rows sorted by
+    degree as (degree, packed key, re, im), x-free), built from M's form and
+    kept.  A new layout is at least as wide as M's largest exponent and twice
+    its largest degree."""
+    packed = M._packed
+    if packed is not None and packed[0] >= width:
+        return packed
+    den, rows = M.form
     lo = M.n * (len(M.KEY_PARTS) - 1)  # the x fields lead; the degree is of the rest
-    rows, top = [], 0
-    for k, p, q in zip(M.terms, res, ims):
+    fields, top = [], 0
+    for k, p, q in rows:
         f = sum(M._split(k), ())
         d = sum(f[lo:])
         top = max(top, d + d, *f)
-        rows.append((d, f, p, q))
+        fields.append((d, f, p, q))
     width = max(width, top.bit_length())
     shifts = range(0, (lo + M.n) * width, width)
-    rows = sorted((d, sum(map(lshift, f, shifts)), p, q) for d, f, p, q in rows)
+    rows = sorted((d, sum(map(lshift, f, shifts)), p, q) for d, f, p, q in fields)
     low = (1 << lo * width) - 1
-    M._form = form = (width, den, rows, not any(r[1] & low for r in rows))
-    return form
+    M._packed = packed = (width, den, rows, not any(r[1] & low for r in rows))
+    return packed
 
 
-def product_terms(items, cap=inf) -> dict:
-    """{key: Scalar} of sum_k c_k A_k B_k over the (A_k, B_k) or (A_k, B_k, c_k)
+def product_terms(items, cap=inf) -> tuple:
+    """The reduced form of sum_k c_k A_k B_k over the (A_k, B_k) or (A_k, B_k, c_k)
     items of one TermMap type (TypeError otherwise), each c_k a Scalar (1 when
     absent) and each B_k x-free, keeping the product terms of degree <= cap.
-    Each factor is read through its stored form; the call runs at the widest
-    one among its factors, which holds every exponent and every deg A + deg B,
-    so no field of a sum of keys carries, and a narrower form is rebuilt at
-    that width."""
+    Each factor is read through its packed keys; the call runs at the widest
+    layout among its factors, which holds every exponent and every
+    deg A + deg B, so no field of a sum of keys carries, and a narrower layout
+    is rebuilt at that width."""
     items = list(items)
     if not items:
-        return {}
+        return 1, ()
     n, kind, width, den, live = items[0][0].n, type(items[0][0]), 1, 1, []
     for A, B, *c in items:
         if type(A) is not kind or type(B) is not kind:
             raise TypeError(f"a product of {kind.__name__}s has a factor of another type")
         if A.n != n or B.n != n:
             raise ValueError(f"dimension mismatch: {A.n}, {B.n} vs {n}")
-        if A.terms and B.terms:
+        if A.form[1] and B.form[1]:
             # a right factor is more often stored, so its width goes first
-            _, db, _, x_free = fb = _form(B, width)
+            _, db, _, x_free = fb = _packed(B, width)
             if not x_free:
                 raise ValueError("the right factor of a product must be x-free")
-            width, da, *_ = _form(A, fb[0])
+            width, da, *_ = _packed(A, fb[0])
             dc, (u,), (v,) = numerators(c) if c else (1, (1,), (0,))
             live.append((A, B, da * db * dc, u, v))
             den = lcm(den, da * db * dc)
@@ -161,8 +141,8 @@ def product_terms(items, cap=inf) -> dict:
         m = den // d
         u *= m
         v *= m
-        rb = _form(B, width)[2]
-        for dega, ka, p, q in _form(A, width)[2]:
+        rb = _packed(B, width)[2]
+        for dega, ka, p, q in _packed(A, width)[2]:
             room = cap - dega
             p, q = p * u - q * v, p * v + q * u
             for degb, kb, r, s in rb:
@@ -177,10 +157,10 @@ def product_terms(items, cap=inf) -> dict:
                     t[1] += p * s + q * r
     join, mask = items[0][0]._join, (1 << width) - 1
     shifts = range(0, n * len(items[0][0].KEY_PARTS) * width, width)
-    return {
-        join([k >> s & mask for s in shifts], n): from_numerators(p, q, den)
+    return reduce_form(den, [
+        (join([k >> s & mask for s in shifts], n), p, q)
         for k, (p, q) in acc.items() if p or q
-    }
+    ])
 
 
 # -- rendering ------------------------------------------------------------------
@@ -218,23 +198,26 @@ _MINUS_ONE = -ONE
 
 
 class TermMap:
-    """Sparse map {key: nonzero Scalar} in n variables.
+    """Sparse map {key: nonzero Gaussian rational} in n variables, stored as its
+    reduced numerator form `form` = (den, ((key, re, im), ...)).
 
     A key is one exponent tuple, or a tuple of them for operators; subclasses
     describe each part of a key in KEY_PARTS as (JSON field, text symbol,
     LaTeX symbol) and split a key into those parts with `_split`.
     """
 
-    __slots__ = ("n", "terms", "_form")
+    __slots__ = ("n", "form", "_packed")
 
     KEY_PARTS = (("exps", "x", "x"),)
 
     def __init__(self, n: int, terms=None):
-        self.n = n
-        self._form = None
+        # numerators of lowest-terms Scalars over their lcm are in lowest terms
         terms = terms or {}
-        coeffs = map(Scalar.coerce, terms.values())
-        self.terms = {tuple(k): c for k, c in zip(terms, coeffs) if c}
+        den, res, ims = numerators([Scalar.coerce(c) for c in terms.values()])
+        self.n = n
+        rows = [(tuple(k), p, q) for k, p, q in zip(terms, res, ims) if p or q]
+        self.form = den, tuple(rows)
+        self._packed = None
 
     @classmethod
     def zero(cls, n):
@@ -244,13 +227,19 @@ class TermMap:
     def one(cls, n):
         return cls(n, {(0,) * n: Scalar(1)})
 
-    def _like(self, terms):
-        """A map of the same kind and dimension holding `terms` as given."""
+    def _like(self, form):
+        """A map of the same kind and dimension holding the reduced `form`."""
         out = object.__new__(type(self))
         out.n = self.n
-        out.terms = terms
-        out._form = None
+        out.form = form
+        out._packed = None
         return out
+
+    @property
+    def terms(self) -> dict:
+        """A new {key: Scalar} dict of the map."""
+        den, rows = self.form
+        return {k: from_numerators(p, q, den) for k, p, q in rows}
 
     @staticmethod
     def _split(key):
@@ -270,10 +259,10 @@ class TermMap:
     def degree(self) -> int:
         """Total degree over all parts of the keys; -1 for the zero map."""
         split = self._split
-        return max((sum(map(mi_degree, split(k))) for k in self.terms), default=-1)
+        return max((sum(map(mi_degree, split(k))) for k, _, _ in self.form[1]), default=-1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.form[1]
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -285,25 +274,18 @@ class TermMap:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return self._like(out)
+        return self._like(linear_form(((1, 0, 1, self.form), (1, 0, 1, other.form))))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        den, rows = self.form
+        return self._like((den, tuple([(k, -p, -q) for k, p, q in rows])))
 
     def scale(self, c):
-        c = Scalar.coerce(c)
-        return self._like({k: v * c for k, v in self.terms.items()} if c else {})
+        dc, (u,), (v,) = numerators([Scalar.coerce(c)])
+        return self._like(linear_form(((u, v, dc, self.form),)))
 
     def _scale_by(self, other):
         """self.scale(other) for a scalar operand; NotImplemented otherwise."""
@@ -313,14 +295,16 @@ class TermMap:
     __rmul__ = _scale_by
 
     def __eq__(self, other):
+        # a reduced form is canonical up to the order of its rows
         return (
             type(other) is type(self)
             and self.n == other.n
-            and self.terms == other.terms
+            and self.form[0] == other.form[0]
+            and set(self.form[1]) == set(other.form[1])
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.form[0], frozenset(self.form[1])))
 
     # -- rendering ---------------------------------------------------------
 
@@ -329,7 +313,7 @@ class TermMap:
 
     def render(self, latex: bool = False) -> str:
         """Sum of "coefficient factors" terms in sorted order, as text or LaTeX."""
-        if not self.terms:
+        if not self.form[1]:
             return "0"
         coeff, factor, power, sep = _LATEX if latex else _TEXT
         parts = []
@@ -367,7 +351,7 @@ class TermMap:
 
 
 class Polynomial(TermMap):
-    """Finite linear combination of monomials x^a with Scalar coefficients."""
+    """Finite linear combination of monomials x^a with Gaussian-rational coefficients."""
 
     __slots__ = ()
 
@@ -394,7 +378,8 @@ class Polynomial(TermMap):
     # -- structure and arithmetic --------------------------------------------
 
     def homogeneous_part(self, d: int) -> "Polynomial":
-        return self._like({k: c for k, c in self.terms.items() if mi_degree(k) == d})
+        den, rows = self.form
+        return self._like(reduce_form(den, [r for r in rows if mi_degree(r[0]) == d]))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -406,11 +391,12 @@ class Polynomial(TermMap):
 
     def partial(self, mu: int) -> "Polynomial":
         """Partial derivative with respect to x_mu (0-based)."""
-        return self._like({
-            k[:mu] + (e - 1,) + k[mu + 1 :]: c * e
-            for k, c in self.terms.items()
+        den, rows = self.form
+        return self._like(reduce_form(den, [
+            (k[:mu] + (e - 1,) + k[mu + 1 :], p * e, q * e)
+            for k, p, q in rows
             if (e := k[mu])
-        })
+        ]))
 
 
 _FACTOR = re.compile(r"^(?:x(\d+))(?:\^(\d+))?$")

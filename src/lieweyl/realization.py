@@ -16,7 +16,7 @@ from functools import partial
 from itertools import combinations, product
 
 from .lie import LieAlgebra
-from .poly import Polynomial, mi_unit
+from .poly import Polynomial, linear_form, mi_unit
 from .scalars import ONE, Scalar
 from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_of_products
@@ -76,8 +76,10 @@ def _contract_x(row, valid_order) -> WeylOp:
     valid_order: each term d^b of row[al] becomes x_al d^b, and no two meet."""
     vo = min([valid_order, *(op.valid_order for op in row)])
     units = [mi_unit(row[0].n, al) for al in range(len(row))]
-    return row[0]._like({(e, b): c for e, op in zip(units, row)
-                         for (_, b), c in op.terms.items() if sum(b) <= vo}, vo)
+    return row[0]._like(linear_form(
+        (1, 0, 1, (den, [((e, b), p, q) for (_, b), p, q in rows if sum(b) <= vo]))
+        for e, (den, rows) in zip(units, (op.form for op in row))
+    ), vo)
 
 
 def _bracket_items(F: WeylOp, row, c=ONE):

@@ -7,9 +7,10 @@ Henrici's gcd tricks (Knuth, TAOCP vol. 2, section 4.5.1), so no gcd is taken
 of a full product.  `Q` (`fractions.Fraction`) is the rational type of the
 public `re`/`im` parts, of the series coefficients and of parsing.
 
-Loops that sum many products (`poly.product_terms`) skip the per-product
-normalisation: `numerators` writes Scalars as Gaussian-integer numerators
-over one common denominator, and `from_numerators` normalises a result once.
+Term maps (poly.py) store no Scalars but Gaussian-integer numerators over
+one denominator: `numerators` converts Scalars where they enter, and
+`from_numerators` reads a coefficient back out at the edges.  A real Scalar
+equals, and hashes as, the int or Fraction of its value.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ class Scalar:
         return bool(self._a or self._c)
 
     def __eq__(self, other):
-        if isinstance(other, (int, str)):
+        if isinstance(other, (int, Q)):
             other = Scalar.coerce(other)
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -239,11 +240,11 @@ class Scalar:
                 and self._c == other._c and self._d == other._d)
 
     def __hash__(self):
-        # equal to the hash of the (re, im) pair of Fractions
+        # a real Scalar hashes as its Fraction, so as an int when integral
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.re, self.im))
+            self._hash = hash((self.re, self.im) if self._c else self.re)
             return self._hash
 
     # -- rendering ---------------------------------------------------------
@@ -267,9 +268,9 @@ def as_scalar(v):
 
 
 def numerators(coeffs):
-    """(den, [re, ...], [im, ...]): the Scalars `coeffs` (a list or a dict
-    view, read three times) as Gaussian-integer numerators over their least
-    common denominator den."""
+    """(den, [re, ...], [im, ...]): the Scalars `coeffs` (a sequence, read
+    three times) as Gaussian-integer numerators over their least common
+    denominator den, which are in lowest terms together with it."""
     den = 1
     for s in coeffs:
         if den % s._b:

@@ -137,5 +137,5 @@ def series_coeffs(kind: str, order: int) -> TruncSeries:
 
 
 # Not a type of its own: bench/tracer.py still wraps series.BiTruncSeries by
-# name, until the next change to the benchmark drops it (ROADMAP item 6).
+# name, until the next change to the benchmark drops it (ROADMAP item 1).
 BiTruncSeries = TruncSeries

@@ -3,7 +3,8 @@
 omega maps a PBW element to the polynomial obtained by acting with the
 realized operators on 1; the star-product lifts both factors, multiplies in
 U(g) and maps back.  The dual star-product uses the dual realization and
-the dual algebra (negated structure constants).
+the dual algebra (negated structure constants).  omega and omega_inv sum
+memoized monomial images, weighted by the argument's own numerator rows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import product
 
 from .lie import LieAlgebra, dual_algebra
 from .pbw import PBWElement, pbw_mul
-from .poly import Polynomial, form_terms, linear_combination, linear_form, mi_degree, product_terms
+from .poly import Polynomial, linear_form, mi_degree, product_terms
 from .realization import (
     Realization,
     check,
@@ -85,12 +86,12 @@ def _omega_mono(ctx: StarContext, which: str, exps) -> tuple:
         return hit
     n = ctx.algebra.n
     if mi_degree(exps) == 0:
-        out = 1, [(exps, 1, 0)]
+        out = 1, ((exps, 1, 0),)
     else:
         mu = next(i for i, e in enumerate(exps) if e)
         rest = exps[:mu] + (exps[mu] - 1,) + exps[mu + 1 :]
-        f = Polynomial(n)._like(form_terms(_omega_mono(ctx, which, rest)))
-        out = linear_form([(1, 0, 1, ctx.realization(which).xhat[mu].apply(f).terms)])
+        f = Polynomial(n)._like(_omega_mono(ctx, which, rest))
+        out = ctx.realization(which).xhat[mu].apply(f).form
     ctx._omega_cache[key] = out
     return out
 
@@ -99,8 +100,9 @@ def omega(ctx: StarContext, X: PBWElement, which: str = "primal") -> Polynomial:
     """The ordering map: act with the realized monomial operators on 1."""
     if X.degree() > ctx.order:
         raise InsufficientOrder(X.degree(), ctx.order)
-    return Polynomial(ctx.algebra.n)._like(linear_combination(
-        (c, _omega_mono(ctx, which, exps)) for exps, c in X.terms.items()
+    den, rows = X.form
+    return Polynomial(ctx.algebra.n)._like(linear_form(
+        (p, q, den, _omega_mono(ctx, which, exps)) for exps, p, q in rows
     ))
 
 
@@ -120,7 +122,7 @@ def _omega_inv_mono(ctx: StarContext, which: str, exps) -> tuple:
     if (exps, den, 0) not in r or any(mi_degree(k) >= d for k, _, _ in r if k != exps):
         raise ValueError(f"omega(X^{list(exps)}) is not x^a plus terms of lower degree")
     out = linear_form(
-        [(1, 0, 1, (1, [(exps, 1, 0)]))]
+        [(1, 0, 1, (1, ((exps, 1, 0),)))]
         + [(-p, -q, den, _omega_inv_mono(ctx, which, k)) for k, p, q in r if k != exps]
     )
     ctx._omega_cache[key] = out
@@ -131,8 +133,9 @@ def omega_inv(ctx: StarContext, f: Polynomial, which: str = "primal") -> PBWElem
     """Inverse ordering map, a sum of memoized monomial inverses."""
     if f.degree() > ctx.order:
         raise InsufficientOrder(f.degree(), ctx.order)
-    return PBWElement(ctx.algebra.n)._like(linear_combination(
-        (c, _omega_inv_mono(ctx, which, exps)) for exps, c in f.terms.items()
+    den, rows = f.form
+    return PBWElement(ctx.algebra.n)._like(linear_form(
+        (p, q, den, _omega_inv_mono(ctx, which, exps)) for exps, p, q in rows
     ))
 
 
@@ -159,11 +162,11 @@ def poisson_first_order(g: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomi
     df = [f.partial(al) for al in range(n)]
     xdh = {}
     for be in range(n):
-        dh = h.partial(be).terms
+        den, rows = h.partial(be).form
         for rho in range(n):
-            xdh[rho, be] = f._like({
-                k[:rho] + (k[rho] + 1,) + k[rho + 1 :]: c for k, c in dh.items()
-            })
+            xdh[rho, be] = f._like((den, tuple([
+                (k[:rho] + (k[rho] + 1,) + k[rho + 1 :], p, q) for k, p, q in rows
+            ])))
     return f._like(product_terms(
         (df[al], xdh[rho, be], c)
         for al, be, rho in product(range(n), repeat=3)

@@ -7,15 +7,16 @@ valid_order = math.inf.
 
 The only product is `sum_of_products`: sum_k A_k B_k for x-free right
 factors B_k, so no product needs reordering, (x^a d^b)(d^e) = x^a d^(b+e).
-It runs the kernel `poly.product_terms` on each operator's stored form
-(packed keys, numerators over one denominator).  Its valid order is the
-least valid order of all the factors and of an optional cap, as if the
-products were formed one by one and added.  `A * B` is its one-pair case,
-and `A + B` and `A - B` its two-item case with the unit as right factor, so
-every sum of operators keeps that one valid-order rule; it is the one place
-a product is cut.  `matrix_series` takes matrices linear in d and reads
-their powers, homogeneous and uncut, from the chain an `OpMatrix` keeps
-(`OpMatrix.powers`), each formed once and extended on demand.
+It runs the kernel `poly.product_terms` on each operator's numerator form,
+with its keys packed into ints.  Its valid order is the least valid order
+of all the factors and of an optional cap, as if the products were formed
+one by one and added.  `A * B` is its one-pair case, and `A + B` and
+`A - B` its two-item case with the unit as right factor, so every sum of
+operators keeps that one valid-order rule; it is the one place a product
+is cut.  `matrix_series` takes matrices linear in d and reads their
+powers, homogeneous and uncut, from the chain an `OpMatrix` keeps
+(`OpMatrix.powers`), each formed once and extended on demand.  `deriv_d`
+and `apply` multiply the stored numerators by integer factors.
 `deriv_d` lowers the order by one, so the commutators with x formed from it
 (realization.py) are certified through N - 1 for operators valid through N.
 The rule is never clamped: a negative valid_order certifies no coefficient
@@ -29,8 +30,8 @@ import math
 from math import perm, prod
 from operator import add, sub
 
-from .poly import Polynomial, TermMap, linear_combination, mi_degree, product_terms
-from .scalars import ONE, Scalar
+from .poly import Polynomial, TermMap, linear_form, mi_degree, product_terms, reduce_form
+from .scalars import ONE, Scalar, numerators
 from .series import TruncSeries
 
 __all__ = [
@@ -70,8 +71,8 @@ class WeylOp(TermMap):
             terms = {k: c for k, c in terms.items() if mi_degree(k[1]) <= valid_order}
         super().__init__(n, terms)
 
-    def _like(self, terms, valid_order=None):
-        out = TermMap._like(self, terms)
+    def _like(self, form, valid_order=None):
+        out = TermMap._like(self, form)
         out.valid_order = self.valid_order if valid_order is None else valid_order
         return out
 
@@ -130,13 +131,12 @@ class WeylOp(TermMap):
     # -- structure ---------------------------------------------------------
 
     def xdeg(self) -> int:
-        return max((mi_degree(a) for a, _ in self.terms), default=0)
+        return max((mi_degree(a) for (a, _), _, _ in self.form[1]), default=0)
 
     def truncate(self, order) -> "WeylOp":
-        return self._like(
-            {k: c for k, c in self.terms.items() if mi_degree(k[1]) <= order},
-            min(self.valid_order, order),
-        )
+        den, rows = self.form
+        return self._like(reduce_form(den, [r for r in rows if mi_degree(r[0][1]) <= order]),
+                          min(self.valid_order, order))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -162,11 +162,12 @@ class WeylOp(TermMap):
         try:
             return self._derivs[lam]
         except AttributeError:
-            self._derivs = [self._like({
-                (a, b[:mu] + (e - 1,) + b[mu + 1 :]): c * e
-                for (a, b), c in self.terms.items()
+            den, rows = self.form
+            self._derivs = [self._like(reduce_form(den, [
+                ((a, b[:mu] + (e - 1,) + b[mu + 1 :]), p * e, q * e)
+                for (a, b), p, q in rows
                 if (e := b[mu])
-            }, self.valid_order - 1) for mu in range(self.n)]
+            ]), self.valid_order - 1) for mu in range(self.n)]
         return self._derivs[lam]
 
     # -- action on polynomials ----------------------------------------------
@@ -180,13 +181,14 @@ class WeylOp(TermMap):
             raise InsufficientOrder(fdeg, self.valid_order)
         # x^a d^b sends x^e to e!/(e - b)! x^(a + e - b), one-to-one in e;
         # the factor is 0 when d^b kills x^e, as it kills all of f if |b| > deg f
-        return f._like(linear_combination(
-            (c, {
-                tuple(map(add, a, map(sub, e, b))): fc * factor
-                for e, fc in f.terms.items()
+        (den, rows), (fden, frows) = self.form, f.form
+        return f._like(linear_form(
+            (p, q, den, (fden, [
+                (tuple(map(add, a, map(sub, e, b))), r * factor, s * factor)
+                for e, r, s in frows
                 if (factor := prod(map(perm, e, b)))
-            })
-            for (a, b), c in self.terms.items()
+            ]))
+            for (a, b), p, q in rows
             if sum(b) <= fdeg
         ))
 
@@ -274,14 +276,16 @@ def matrix_series(f: TruncSeries, M: OpMatrix) -> OpMatrix:
     order(f).  An entry is valid through order(f), or less where a power it
     sums is.
     """
-    if any(any(a) or sum(b) != 1 for row in M.entries for op in row for a, b in op.terms):
+    keys = (k for row in M.entries for op in row for k, _, _ in op.form[1])
+    if any(any(a) or sum(b) != 1 for a, b in keys):
         raise ValueError("matrix_series requires x-free entries linear in d")
     order = f.order
     last = max((k for k in range(order + 1) if f[k]), default=-1)
-    terms = [(Scalar.coerce(f[k]), P.entries) for k, P in enumerate(M.powers(last)) if f[k]]
+    dc, us, vs = numerators(f.coeffs[: last + 1])
+    terms = [(u, v, P.entries) for u, v, P in zip(us, vs, M.powers(last)) if u or v]
     return OpMatrix(M.n, [[
-        M.entries[0][0]._like(linear_combination((c, P[mu][nu].terms) for c, P in terms),
-                              min([order, *(P[mu][nu].valid_order for _, P in terms)]))
+        M.entries[0][0]._like(linear_form((u, v, dc, P[mu][nu].form) for u, v, P in terms),
+                              min([order, *(P[mu][nu].valid_order for _, _, P in terms)]))
         for nu in range(M.n)] for mu in range(M.n)
     ])
 

@@ -15,6 +15,8 @@ from lieweyl.cli import MAX_ORDER, main
 
 # a 3-dimensional antisymmetric spec that violates the Jacobi identity
 NON_JACOBI = str(Path(__file__).with_name("non_jacobi.json"))
+# the Heisenberg algebra [X1, X2] = X3, whose adjoint matrix squares to 0
+HEISENBERG = str(Path(__file__).with_name("heisenberg.json"))
 
 
 def run(capsys, *argv):
@@ -104,6 +106,13 @@ def test_kappa_b_dimension_bounded(capsys):
 def test_validate_non_jacobi(capsys):
     code, out, _ = run(capsys, "validate", NON_JACOBI)
     assert code == 1 and "FAIL" in out
+
+
+def test_verify_heisenberg_spec_all_suites(capsys):
+    code, out, _ = run(capsys, "verify", HEISENBERG, "--suite", "all", "--order", "8",
+                       "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True and report["order"] == 8
 
 
 def test_realize_text_and_latex(capsys):

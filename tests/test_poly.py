@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieweyl import ONE, PBWElement, Polynomial, Scalar, WeylOp, parse_polynomial
-from lieweyl.poly import linear_combination, linear_form, product_terms
+from lieweyl.poly import linear_form, product_terms
+from lieweyl.scalars import from_numerators, numerators
 from normal_order import merge, sympy_poly
 
 N = 3
@@ -180,7 +182,7 @@ term_dicts = st.dictionaries(
 @example([(ONE, {})], False)
 @example([(ONE, {(1, 0): Scalar(Fraction(1, 3), 2)})], True)
 @example([(Scalar(2), {(0, 1): ONE}), (ONE, {(0, 1): Scalar(-2), (1, 1): ONE})], False)
-def test_linear_combination_is_the_merged_sum_of_scalar_products(pairs, cancel):
+def test_linear_form_is_the_merged_sum_of_scalar_products(pairs, cancel):
     if cancel and pairs:
         c, M = pairs[0]
         pairs.append((-c, M))
@@ -188,12 +190,15 @@ def test_linear_combination_is_the_merged_sum_of_scalar_products(pairs, cancel):
     for c, M in pairs:
         for k, v in M.items():
             merge(expected, k, c * v)
-    out = linear_combination(pairs)
-    # a key whose sum cancels is absent, not stored with a zero coefficient
-    assert out == expected
-    assert all(out.values())
-    # the same operands read through their forms
-    assert linear_combination((c, linear_form([(1, 0, 1, M)])) for c, M in pairs) == expected
+    items = []
+    for c, M in pairs:
+        dc, (u,), (v,) = numerators([c])
+        items.append((u, v, dc, Polynomial(2, M).form))
+    den, rows = linear_form(items)
+    # reduced, and a key whose sum cancels is absent, not stored as a zero row
+    assert den > 0 and gcd(den, *(x for _, p, q in rows for x in (p, q))) == 1
+    assert all(p or q for _, p, q in rows) and len({k for k, _, _ in rows}) == len(rows)
+    assert {k: from_numerators(p, q, den) for k, p, q in rows} == expected
 
 
 def test_product_terms_rejects_factors_of_another_type():

@@ -1,5 +1,7 @@
+import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
@@ -263,3 +265,48 @@ def test_brackets_from_derivatives_equal_normal_ordered_ones(g):
     for ours, oracle in pairs:
         assert ours == oracle
         assert ours.valid_order == oracle.valid_order == order - 1
+
+
+HEISENBERG = Path(__file__).with_name("heisenberg.json")
+
+
+def _heisenberg_matrix(sign):
+    """I + sign * C as {(mu, nu): {(x, d): Fraction}}, with C_{mu nu} =
+    sum_al C_{mu al nu} d_al read from the spec's constants; [X1, X2] = X3
+    makes C^2 = 0, so every series in C stops after its linear term."""
+    spec = json.loads(HEISENBERG.read_text())
+    n, z = spec["n"], (0,) * spec["n"]
+    out = {(mu, nu): {} for mu in range(n) for nu in range(n)}
+    for mu in range(n):
+        out[mu, mu][z, z] = Fraction(1)
+    for entry in spec["constants"]:
+        mu, nu, lam = (entry[k] - 1 for k in ("mu", "nu", "lambda"))
+        c = Fraction(entry["c"])
+        # C_{mu al lam} = c and C_{nu al lam} = -c at al = nu and mu
+        for row, al, v in ((mu, nu, c), (nu, mu, -c)):
+            d = tuple(int(k == al) for k in range(n))
+            out[row, lam][z, d] = out[row, lam].get((z, d), 0) + sign * v
+    return out
+
+
+def _as_fractions(M):
+    out = {}
+    for mu, nu in product(range(M.n), repeat=2):
+        terms = M[mu, nu].terms
+        assert not any(c.im for c in terms.values())
+        out[mu, nu] = {k: c.re for k, c in terms.items()}
+    return out
+
+
+def test_heisenberg_series_stop_at_the_linear_term():
+    g = load_algebra(str(HEISENBERG))
+    half = Fraction(1, 2)
+    phi, phi_dual = weyl_realization(g, 8).phi, dual_realization(g, 8).phi
+    assert _as_fractions(phi) == _heisenberg_matrix(half)
+    assert _as_fractions(phi_dual) == _heisenberg_matrix(-half)
+    T, Tinv = t_realization(g, 8)
+    assert _as_fractions(T) == _heisenberg_matrix(1)
+    assert _as_fractions(Tinv) == _heisenberg_matrix(-1)
+    # the zero entries are the empty form, the unit ones have den 1, and
+    # the C/2 ones den 2
+    assert phi[0, 1].form == (1, ()) and phi[0, 0].form[0] == 1 and phi[0, 2].form[0] == 2

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieweyl import I, ONE, ZERO, Scalar
@@ -88,6 +88,26 @@ def test_immutability_and_hash():
     assert hash(Scalar(1, 2)) == hash(Scalar(1, 2))
 
 
+@given(st.integers(-(2**70), 2**70) | st.fractions())
+@settings(max_examples=50)
+def test_real_scalar_equals_and_hashes_as_its_value(x):
+    # equal objects hash alike, so a real Scalar and its int or Fraction are
+    # one set element and one dict key
+    s = Scalar(x)
+    assert s == x and x == s and hash(s) == hash(x)
+    assert len({s, x}) == 1 and {x: 1}[s] == 1
+    assert s != x + 1 and Scalar(x, 1) != x
+    # a Scalar is not its text
+    assert s != str(s) and str(s) != s
+
+
+def test_scalar_equality_contract():
+    assert len({Scalar(1), 1}) == 1
+    assert Scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert Scalar(1) != "1" and Scalar(0) != "0"
+    assert Scalar(1, 1) != 1 and hash(Scalar(1, 1)) == hash((Fraction(1), Fraction(1)))
+
+
 def test_pow():
     assert (I + 1) ** 2 == I * 2
     assert Scalar(2) ** -2 == Scalar(1) / 4
@@ -143,7 +163,8 @@ def value(s):
 def assert_same(s, x):
     assert value(s) == x
     assert str(s) == ref_str(x)
-    assert hash(s) == hash(x)
+    # a real Scalar hashes as its Fraction, any other as its (re, im) pair
+    assert hash(s) == hash(x if x[1] else x[0])
     assert bool(s) == any(x)
     assert s == Scalar(*x)
 

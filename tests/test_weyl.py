@@ -255,17 +255,19 @@ def test_sum_of_products_with_exponents_past_each_field_width(case):
 
 
 def test_stored_form_is_widened_and_kept_across_calls():
-    # one left operand under two caps and two field widths: its stored form is
-    # rebuilt once, wider, and the narrower calls after that read the wide one
+    # one left operand under two caps and two field widths: its packed keys
+    # are rebuilt once, wider, and the narrower calls after that read the wide
+    # layout; the stored numerator form itself never changes
     z = (0, 0)
     A = WeylOp(2, {((1, 0), (3, 0)): Scalar(1, 2), ((0, 2), (0, 1)): Scalar(0, 1)})
     narrow = d(1) * d(0)
     wide = WeylOp(2, {(z, (40, 0)): Scalar(1), (z, (0, 33)): Scalar(-2, 3)})
-    widths = []
+    widths, form = [], A.form
     for B, cap in [(narrow, INF), (narrow, 3), (wide, INF), (wide, 31), (narrow, INF)]:
         out = sum_of_products([(A, B)], cap)
         assert out == _cut_product(A, B, cap) and out.valid_order == cap
-        widths.append(A._form[0])
+        widths.append(A._packed[0])
+        assert A.form is form
     assert widths[0] == widths[1] < widths[2] == widths[3] == widths[4]
     assert (D40 * D40).terms == {((0,), (80,)): Scalar(1)}
 
