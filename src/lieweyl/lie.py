@@ -69,7 +69,11 @@ def validate(g: LieAlgebra) -> dict:
     """Check antisymmetry and the Jacobi identity exactly.
 
     Returns {"antisymmetry": bool, "jacobi": bool, "witnesses": [...]}; a
-    witness is the first offending index tuple (1-based) with the residual.
+    witness is an offending index tuple (1-based), for Jacobi with its
+    residual, listed in index order and cut after the eleventh.  The Jacobi
+    residual of (mu, al, be, nu) is sum_rho C_{mu al rho} C_{rho be nu} plus
+    its two cyclic terms, summed over the nonzero constants only: past the
+    n^3 loop over (mu, al, be), a sparse table costs little.
     """
     witnesses = []
     anti = True
@@ -80,39 +84,28 @@ def validate(g: LieAlgebra) -> dict:
             for lam in rng:
                 if c[mu][nu][lam] != -c[nu][mu][lam]:
                     anti = False
-                    witnesses.append(
-                        {
-                            "kind": "antisymmetry",
-                            "indices": [mu + 1, nu + 1, lam + 1],
-                        }
-                    )
+                    witnesses.append({"kind": "antisymmetry",
+                                      "indices": [mu + 1, nu + 1, lam + 1]})
+    # nonzero[mu][al]: the (rho, C_{mu al rho}) with C_{mu al rho} != 0
+    nonzero = [[[(rho, x) for rho, x in enumerate(row) if x] for row in m] for m in c]
     jacobi = True
     for mu in rng:
         for al in rng:
             for be in rng:
-                for nu in rng:
-                    s = Scalar(0)
-                    for rho in rng:
-                        s = s + (
-                            c[mu][al][rho] * c[rho][be][nu]
-                            + c[al][be][rho] * c[rho][mu][nu]
-                            + c[be][mu][rho] * c[rho][al][nu]
-                        )
-                    if s:
+                residual = {}  # nu -> the Jacobi sum of (mu, al, be, nu)
+                for x, y, z in ((mu, al, be), (al, be, mu), (be, mu, al)):
+                    for rho, a in nonzero[x][y]:
+                        for nu, b in nonzero[rho][z]:
+                            residual[nu] = residual.get(nu, 0) + a * b
+                for nu in sorted(residual):
+                    if residual[nu]:
                         jacobi = False
-                        witnesses.append(
-                            {
-                                "kind": "jacobi",
-                                "indices": [mu + 1, al + 1, be + 1, nu + 1],
-                                "residual": str(s),
-                            }
-                        )
+                        witnesses.append({"kind": "jacobi",
+                                          "indices": [mu + 1, al + 1, be + 1, nu + 1],
+                                          "residual": str(residual[nu])})
                         if len(witnesses) > 10:
-                            return {
-                                "antisymmetry": anti,
-                                "jacobi": False,
-                                "witnesses": witnesses,
-                            }
+                            return {"antisymmetry": anti, "jacobi": False,
+                                    "witnesses": witnesses}
     return {"antisymmetry": anti, "jacobi": jacobi, "witnesses": witnesses}
 
 

@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 from .lie import LieAlgebra
 from .poly import Polynomial, linear_form, mi_unit
-from .scalars import ONE, Scalar
+from .scalars import ONE, Q, Scalar
 from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_of_products
 
@@ -212,7 +212,7 @@ def verify_realization(g: LieAlgebra, phi: OpMatrix, order) -> dict:
 def random_rational(rng) -> Scalar:
     num = rng.randint(-9, 9)
     den = rng.randint(1, 9)
-    return Scalar(num) / Scalar(den)
+    return Scalar(Q(num, den))
 
 
 def random_polynomial(rng, n: int, max_degree: int, terms: int = 4) -> Polynomial:

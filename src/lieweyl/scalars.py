@@ -2,15 +2,17 @@
 
 Every coefficient in the engine is a complex number with rational real and
 imaginary parts.  No floating point is used anywhere.  A `Scalar` holds its
-two parts as plain ints in lowest terms, and multiplies and adds them with
-Henrici's gcd tricks (Knuth, TAOCP vol. 2, section 4.5.1), so no gcd is taken
-of a full product.  `Q` (`fractions.Fraction`) is the rational type of the
-public `re`/`im` parts, of the series coefficients and of parsing.
+two parts as plain ints in lowest terms; each arithmetic operator applies
+one Gaussian-rational formula to the four int parts and reduces each part by
+one gcd.  `Q` (`fractions.Fraction`) is the rational type of the public
+`re`/`im` parts, of the series coefficients and of parsing.
 
-Term maps (poly.py) store no Scalars but Gaussian-integer numerators over
-one denominator: `numerators` converts Scalars where they enter, and
-`from_numerators` reads a coefficient back out at the edges.  A real Scalar
-equals, and hashes as, the int or Fraction of its value.
+Scalars enter the engine only at its edges: parsed and random inputs,
+structure constants, series coefficients, and rendering.  Term maps
+(poly.py) store no Scalars but Gaussian-integer numerators over one
+denominator: `numerators` converts Scalars where they enter, and
+`from_numerators` reads a coefficient back out.  A real Scalar equals, and
+hashes as, the int or Fraction of its value.
 """
 
 from __future__ import annotations
@@ -22,22 +24,10 @@ from math import gcd, lcm
 __all__ = ["Q", "Scalar", "ZERO", "ONE", "I", "as_scalar", "numerators", "from_numerators"]
 
 
-def _mul(p, q, r, s):
-    """p/q * r/s in lowest terms, from lowest-terms operands."""
-    g = gcd(p, s)
-    h = gcd(r, q)
-    return (p // g) * (r // h), (q // h) * (s // g)
-
-
-def _add(p, q, r, s):
-    """p/q + r/s in lowest terms, from lowest-terms operands."""
-    g = gcd(q, s)
-    if g == 1:
-        return p * s + r * q, q * s
-    q //= g
-    t = p * (s // g) + r * q
-    h = gcd(t, g)
-    return t // h, q * (s // h)
+def _lowest(p, q):
+    """p/q in lowest terms, for q > 0."""
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _ratio(v):
@@ -76,7 +66,7 @@ class Scalar:
     exact; division by zero raises ZeroDivisionError.
     """
 
-    __slots__ = ("_a", "_b", "_c", "_d", "_hash")
+    __slots__ = ("_a", "_b", "_c", "_d")
 
     def __init__(self, re=0, im=0):
         self._a, self._b = _ratio(re)
@@ -135,78 +125,49 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is int:
-            return _new(self._a + other * self._b, self._b, self._c, self._d)
-        if type(other) is not Scalar:
-            other = Scalar.coerce(other)
-        c, g = self._c, other._c
-        if not g:
-            return _new(*_add(self._a, self._b, other._a, other._b), c, self._d)
-        return _new(*_add(self._a, self._b, other._a, other._b),
-                    *_add(c, self._d, g, other._d))
+        other = Scalar.coerce(other)
+        a, b, c, d = self._a, self._b, self._c, self._d
+        e, f, g, h = other._a, other._b, other._c, other._d
+        return _new(*_lowest(a * f + e * b, b * f), *_lowest(c * h + g * d, d * h))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is int:
-            return _new(self._a - other * self._b, self._b, self._c, self._d)
-        if type(other) is not Scalar:
-            other = Scalar.coerce(other)
-        c, g = self._c, other._c
-        if not g:
-            return _new(*_add(self._a, self._b, -other._a, other._b), c, self._d)
-        return _new(*_add(self._a, self._b, -other._a, other._b),
-                    *_add(c, self._d, -g, other._d))
+        other = Scalar.coerce(other)
+        a, b, c, d = self._a, self._b, self._c, self._d
+        e, f, g, h = other._a, other._b, other._c, other._d
+        return _new(*_lowest(a * f - e * b, b * f), *_lowest(c * h - g * d, d * h))
 
     def __rsub__(self, other):
-        if type(other) is int:
-            return _new(other * self._b - self._a, self._b, -self._c, self._d)
         return Scalar.coerce(other) - self
 
     def __neg__(self):
         return _new(-self._a, self._b, -self._c, self._d)
 
     def __mul__(self, other):
+        other = as_scalar(other)
+        if other is None:
+            return NotImplemented
         a, b, c, d = self._a, self._b, self._c, self._d
-        if type(other) is int:
-            if other == 1:
-                return self
-            g = gcd(other, b)
-            if not c:
-                return _new(a * (other // g), b // g, 0, 1)
-            h = gcd(other, d)
-            return _new(a * (other // g), b // g, c * (other // h), d // h)
-        if type(other) is not Scalar:
-            other = as_scalar(other)
-            if other is None:
-                return NotImplemented
         e, f, g, h = other._a, other._b, other._c, other._d
-        if not g:
-            if not c:
-                return _new(*_mul(a, b, e, f), 0, 1)
-            return _new(*_mul(a, b, e, f), *_mul(c, d, e, f))
-        if not c:
-            return _new(*_mul(a, b, e, f), *_mul(a, b, g, h))
-        return _new(*_add(*_mul(a, b, e, f), *_mul(-c, d, g, h)),
-                    *_add(*_mul(a, b, g, h), *_mul(c, d, e, f)))
+        # (a/b + ic/d)(e/f + ig/h) over the common denominator bdfh
+        den = b * d * f * h
+        return _new(*_lowest(a * e * d * h - c * g * b * f, den),
+                    *_lowest(a * g * d * f + c * e * b * h, den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Scalar.coerce(other)
-        e, f, g, h = other._a, other._b, other._c, other._d
-        if not g:
-            if not e:
-                raise ZeroDivisionError("Scalar division by zero")
-            # multiply by f/e with the sign moved to the numerator
-            f, e = (f, e) if e > 0 else (-f, -e)
-            return _new(*_mul(self._a, self._b, f, e), *_mul(self._c, self._d, f, e))
-        # multiply by the conjugate, then divide by the norm n/m > 0
-        n, m = _add(e * e, f * f, g * g, h * h)
         a, b, c, d = self._a, self._b, self._c, self._d
-        re = _add(*_mul(a, b, e, f), *_mul(c, d, g, h))
-        im = _add(*_mul(c, d, e, f), *_mul(-a, b, g, h))
-        return _new(*_mul(*re, m, n), *_mul(*im, m, n))
+        e, f, g, h = other._a, other._b, other._c, other._d
+        # multiply by the conjugate and divide by the norm N/(fh)^2, N > 0
+        norm = e * e * h * h + g * g * f * f
+        if not norm:
+            raise ZeroDivisionError("Scalar division by zero")
+        den = b * d * norm
+        return _new(*_lowest((a * e * d * h + c * g * b * f) * f * h, den),
+                    *_lowest((c * e * b * h - a * g * d * f) * f * h, den))
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
@@ -241,11 +202,7 @@ class Scalar:
 
     def __hash__(self):
         # a real Scalar hashes as its Fraction, so as an int when integral
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash((self.re, self.im) if self._c else self.re)
-            return self._hash
+        return hash((self.re, self.im) if self._c else self.re)
 
     # -- rendering ---------------------------------------------------------
 
@@ -283,9 +240,7 @@ def numerators(coeffs):
 
 def from_numerators(re: int, im: int, den: int) -> Scalar:
     """The Scalar (re + im*i)/den in lowest terms, for den > 0."""
-    g = gcd(re, den)
-    h = gcd(im, den)
-    return _new(re // g, den // g, im // h, den // h)
+    return _new(*_lowest(re, den), *_lowest(im, den))
 
 
 def _imag_part(body: str):

@@ -26,7 +26,7 @@ from .realization import (
     weyl_realization,
     x_linear_bracket,
 )
-from .scalars import Scalar
+from .scalars import Q, Scalar
 from .weyl import InsufficientOrder
 
 __all__ = [
@@ -214,7 +214,7 @@ def first_order_matches(product, bracket, f: Polynomial, g: Polynomial) -> bool:
     g_q homogeneous the degree-(p+q-1) part of product(f_p, g_q) is half
     bracket(f_p, g_q), and the star-commutator part is the full bracket.
     """
-    half = Scalar(1) / Scalar(2)
+    half = Scalar(Q(1, 2))
     for p in range(f.degree() + 1):
         fp = f.homogeneous_part(p)
         if fp.is_zero():

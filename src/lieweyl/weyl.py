@@ -140,15 +140,18 @@ class WeylOp(TermMap):
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other, sign=ONE):
-        """self + sign * other, valid through the lower valid order of the two."""
+    def __add__(self, other):
+        """self + other, valid through the lower valid order of the two."""
         if not isinstance(other, WeylOp):
             return NotImplemented
         one = WeylOp.one(self.n)
-        return sum_of_products(((self, one), (other, one, sign)))
+        return sum_of_products(((self, one), (other, one)))
 
     def __sub__(self, other):
-        return self.__add__(other, -ONE)
+        if not isinstance(other, WeylOp):
+            return NotImplemented
+        one = WeylOp.one(self.n)
+        return sum_of_products(((self, one), (other, one, -ONE)))
 
     def __mul__(self, other):
         """Product by an x-free right factor, or by a scalar."""

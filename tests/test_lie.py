@@ -1,5 +1,9 @@
 import json
 import random
+from fractions import Fraction
+from itertools import combinations, product
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from lieweyl import (
     AlgebraSpecError,
     I,
+    ONE,
     Scalar,
     abelian,
     algebra_to_json,
@@ -79,6 +84,93 @@ def test_non_jacobi_witness():
             + c[be][mu][rho] * c[rho][al][nu]
         )
     assert str(s) == w["residual"] and s != Scalar(0)
+
+
+# -- an independent reference: the dense Jacobi sum on (re, im) integer pairs ---
+
+
+def _ref_str(re, im):
+    if not im:
+        return str(re)
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def dense_validate(g):
+    """validate()'s report from every C_{mu al rho} C_{rho be nu}, zeros
+    included, on the constants' Fraction parts scaled to integers by one
+    common denominator den."""
+    n = g.n
+    den = lcm(*(q.denominator for m in g.c for row in m for x in row for q in (x.re, x.im)))
+    c = [[[((x.re * den).numerator, (x.im * den).numerator) for x in row] for row in m]
+         for m in g.c]
+    anti, jacobi, witnesses = True, True, []
+    for mu, nu, lam in product(range(n), repeat=3):
+        re, im = c[nu][mu][lam]
+        if c[mu][nu][lam] != (-re, -im):
+            anti = False
+            witnesses.append({"kind": "antisymmetry", "indices": [mu + 1, nu + 1, lam + 1]})
+    for mu, al, be, nu in product(range(n), repeat=4):
+        re = im = 0
+        for rho in range(n):
+            for (p, q), (r, s) in ((c[mu][al][rho], c[rho][be][nu]),
+                                   (c[al][be][rho], c[rho][mu][nu]),
+                                   (c[be][mu][rho], c[rho][al][nu])):
+                re += p * r - q * s
+                im += p * s + q * r
+        if re or im:
+            jacobi = False
+            witnesses.append({"kind": "jacobi", "indices": [mu + 1, al + 1, be + 1, nu + 1],
+                              "residual": _ref_str(Fraction(re, den**2), Fraction(im, den**2))})
+            if len(witnesses) > 10:
+                return {"antisymmetry": anti, "jacobi": False, "witnesses": witnesses}
+    return {"antisymmetry": anti, "jacobi": jacobi, "witnesses": witnesses}
+
+
+# about half the constants zero, so some tables pass and some stop short of the cap
+constants = st.just(Scalar(0)) | st.sampled_from(
+    [ONE, -ONE, Scalar(2), I, Scalar(Fraction(1, 2)), Scalar(Fraction(-1, 3), Fraction(2, 5))]
+)
+
+
+@st.composite
+def antisymmetric_algebras(draw):
+    n = draw(st.integers(1, 4))
+    entries = {}
+    for mu, nu in combinations(range(n), 2):
+        for lam in range(n):
+            x = draw(constants)
+            entries[mu, nu, lam], entries[nu, mu, lam] = x, -x
+    return custom_algebra(n, entries)
+
+
+NON_JACOBI = Path(__file__).resolve().parent / "non_jacobi.json"
+
+
+def test_sparse_jacobi_sum_is_the_dense_one_on_the_broken_spec():
+    g = load_algebra(str(NON_JACOBI))
+    rep = validate(g)
+    assert rep == dense_validate(g) and not rep["jacobi"]
+
+
+@given(antisymmetric_algebras())
+@settings(max_examples=60, deadline=None)
+def test_sparse_jacobi_sum_is_the_dense_one(g):
+    assert validate(g) == dense_validate(g)
+
+
+def test_validate_multiplies_only_nonzero_constants(monkeypatch):
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    assert validate(abelian(32)) == {"antisymmetry": True, "jacobi": True, "witnesses": []}
+    assert not calls
+    assert validate(su2_algebra())["jacobi"] and calls  # the counter is live
 
 
 def test_dual_and_rescale():

@@ -188,26 +188,41 @@ def test_scalar_ops_match_reference(xy):
             s / t
 
 
+# an operand beside a Scalar: an int or a Fraction on either side, or the
+# text of a Fraction on the right
+operands = ints | fracs | st.builds(str, fracs)
+
+
 @example((Fraction(3, 2**65), Fraction(-(2**66), 7)), 2**64 + 3)
 @example((Fraction(0), Fraction(5, 9)), 0)
-@given(pairs, ints)
+@example((Fraction(1, 2), Fraction(1, 3)), Fraction(-7, 2**70))
+@example((Fraction(0), Fraction(0)), "0")
+@example((Fraction(-4, 9), Fraction(2, 3)), "-3/2")
+@given(pairs, operands)
 def test_scalar_int_ops_match_reference(x, k):
-    s, q = Scalar(*x), lift(k)
-    for got, want in (
+    s, q = Scalar(*x), lift(Fraction(k))
+    cases = [
         (s + k, ref_add(x, q)),
-        (k + s, ref_add(q, x)),
         (s - k, ref_add(x, (-q[0], -q[1]))),
-        (k - s, ref_add(q, (-x[0], -x[1]))),
         (s * k, ref_mul(x, q)),
-        (k * s, ref_mul(q, x)),
-    ):
+    ]
+    text = isinstance(k, str)
+    if not text:
+        cases += [
+            (k + s, ref_add(q, x)),
+            (k - s, ref_add(q, (-x[0], -x[1]))),
+            (k * s, ref_mul(q, x)),
+        ]
+        assert (s == k) == (x == q)
+    for got, want in cases:
         assert_same(got, want)
-    assert (s == k) == (x == q)
-    if k:
+    if any(q):
         assert_same(s / k, ref_div(x, q))
     else:
         with pytest.raises(ZeroDivisionError):
             s / k
+    if text:
+        return
     if any(x):
         assert_same(k / s, ref_div(q, x))
     else:
