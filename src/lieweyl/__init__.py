@@ -10,7 +10,6 @@ cross-checked against the generic engine.
 """
 
 from .kappa import (
-    KappaParams,
     KappaStarContext,
     bidiff_star,
     kappa_closed_realization,
@@ -22,6 +21,7 @@ from .kappa import (
 )
 from .lie import (
     AlgebraSpecError,
+    KappaAlgebra,
     LieAlgebra,
     abelian,
     algebra_to_json,

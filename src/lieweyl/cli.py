@@ -16,7 +16,7 @@ import json
 import sys
 from functools import cache
 
-from .kappa import KappaParams, verify_kappa
+from .kappa import verify_kappa
 from .lie import (
     MAX_DIMENSION,
     AlgebraSpecError,
@@ -292,9 +292,9 @@ def _run_suites(g, args):
             if wanted == "kappa":
                 raise InputError("suite 'kappa' needs builtin 'kappa' and --kappa-b")
         else:
+            # --kappa-b is given, so g is the kappa algebra that every suite shares
             rng = random.Random(args.seed)
-            p = KappaParams(_parse_kappa_b(args.kappa_b))
-            suites["kappa"] = verify_kappa(p, order, 10, rng)
+            suites["kappa"] = verify_kappa(g, order, 10, rng)
     return suites
 
 

@@ -1,11 +1,12 @@
 """Closed forms for the kappa-deformed space, cross-checked against the
 generic engine.
 
-The algebra has brackets [X_mu, X_nu] = b_mu X_nu - b_nu X_mu with
-b_mu = i a_mu as exact Gaussian rationals.  Every closed-form matrix is one
-function f(C) of the adjoint matrix, written through the single derivative
-operator A = b . d (see `_function_of_c`); the results reproduce the generic
-matrix-series realizations entry by entry.  The closed star product is
+Every function takes the algebra `lie.kappa_algebra(b)`, which keeps its b:
+[X_mu, X_nu] = b_mu X_nu - b_nu X_mu with b_mu = i a_mu exact Gaussian
+rationals.  Every closed-form matrix is one function f(C) of the adjoint
+matrix, written through the single derivative operator A = b . d (see
+`_function_of_c`); the results reproduce the generic matrix-series
+realizations entry by entry.  The closed star product of either route is
 applied from a table of weights in two variables (see `_weights`).
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .lie import LieAlgebra, kappa_algebra
+from .lie import KappaAlgebra
 from .poly import Polynomial, linear_form, mi_unit, product_terms
 from .realization import (
     Realization,
@@ -26,13 +27,12 @@ from .realization import (
     t_realization,
     weyl_realization,
 )
-from .scalars import Scalar, from_numerators, numerators
+from .scalars import from_numerators, numerators
 from .series import TruncSeries, series_coeffs
 from .star import first_order_matches, make_context, poisson_first_order, star
 from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op, sum_of_products
 
 __all__ = [
-    "KappaParams",
     "kappa_power_check",
     "kappa_closed_realization",
     "kappa_dual_closed",
@@ -44,116 +44,84 @@ __all__ = [
 ]
 
 
-class KappaParams:
-    __slots__ = ("b", "_algebra")
-
-    def __init__(self, b):
-        # b_mu = i a_mu, Scalars; one algebra, so its caches and C's chain are shared
-        object.__setattr__(self, "b", tuple(Scalar.coerce(x) for x in b))
-        object.__setattr__(self, "_algebra", kappa_algebra(self.b))
-
-    def __setattr__(self, *_):
-        raise AttributeError("KappaParams is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return isinstance(other, KappaParams) and self.b == other.b
-
-    def __hash__(self):
-        return hash(self.b)
-
-    @property
-    def n(self) -> int:
-        return len(self.b)
-
-    def algebra(self) -> LieAlgebra:
-        return self._algebra
-
-    def a_op(self) -> WeylOp:
-        """The operator A = sum b_mu d_mu."""
-        n = self.n
-        z = (0,) * n
-        return WeylOp(n, {(z, mi_unit(n, mu)): c for mu, c in enumerate(self.b)})
-
-
-def _function_of_c(p: KappaParams, f: TruncSeries) -> OpMatrix:
+def _function_of_c(g: KappaAlgebra, f: TruncSeries) -> OpMatrix:
     """f(C) = f(-A) I + (b x d) (f(-A) - f(0))/(-A), exact through order(f) - 1.
 
     The adjoint matrix is C = (b x d) - A I with (b x d)_{mu nu} = b_mu d_nu,
     and (b x d)^2 = A (b x d), so every power of C splits into these two parts.
     """
-    n = p.n
-    minus_a = -p.a_op()
+    n, z = g.n, (0,) * g.n
+    minus_a = -WeylOp(n, {(z, mi_unit(n, mu)): c for mu, c in enumerate(g.b)})
     # corr = (f(-A) - f(0))/(-A) is the one series summed: f(-A) = f(0) - A corr
     corr = series_in_op(TruncSeries(f.coeffs[1:]), minus_a)
     d_corr = [WeylOp.d(n, nu) * corr for nu in range(n)]
-    rows = [[d_corr[nu].scale(b_mu) for nu in range(n)] for b_mu in p.b]
+    rows = [[d_corr[nu].scale(b_mu) for nu in range(n)] for b_mu in g.b]
     one, f0 = WeylOp.one(n), WeylOp.constant(n, f[0])
-    for mu, b_mu in enumerate(p.b):
+    for mu, b_mu in enumerate(g.b):
         rows[mu][mu] = sum_of_products([(d_corr[mu], one, b_mu), (f0, one), (minus_a, corr)])
     return OpMatrix(n, rows)
 
 
-def kappa_power_check(p: KappaParams, order: int) -> bool:
+def kappa_power_check(g: KappaAlgebra, order: int) -> bool:
     """C^k == (-1)^{k-1} A^{k-1} (b x d) + (-1)^k A^k I through the order,
     for every k = 1..order."""
-    powers = adjoint_matrix(p.algebra()).powers(order)
+    powers = adjoint_matrix(g).powers(order)
     for k in range(1, order + 1):
         t_k = TruncSeries([int(j == k) for j in range(order + 2)])
-        if powers[k] != _function_of_c(p, t_k):
+        if powers[k] != _function_of_c(g, t_k):
             return False
     return True
 
 
-def kappa_closed_realization(p: KappaParams, order: int) -> Realization:
+def kappa_closed_realization(g: KappaAlgebra, order: int) -> Realization:
     """Closed-form Weyl-symmetric realization psi(C):
 
     xhat_mu = x_mu A/(e^A - 1) + b_mu (x . d) (1/A - 1/(e^A - 1)).
     """
-    phi = _function_of_c(p, series_coeffs("psi", order + 1))
-    return realization_from_phi(p.algebra(), phi, "weyl_symmetric")
+    phi = _function_of_c(g, series_coeffs("psi", order + 1))
+    return realization_from_phi(g, phi, "weyl_symmetric")
 
 
-def kappa_dual_closed(p: KappaParams, order: int) -> Realization:
+def kappa_dual_closed(g: KappaAlgebra, order: int) -> Realization:
     """Closed-form dual realization psi_tilde(C):
 
     yhat_mu = x_mu A/(1 - e^{-A}) + b_mu (x . d) (1/A - 1/(1 - e^{-A})).
     """
-    phi = _function_of_c(p, series_coeffs("psi_tilde", order + 1))
-    return realization_from_phi(p.algebra(), phi, "dual_weyl_symmetric")
+    phi = _function_of_c(g, series_coeffs("psi_tilde", order + 1))
+    return realization_from_phi(g, phi, "dual_weyl_symmetric")
 
 
-def kappa_t_closed(p: KappaParams, order: int):
+def kappa_t_closed(g: KappaAlgebra, order: int):
     """Closed-form shift matrices (exp(C), exp(-C)):
 
     That_{mu nu} = e^{-A} delta - b_mu d_nu (e^{-A} - 1)/A, and the inverse
     with A -> -A.
     """
     return tuple(
-        _function_of_c(p, series_coeffs(kind, order + 1)) for kind in ("exp", "exp_neg")
+        _function_of_c(g, series_coeffs(kind, order + 1)) for kind in ("exp", "exp_neg")
     )
 
 
-def _weights(order: int, dual: bool) -> dict:
-    """{(s, m, t, k): [u^s v^t] R1(u, v)^m R2(u, v)^k} for s + m + t + k <= order.
+def _weights(order: int) -> tuple:
+    """(primal, dual) tables {(s, m, t, k): [u^s v^t] R1(u, v)^m R2(u, v)^k}
+    for s + m + t + k <= order.
 
     The closed star product is exp(E) with E = X_l (R1 - 1) + X_r (R2 - 1),
     X_l = sum_al x_al dl_al, u = b . dl and likewise on the right, where
-    R1 = psi_tilde(u+v)/psi_tilde(u) and R2 = psi(u+v)/psi(v); the dual route
-    interchanges psi and psi_tilde.  With the x's on the left, X_l^p/p!
-    multiplies a homogeneous left factor of degree m by binom(m, p) (Euler),
-    so the sum over p of binom(m, p) (R1 - 1)^p is R1^m.  The table depends
-    on neither b nor n.  No series is divided: 1/psi_tilde(t) = (e^t - 1)/t
-    and 1/psi(t) = (1 - e^{-t})/t are the kinds dexp and dexp_neg, so each
-    ratio is a product of x-free operators in u = d_1 and v = d_2.
+    R1 = psi_tilde(u+v)/psi_tilde(u) and R2 = psi(u+v)/psi(v).  With the x's
+    on the left, X_l^p/p! multiplies a homogeneous left factor of degree m by
+    binom(m, p) (Euler), so the sum over p of binom(m, p) (R1 - 1)^p is R1^m.
+    The dual route interchanges psi and psi_tilde = psi(-t), so its weight is
+    the primal one times (-1)^(s+t).  The tables depend on neither b nor n.
+    No series is divided: 1/psi_tilde(t) = (e^t - 1)/t and 1/psi(t) =
+    (1 - e^{-t})/t are the kinds dexp and dexp_neg, so each ratio is a
+    product of x-free operators in u = d_1 and v = d_2.
     """
     z = (0, 0)
     u, v = WeylOp.d(2, 0), WeylOp.d(2, 1)
     u_plus_v = WeylOp(2, {(z, (1, 0)): 1, (z, (0, 1)): 1})
-    kinds = (("psi_tilde", "dexp"), ("psi", "dexp_neg"))
     powers = []
-    for (f, inverse), var in zip(kinds[::-1] if dual else kinds, (u, v)):
+    for f, inverse, var in (("psi_tilde", "dexp", u), ("psi", "dexp_neg", v)):
         ratio = series_in_op(series_coeffs(f, order), u_plus_v) * series_in_op(
             series_coeffs(inverse, order), var
         )
@@ -162,42 +130,42 @@ def _weights(order: int, dual: bool) -> dict:
         for m in range(1, order + 1):
             side.append(sum_of_products([(side[-1], ratio)], order - m))
         powers.append(side)
-    table = {}
+    primal, dual = {}, {}
     for m, r1 in enumerate(powers[0]):
         for k, r2 in enumerate(powers[1][: order - m + 1]):
             den, rows = sum_of_products([(r1, r2)], order - m - k).form
             for (_, (s, t)), p, q in rows:
-                table[s, m, t, k] = from_numerators(p, q, den)
-    return table
+                w = primal[s, m, t, k] = from_numerators(p, q, den)
+                dual[s, m, t, k] = from_numerators(-p, -q, den) if (s + t) % 2 else w
+    return primal, dual
 
 
 class KappaStarContext:
-    """The closed star product of one kappa space, cut at one order.
+    """The closed star product of one kappa algebra, cut at one order.
 
-    Each route's weight table (`_weights`) is built on first use and kept; it
-    gives the product of any f, g with deg f + deg g <= order.  So are the
+    Both routes' weight tables (`_weights`) are built on first use and kept;
+    they give the product of any f, g with deg f + deg g <= order.  So are the
     A-chains (`_a_chains`) of every polynomial it multiplies, a memo that grows
     with those polynomials: build one context per run, as `verify_kappa` does.
     """
 
-    __slots__ = ("params", "order", "_tables", "_chains")
+    __slots__ = ("algebra", "order", "_tables", "_chains")
 
-    def __init__(self, params: KappaParams, order: int):
-        self.params = params
+    def __init__(self, algebra: KappaAlgebra, order: int):
+        self.algebra = algebra
         self.order = order
-        self._tables = {}
+        self._tables = None
         self._chains = {}
 
     def weights(self, dual: bool = False) -> dict:
-        table = self._tables.get(dual)
-        if table is None:
-            table = self._tables[dual] = _weights(self.order, dual)
-        return table
+        if self._tables is None:
+            self._tables = _weights(self.order)
+        return self._tables[dual]
 
     def a_chains(self, f: Polynomial) -> dict:
         chains = self._chains.get(f)
         if chains is None:
-            chains = self._chains[f] = _a_chains(self.params.b, f)
+            chains = self._chains[f] = _a_chains(self.algebra.b, f)
         return chains
 
 
@@ -246,33 +214,32 @@ def kappa_poisson_check(ctx: KappaStarContext, f: Polynomial, g: Polynomial) -> 
     {f, g} = sum (b_al x_be - b_be x_al)(d_al f)(d_be g), and the
     star-commutator correction is the full bracket.
     """
-    bracket = partial(poisson_first_order, ctx.params.algebra())
+    bracket = partial(poisson_first_order, ctx.algebra)
     # `bidiff_star` is looked up per call, so a wrapped module attribute is seen
     return first_order_matches(lambda a, b: bidiff_star(ctx, a, b), bracket, f, g)
 
 
-def verify_kappa(p: KappaParams, order: int, trials: int, rng) -> dict:
+def verify_kappa(g: KappaAlgebra, order: int, trials: int, rng) -> dict:
     """Cross-validate every closed form against the generic engine."""
-    g = p.algebra()
-    n = p.n
-    checks = [check(f"power-formula[k<={order}]", order, kappa_power_check(p, order))]
+    n = g.n
+    checks = [check(f"power-formula[k<={order}]", order, kappa_power_check(g, order))]
 
     for identity, generic_of, closed_of in (
         ("closed-realization", weyl_realization, kappa_closed_realization),
         ("closed-dual", dual_realization, kappa_dual_closed),
     ):
         generic = generic_of(g, order).xhat
-        closed = closed_of(p, order).xhat
+        closed = closed_of(g, order).xhat
         checks.append(check(identity, order, closed == generic))
 
-    Tc, Tci = kappa_t_closed(p, order)
+    Tc, Tci = kappa_t_closed(g, order)
     Tg, Tgi = t_realization(g, order)
     checks.append(check("closed-t-matrices", order, Tc == Tg and Tci == Tgi))
     checks.append(check("t-inverse-product", order, Tc * Tci == OpMatrix.identity(n)))
 
     star_order = min(order, 6)
     ctx = make_context(g, star_order)
-    kctx = KappaStarContext(p, star_order)
+    kctx = KappaStarContext(g, star_order)
     deg = min(3, star_order // 2)
     ok = True
     ok_pois = True

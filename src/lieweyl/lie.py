@@ -13,6 +13,7 @@ from .scalars import Scalar
 
 __all__ = [
     "LieAlgebra",
+    "KappaAlgebra",
     "validate",
     "abelian",
     "g2_algebra",
@@ -55,6 +56,12 @@ class LieAlgebra:
 
     def cache(self, key: str) -> dict:
         return self._caches.setdefault(key, {})
+
+
+class KappaAlgebra(LieAlgebra):
+    """A kappa-type algebra (`kappa_algebra`) that keeps its b, a tuple of Scalars."""
+
+    __slots__ = ("b",)
 
 
 def _freeze(n, fill):
@@ -135,20 +142,20 @@ def su2_algebra(h=1) -> LieAlgebra:
     return LieAlgebra(3, _freeze(3, eps), name="su2")
 
 
-def kappa_algebra(b, name=None) -> LieAlgebra:
+def kappa_algebra(b, name=None) -> KappaAlgebra:
     """Kappa-type algebra with C_{mu nu lam} = b_mu d_{nu lam} - b_nu d_{mu lam}."""
-    b = [Scalar.coerce(x) for x in b]
+    b = tuple(Scalar.coerce(x) for x in b)
     n = len(b)
 
     def fill(mu, nu, lam):
-        out = Scalar(0)
-        if nu == lam:
-            out = out + b[mu]
-        if mu == lam:
-            out = out - b[nu]
-        return out
+        # nonzero only for mu != nu: C_{mu nu nu} = b_mu and C_{mu nu mu} = -b_nu
+        if mu == nu or lam not in (mu, nu):
+            return 0
+        return b[mu] if lam == nu else -b[nu]
 
-    return LieAlgebra(n, _freeze(n, fill), name=name or f"kappa{n}")
+    g = KappaAlgebra(n, _freeze(n, fill), name=name or f"kappa{n}")
+    object.__setattr__(g, "b", b)
+    return g
 
 
 def custom_algebra(n: int, entries: dict, name="custom") -> LieAlgebra:

@@ -108,12 +108,14 @@ def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> tuple:
         rest = exps[:al] + (exps[al] - 1,) + exps[al + 1 :]
         dr, rows = _shift_mono(g, inverse, mu, nu, rest)
         items = [(p, q, dr, _straighten(g, (al,) + _word_of(k))) for k, p, q in rows]
+        # the inverse's constants enter negated, as numerators (-u, -v)
+        sign = -1 if inverse else 1
         dc, us, vs = numerators(
-            [-g.c[rho][al][nu] for rho in range(g.n)] if inverse else g.c[mu][al])
+            [g.c[rho][al][nu] for rho in range(g.n)] if inverse else g.c[mu][al])
         for rho, (u, v) in enumerate(zip(us, vs)):
             if u or v:
                 inner = (mu, rho) if inverse else (rho, nu)
-                items.append((u, v, dc, _shift_mono(g, inverse, *inner, rest)))
+                items.append((sign * u, sign * v, dc, _shift_mono(g, inverse, *inner, rest)))
         out = linear_form(items)
     cache[key] = out
     return out

@@ -22,7 +22,7 @@ import re
 from math import gcd, inf, lcm
 from operator import lshift
 
-from .scalars import ONE, Scalar, as_scalar, from_numerators, numerators
+from .scalars import MINUS_ONE, ONE, Scalar, as_scalar, from_numerators, numerators
 
 __all__ = [
     "mi_degree",
@@ -194,7 +194,6 @@ def _text_scalar(c: Scalar, wrap: bool) -> str:
 # `wrap`: a factor follows, so bracket a coefficient that would read ambiguously
 _TEXT = (_text_scalar, "{}{}", "^{}", "*")
 _LATEX = (_latex_scalar, "{}_{{{}}}", "^{{{}}}", " ")
-_MINUS_ONE = -ONE
 
 
 class TermMap:
@@ -277,7 +276,8 @@ class TermMap:
         return self._like(linear_form(((1, 0, 1, self.form), (1, 0, 1, other.form))))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return self._like(linear_form(((1, 0, 1, self.form), (-1, 0, 1, other.form))))
 
     def __neg__(self):
         den, rows = self.form
@@ -329,7 +329,7 @@ class TermMap:
                 parts.append(coeff(c, False))
             elif c == ONE:
                 parts.append(factors)
-            elif c == _MINUS_ONE:
+            elif c == MINUS_ONE:
                 parts.append("-" + factors)
             else:
                 parts.append(coeff(c, True) + sep + factors)

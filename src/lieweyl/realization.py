@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 from .lie import LieAlgebra
 from .poly import Polynomial, linear_form, mi_unit
-from .scalars import ONE, Q, Scalar
+from .scalars import MINUS_ONE, ONE, Q, Scalar
 from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_of_products
 
@@ -101,7 +101,7 @@ def x_linear_bracket(P: OpMatrix, mu: int, Q: OpMatrix, nu: int) -> WeylOp:
     """
     p_row, q_row = P.entries[mu], Q.entries[nu]
     R = [
-        sum_of_products([*_bracket_items(p, q_row), *_bracket_items(q, p_row, -ONE)])
+        sum_of_products([*_bracket_items(p, q_row), *_bracket_items(q, p_row, MINUS_ONE)])
         for p, q in zip(p_row, q_row)
     ]
     return _contract_x(R, min(P.valid_order(), Q.valid_order()) - 1)
@@ -312,7 +312,7 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
             sum_of_products([*zip(row, col), (d[a, b], one)]) for b, col in enumerate(cols)
         ] for a, row in enumerate(e.entries)]) for e, d in zip(E[-1], D[-1])])
         D.append([OpMatrix(n, [[
-            sum_of_products([*zip(row, col), *((C[a, k], d[k, b], -ONE) for k in range(n))])
+            sum_of_products([*zip(row, col), *((C[a, k], d[k, b], MINUS_ONE) for k in range(n))])
             for b, col in enumerate(cols)
         ] for a, row in enumerate(d.entries)]) for d in D[-1]])
 
@@ -320,13 +320,13 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     def power_contraction(m, mu, lam, nu):
         return sum_of_products([
             *((powers[m][mu, al], one, c) for al in range(n) if (c := g.c[al][lam][nu])),
-            (D[m][mu][lam, nu], one, -ONE),
+            (D[m][mu][lam, nu], one, MINUS_ONE),
         ])
 
     # formal derivative of C^m
     def power_derivative(m, lam, mu, nu):
         lhs = (powers[m][mu, nu].deriv_d(lam), one)
-        return sum_of_products([lhs, (E[m][mu][lam, nu], one, -ONE)])
+        return sum_of_products([lhs, (E[m][mu][lam, nu], one, MINUS_ONE)])
 
     def over_powers(residual):
         for m in range(1, m_max + 1):

@@ -21,7 +21,8 @@ import re
 from fractions import Fraction as Q
 from math import gcd, lcm
 
-__all__ = ["Q", "Scalar", "ZERO", "ONE", "I", "as_scalar", "numerators", "from_numerators"]
+__all__ = ["Q", "Scalar", "ZERO", "ONE", "MINUS_ONE", "I",
+           "as_scalar", "numerators", "from_numerators"]
 
 
 def _lowest(p, q):
@@ -253,4 +254,5 @@ def _imag_part(body: str):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)

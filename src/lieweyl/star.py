@@ -57,15 +57,14 @@ class StarContext:
         # as reduced numerator forms (poly.linear_form)
         self._omega_cache = {}
 
-    def realization(self, which: str) -> Realization:
+    def route(self, which: str) -> tuple:
+        """(realization, algebra the products are lifted to) of the route
+        "primal" or "dual"; ValueError for any other name."""
         if which == "primal":
-            return self.primal
+            return self.primal, self.algebra
         if which == "dual":
-            return self.dual
+            return self.dual, self.dual_alg
         raise ValueError(f"unknown route {which!r}")
-
-    def lift_algebra(self, which: str) -> LieAlgebra:
-        return self.algebra if which == "primal" else self.dual_alg
 
 
 def make_context(g: LieAlgebra, order: int) -> StarContext:
@@ -91,13 +90,14 @@ def _omega_mono(ctx: StarContext, which: str, exps) -> tuple:
         mu = next(i for i, e in enumerate(exps) if e)
         rest = exps[:mu] + (exps[mu] - 1,) + exps[mu + 1 :]
         f = Polynomial(n)._like(_omega_mono(ctx, which, rest))
-        out = ctx.realization(which).xhat[mu].apply(f).form
+        out = ctx.route(which)[0].xhat[mu].apply(f).form
     ctx._omega_cache[key] = out
     return out
 
 
 def omega(ctx: StarContext, X: PBWElement, which: str = "primal") -> Polynomial:
     """The ordering map: act with the realized monomial operators on 1."""
+    ctx.route(which)  # an unknown route raises here, whatever X is
     if X.degree() > ctx.order:
         raise InsufficientOrder(X.degree(), ctx.order)
     den, rows = X.form
@@ -131,6 +131,7 @@ def _omega_inv_mono(ctx: StarContext, which: str, exps) -> tuple:
 
 def omega_inv(ctx: StarContext, f: Polynomial, which: str = "primal") -> PBWElement:
     """Inverse ordering map, a sum of memoized monomial inverses."""
+    ctx.route(which)  # an unknown route raises here, whatever f is
     if f.degree() > ctx.order:
         raise InsufficientOrder(f.degree(), ctx.order)
     den, rows = f.form
@@ -141,12 +142,13 @@ def omega_inv(ctx: StarContext, f: Polynomial, which: str = "primal") -> PBWElem
 
 def star(ctx: StarContext, f: Polynomial, g: Polynomial, which: str = "primal") -> Polynomial:
     """f * g = omega(omega_inv(f) omega_inv(g))."""
+    _, lift = ctx.route(which)
     need = max(f.degree(), 0) + max(g.degree(), 0)
     if need > ctx.order:
         raise InsufficientOrder(need, ctx.order)
     A = omega_inv(ctx, f, which)
     B = omega_inv(ctx, g, which)
-    prod = pbw_mul(ctx.lift_algebra(which), A, B)
+    prod = pbw_mul(lift, A, B)
     return omega(ctx, prod, which)
 
 

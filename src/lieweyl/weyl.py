@@ -31,7 +31,7 @@ from math import perm, prod
 from operator import add, sub
 
 from .poly import Polynomial, TermMap, linear_form, mi_degree, product_terms, reduce_form
-from .scalars import ONE, Scalar, numerators
+from .scalars import MINUS_ONE, Scalar, numerators
 from .series import TruncSeries
 
 __all__ = [
@@ -151,7 +151,7 @@ class WeylOp(TermMap):
         if not isinstance(other, WeylOp):
             return NotImplemented
         one = WeylOp.one(self.n)
-        return sum_of_products(((self, one), (other, one, -ONE)))
+        return sum_of_products(((self, one), (other, one, MINUS_ONE)))
 
     def __mul__(self, other):
         """Product by an x-free right factor, or by a scalar."""

@@ -4,7 +4,6 @@ import pytest
 
 from lieweyl import (
     I,
-    KappaParams,
     PBWElement,
     Scalar,
     abelian,
@@ -36,7 +35,7 @@ def su2():
 
 @pytest.fixture
 def kappa3():
-    return KappaParams([I, Scalar(0), Scalar(0)])
+    return kappa_algebra([I, Scalar(0), Scalar(0)])
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ import lieweyl
 
 from lieweyl import (
     I,
-    KappaParams,
     KappaStarContext,
     OpMatrix,
     PBWElement,
@@ -177,29 +176,28 @@ def test_criterion_06_kappa_cross_validation():
         [I, Scalar(1), Scalar(1) / 2],
         [I, Scalar(0), Scalar(1), Scalar(0)],
     ]:
-        p = KappaParams(b)
-        g = p.algebra()
-        closed = kappa_closed_realization(p, order)
+        g = kappa_algebra(b)
+        closed = kappa_closed_realization(g, order)
         generic = weyl_realization(g, order)
-        closed_d = kappa_dual_closed(p, order)
+        closed_d = kappa_dual_closed(g, order)
         generic_d = dual_realization(g, order)
-        for mu in range(p.n):
+        for mu in range(g.n):
             for c, r in ((closed, generic), (closed_d, generic_d)):
                 ok = ok and c.xhat[mu].truncate(order) == r.xhat[mu].truncate(order)
-        Tc, Tci = kappa_t_closed(p, order)
+        Tc, Tci = kappa_t_closed(g, order)
         Tg, Tgi = t_realization(g, order)
         ok = ok and Tc.truncate(order) == Tg.truncate(order)
         ok = ok and Tci.truncate(order) == Tgi.truncate(order)
-        ok = ok and (Tc * Tci).truncate(order) == OpMatrix.identity(p.n).truncate(order)
-        ok = ok and kappa_power_check(p, order)
+        ok = ok and (Tc * Tci).truncate(order) == OpMatrix.identity(g.n).truncate(order)
+        ok = ok and kappa_power_check(g, order)
     # bidiff star vs generic star on 10 random pairs
-    p = KappaParams([I, Scalar(1), Scalar(1) / 2])
-    ctx = make_context(p.algebra(), 6)
-    kctx = KappaStarContext(p, 6)
+    g = kappa_algebra([I, Scalar(1), Scalar(1) / 2])
+    ctx = make_context(g, 6)
+    kctx = KappaStarContext(g, 6)
     rng = random.Random(106)
     for _ in range(10):
-        f = random_polynomial(rng, p.n, 3)
-        h = random_polynomial(rng, p.n, 3)
+        f = random_polynomial(rng, g.n, 3)
+        h = random_polynomial(rng, g.n, 3)
         ok = ok and bidiff_star(kctx, f, h) == star(ctx, f, h)
         ok = ok and bidiff_star(kctx, f, h, dual=True) == star(ctx, f, h, "dual")
     _report(6, "kappa closed forms vs generic engine, order 8", ok)

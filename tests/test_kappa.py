@@ -9,13 +9,16 @@ import pytest
 from lieweyl import (
     I,
     InsufficientOrder,
-    KappaParams,
+    KappaAlgebra,
     KappaStarContext,
     OpMatrix,
     Scalar,
     WeylOp,
     bidiff_star,
+    dual_algebra,
     dual_realization,
+    g2_algebra,
+    kappa_algebra,
     kappa_closed_realization,
     kappa_dual_closed,
     kappa_poisson_check,
@@ -24,6 +27,7 @@ from lieweyl import (
     make_context,
     poisson_first_order,
     star,
+    su2_algebra,
     t_realization,
     validate,
     verify_kappa,
@@ -42,27 +46,27 @@ PARAM_SETS = [
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
 def test_kappa_algebra_valid(b):
-    rep = validate(KappaParams(b).algebra())
+    rep = validate(kappa_algebra(b))
     assert rep["antisymmetry"] and rep["jacobi"]
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
 def test_power_formula(b):
-    assert kappa_power_check(KappaParams(b), 5)
+    assert kappa_power_check(kappa_algebra(b), 5)
 
 
 def test_power_check_reaches_the_last_power(monkeypatch):
     order = 5
     function_of_c = kappa._function_of_c
 
-    def corrupt_last_power(p, f):
-        out = function_of_c(p, f)
+    def corrupt_last_power(g, f):
+        out = function_of_c(g, f)
         if f[order] and not any(f[j] for j in range(order)):
-            out.entries[0][0] = out.entries[0][0] + WeylOp.one(p.n)
+            out.entries[0][0] = out.entries[0][0] + WeylOp.one(g.n)
         return out
 
     monkeypatch.setattr(kappa, "_function_of_c", corrupt_last_power)
-    assert not kappa_power_check(KappaParams(PARAM_SETS[2]), order)
+    assert not kappa_power_check(kappa_algebra(PARAM_SETS[2]), order)
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
@@ -75,45 +79,43 @@ def test_power_check_forms_each_power_once(b, monkeypatch):
         return mul(a, other)
 
     monkeypatch.setattr(OpMatrix, "__mul__", counted)
-    p = KappaParams(b)
+    g = kappa_algebra(b)
     # the powers are the kept chain of the algebra's C: the n x n products are
     # its 5 links C^2..C^6, formed by the first check and read again by the second
-    assert kappa_power_check(p, 6) and kappa_power_check(p, 6)
+    assert kappa_power_check(g, 6) and kappa_power_check(g, 6)
     # the 1x1 products are the series in A inside _function_of_c
-    assert products[p.n] == 5
+    assert products[g.n] == 5
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
 def test_closed_realization_matches_generic(b):
-    p = KappaParams(b)
+    g = kappa_algebra(b)
     order = 6
-    g = p.algebra()
     generic = weyl_realization(g, order)
-    closed = kappa_closed_realization(p, order)
-    for mu in range(p.n):
+    closed = kappa_closed_realization(g, order)
+    for mu in range(g.n):
         assert closed.xhat[mu].truncate(order) == generic.xhat[mu].truncate(order)
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
 def test_closed_dual_matches_generic(b):
-    p = KappaParams(b)
+    g = kappa_algebra(b)
     order = 6
-    g = p.algebra()
     generic = dual_realization(g, order)
-    closed = kappa_dual_closed(p, order)
-    for mu in range(p.n):
+    closed = kappa_dual_closed(g, order)
+    for mu in range(g.n):
         assert closed.xhat[mu].truncate(order) == generic.xhat[mu].truncate(order)
 
 
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
 def test_closed_t_matrices(b):
-    p = KappaParams(b)
+    g = kappa_algebra(b)
     order = 6
-    Tc, Tci = kappa_t_closed(p, order)
-    Tg, Tgi = t_realization(p.algebra(), order)
+    Tc, Tci = kappa_t_closed(g, order)
+    Tg, Tgi = t_realization(g, order)
     assert Tc.truncate(order) == Tg.truncate(order)
     assert Tci.truncate(order) == Tgi.truncate(order)
-    assert (Tc * Tci).truncate(order) == OpMatrix.identity(p.n).truncate(order)
+    assert (Tc * Tci).truncate(order) == OpMatrix.identity(g.n).truncate(order)
 
 
 def test_closed_forms_reject_other_parameters():
@@ -121,8 +123,8 @@ def test_closed_forms_reject_other_parameters():
     # b3 = 1/2, so the comparisons above do not pass whatever the closed
     # side computes
     order = 4
-    p = KappaParams([I, Scalar(1), Scalar(1) / 3])
-    g = KappaParams([I, Scalar(1), Scalar(1) / 2]).algebra()
+    p = kappa_algebra([I, Scalar(1), Scalar(1) / 3])
+    g = kappa_algebra([I, Scalar(1), Scalar(1) / 2])
     for closed_of, generic_of in (
         (kappa_closed_realization, weyl_realization),
         (kappa_dual_closed, dual_realization),
@@ -142,38 +144,59 @@ def test_closed_forms_reject_other_parameters():
     ids=["n2", "n3", "n3-generic", "n3-zero-first", "n4-minkowski"],
 )
 def test_bidiff_star_matches_generic(b):
-    p = KappaParams(b)
+    g = kappa_algebra(b)
     order = 6
-    ctx = make_context(p.algebra(), order)
-    kctx = KappaStarContext(p, order)
+    ctx = make_context(g, order)
+    kctx = KappaStarContext(g, order)
     rng = random.Random(67)
     # f = 0, a constant, and a degree-0 by degree-6 pair, then random pairs
-    top = Polynomial(p.n, {(6,) + (0,) * (p.n - 1): I})
-    sextic = random_polynomial(rng, p.n, 6) + top
+    top = Polynomial(g.n, {(6,) + (0,) * (g.n - 1): I})
+    sextic = random_polynomial(rng, g.n, 6) + top
     pairs = [
-        (Polynomial.zero(p.n), random_polynomial(rng, p.n, 3)),
-        (Polynomial.constant(p.n, Scalar(2) / 3), random_polynomial(rng, p.n, 3)),
-        (Polynomial.constant(p.n, I), sextic),
-        (sextic, Polynomial.constant(p.n, 5)),
+        (Polynomial.zero(g.n), random_polynomial(rng, g.n, 3)),
+        (Polynomial.constant(g.n, Scalar(2) / 3), random_polynomial(rng, g.n, 3)),
+        (Polynomial.constant(g.n, I), sextic),
+        (sextic, Polynomial.constant(g.n, 5)),
     ]
     for _ in range(4):
-        pairs.append((random_polynomial(rng, p.n, 3), random_polynomial(rng, p.n, 3)))
+        pairs.append((random_polynomial(rng, g.n, 3), random_polynomial(rng, g.n, 3)))
     for f, h in pairs:
         assert bidiff_star(kctx, f, h) == star(ctx, f, h)
         assert bidiff_star(kctx, f, h, dual=True) == star(ctx, f, h, "dual")
 
 
+@pytest.mark.parametrize(
+    "g",
+    [su2_algebra(), g2_algebra(), kappa_algebra([I, Scalar(1), Scalar(1, 2)])],
+    ids=["su2", "g2", "kappa(1i,1,1/2)"],
+)
+def test_dual_route_is_the_star_of_the_dual_algebra(g):
+    # left-right duality: psi_tilde(C) = psi(-C), so the dual route of g is the
+    # primal route of dual_algebra(g); for kappa(b) that algebra is kappa(-b)
+    order, rng = 6, random.Random(83)
+    ctx, mirror = make_context(g, order), make_context(dual_algebra(g), order)
+    assert ctx.dual.phi == mirror.primal.phi
+    closed = isinstance(g, KappaAlgebra)
+    if closed:
+        kctx = KappaStarContext(g, order)
+        kmirror = KappaStarContext(kappa_algebra([-x for x in g.b]), order)
+    for _ in range(3):
+        f, h = random_polynomial(rng, g.n, 3), random_polynomial(rng, g.n, 3)
+        assert star(ctx, f, h, "dual") == star(mirror, f, h)
+        if closed:
+            assert bidiff_star(kctx, f, h, dual=True) == bidiff_star(kmirror, f, h)
+
+
 def test_bidiff_star_order_guard():
-    p = KappaParams([I, Scalar(0)])
     rng = random.Random(2)
     f = random_polynomial(rng, 2, 3)
     with pytest.raises(InsufficientOrder):
-        bidiff_star(KappaStarContext(p, 4), f, f)
+        bidiff_star(KappaStarContext(kappa_algebra([I, Scalar(0)]), 4), f, f)
 
 
 def test_context_order_guard_after_build():
     # the guard holds whether or not the route's operator is already built
-    kctx = KappaStarContext(KappaParams([I, Scalar(1)]), 4)
+    kctx = KappaStarContext(kappa_algebra([I, Scalar(1)]), 4)
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     cube = x1 * x1 * x2
     for dual in (False, True):
@@ -186,18 +209,19 @@ def test_context_order_guard_after_build():
             kappa_poisson_check(kctx, cube, cube)
 
 
-def test_verify_kappa_builds_one_table_per_route(monkeypatch):
+def test_verify_kappa_builds_both_tables_in_one_pass(monkeypatch):
+    # both routes' products and the poisson check read one (primal, dual) pair
     built = Counter()
     weights = kappa._weights
 
-    def counting(order, dual):
-        built[dual] += 1
-        return weights(order, dual)
+    def counting(order):
+        built[order] += 1
+        return weights(order)
 
     monkeypatch.setattr(kappa, "_weights", counting)
-    rep = verify_kappa(KappaParams([I, Scalar(1) / 2]), 6, 3, random.Random(73))
+    rep = verify_kappa(kappa_algebra([I, Scalar(1) / 2]), 6, 3, random.Random(73))
     assert rep["pass"]
-    assert built == {False: 1, True: 1}
+    assert built == {6: 1}
 
 
 def test_context_builds_the_chains_of_each_polynomial_once(monkeypatch):
@@ -209,7 +233,7 @@ def test_context_builds_the_chains_of_each_polynomial_once(monkeypatch):
         return chains(b, f)
 
     monkeypatch.setattr(kappa, "_a_chains", counting)
-    p = KappaParams([I, Scalar(1), Scalar(1) / 2])
+    p = kappa_algebra([I, Scalar(1), Scalar(1) / 2])
     rng = random.Random(29)
     f, g = random_polynomial(rng, 3, 3), random_polynomial(rng, 3, 3)
 
@@ -232,7 +256,7 @@ def test_context_builds_the_chains_of_each_polynomial_once(monkeypatch):
 
 @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
 def test_weight_table_depends_on_neither_b_nor_n(dual):
-    tables = [KappaStarContext(KappaParams(b), 6).weights(dual) for b in PARAM_SETS]
+    tables = [KappaStarContext(kappa_algebra(b), 6).weights(dual) for b in PARAM_SETS]
     assert len(tables[0]) == 137
     assert all(t == tables[0] for t in tables)
 
@@ -254,7 +278,8 @@ def test_weight_table_against_sympy(dual):
         terms = {e: c for e, c in poly.as_dict().items() if sum(e) <= N}
         return sympy.Poly.from_dict(terms, u, v, domain=sympy.QQ)
 
-    # R1 = psi_tilde(u+v)/psi_tilde(u), R2 = psi(u+v)/psi(v); dual swaps them
+    # R1 = psi_tilde(u+v)/psi_tilde(u), R2 = psi(u+v)/psi(v); dual swaps them,
+    # which `_weights` writes as the sign rule (-1)^(s+t) on the primal table
     left, right = (psi, psi_tilde) if dual else (psi_tilde, psi)
     r1 = cut(at(left, u + v) * at(1 / left, u))
     r2 = cut(at(right, u + v) * at(1 / right, v))
@@ -268,7 +293,7 @@ def test_weight_table_against_sympy(dual):
                     expected[s, m, t_, k] = (Fraction(int(c.p), int(c.q)), 0)
             r2_k = cut(r2_k * r2)
         r1_m = cut(r1_m * r1)
-    table = kappa._weights(N, dual)
+    table = kappa._weights(N)[dual]
     assert {key: (c.re, c.im) for key, c in table.items()} == expected
 
 
@@ -293,7 +318,7 @@ def test_euler_identity_scales_by_binomial(m, p):
 
 @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
 def test_operator_at_higher_order_gives_same_product(dual):
-    p = KappaParams([I, Scalar(1)])
+    p = kappa_algebra([I, Scalar(1)])
     high = KappaStarContext(p, 6)
     rng = random.Random(5)
     for deg_f, deg_g in ((1, 1), (2, 1), (1, 3), (2, 3), (0, 4)):
@@ -308,16 +333,16 @@ def test_operator_at_higher_order_gives_same_product(dual):
 @pytest.mark.parametrize("b", PARAM_SETS, ids=["n2", "n3", "n3-generic"])
 def test_lie_poisson_bracket_of_generators_is_the_closed_bracket(b):
     # {x_al, x_be} = sum_rho C_{al be rho} x_rho = b_al x_be - b_be x_al
-    p = KappaParams(b)
-    x = [Polynomial.variable(p.n, mu) for mu in range(p.n)]
-    for al in range(p.n):
-        for be in range(p.n):
-            closed = x[be].scale(p.b[al]) - x[al].scale(p.b[be])
-            assert poisson_first_order(p.algebra(), x[al], x[be]) == closed
+    g = kappa_algebra(b)
+    x = [Polynomial.variable(g.n, mu) for mu in range(g.n)]
+    for al in range(g.n):
+        for be in range(g.n):
+            closed = x[be].scale(g.b[al]) - x[al].scale(g.b[be])
+            assert poisson_first_order(g, x[al], x[be]) == closed
 
 
 def test_kappa_poisson():
-    kctx = KappaStarContext(KappaParams([I, Scalar(0), Scalar(0)]), 6)
+    kctx = KappaStarContext(kappa_algebra([I, Scalar(0), Scalar(0)]), 6)
     rng = random.Random(71)
     for _ in range(4):
         f = random_polynomial(rng, 3, 3)
@@ -326,15 +351,18 @@ def test_kappa_poisson():
 
 
 def test_verify_kappa_report():
-    p = KappaParams([I, Scalar(1) / 2])
-    rep = verify_kappa(p, 6, 3, random.Random(73))
+    rep = verify_kappa(kappa_algebra([I, Scalar(1) / 2]), 6, 3, random.Random(73))
     assert rep["pass"]
     assert all(c["pass"] for c in rep["checks"])
 
 
 def test_params_value_semantics():
-    p, q = KappaParams([I, 1]), KappaParams([I, Scalar(1)])
+    # the algebra keeps its b as Scalars, and compares by its constants
+    p, q = kappa_algebra([I, 1]), kappa_algebra([I, Scalar(1)])
+    assert p.b == (I, Scalar(1)) and all(type(x) is Scalar for x in p.b)
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
-    assert p != KappaParams([I, Scalar(2)])
-    with pytest.raises(AttributeError):
-        p.b = ()
+    assert p != kappa_algebra([I, Scalar(2)])
+    assert g2_algebra() == kappa_algebra([1, 0]) and g2_algebra().b == (1, 0)
+    for attr in ("b", "c"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, ())

@@ -11,7 +11,6 @@ from normal_order import commutator
 from lieweyl import (
     I,
     InsufficientOrder,
-    KappaParams,
     OpMatrix,
     Scalar,
     WeylOp,
@@ -192,8 +191,7 @@ def test_suites_form_no_pairwise_operator_sums(name, monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(WeylOp, op, counting)
-    p = KappaParams([I, Scalar(1)])
-    g = su2_algebra() if name == "su2" else p.algebra()
+    g = su2_algebra() if name == "su2" else kappa_algebra([I, Scalar(1)])
     order, rng = 4, random.Random(0)
     reports = [
         verify_realization(g, weyl_realization(g, order).phi, order),
@@ -203,7 +201,7 @@ def test_suites_form_no_pairwise_operator_sums(name, monkeypatch):
         verify_duality(make_context(g, order), 2, rng),
     ]
     if name == "kappa":
-        reports.append(verify_kappa(p, order, 2, rng))
+        reports.append(verify_kappa(g, order, 2, rng))
     assert all(rep["pass"] for rep in reports)
     assert not calls
 

@@ -227,13 +227,13 @@ def test_memo_forms_are_reduced_and_exact(g, order, degree):
                 assert {k: (v.re, v.im) for k, v in terms.items()} == ref(key)
             elif key[0] == "inv":
                 # omega(omega_inv(x^a)) = x^a
-                real = ctx.realization(key[1])
+                real = ctx.route(key[1])[0]
                 back = Polynomial.zero(g.n)
                 for k, c in terms.items():
                     back = back + _omega_reference(real, k).scale(c)
                 assert back == Polynomial(g.n, {key[2]: Scalar(1)})
             else:
-                assert terms == _omega_reference(ctx.realization(key[0]), key[1]).terms
+                assert terms == _omega_reference(ctx.route(key[0])[0], key[1]).terms
 
 
 @pytest.mark.parametrize(
@@ -337,3 +337,19 @@ def test_order_guards():
         star(ctx, big, big)
     with pytest.raises(InsufficientOrder):
         omega_inv(ctx, parse_polynomial("x1^4", 2))
+
+
+@pytest.mark.parametrize("zero", [True, False], ids=["zero", "nonzero"])
+def test_unknown_route_is_rejected_for_every_input(zero):
+    # the route is checked at the entry, before any term is read
+    ctx = make_context(g2_algebra(), 3)
+    f = Polynomial.zero(2) if zero else parse_polynomial("x1*x2 + 1/2", 2)
+    X = PBWElement.zero(2) if zero else PBWElement.monomial(2, (1, 1))
+    for call in (
+        lambda: star(ctx, f, f, "bogus"),
+        lambda: star(ctx, f, f, "Dual"),
+        lambda: omega(ctx, X, "bogus"),
+        lambda: omega_inv(ctx, f, "bogus"),
+    ):
+        with pytest.raises(ValueError, match="unknown route"):
+            call()

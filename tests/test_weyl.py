@@ -8,7 +8,6 @@ from normal_order import added, commutator, product, sympy_poly
 
 from lieweyl import (
     InsufficientOrder,
-    KappaParams,
     OpMatrix,
     Polynomial,
     Scalar,
@@ -16,6 +15,7 @@ from lieweyl import (
     WeylOp,
     adjoint_matrix,
     g2_algebra,
+    kappa_algebra,
     matrix_series,
     realization_from_phi,
     series_coeffs,
@@ -490,7 +490,7 @@ def test_no_operator_keeps_a_term_past_its_valid_order(case, lam, kind, order, c
     C = adjoint_matrix(g) if cut is None else adjoint_matrix(g).truncate(cut)
     phi = matrix_series(series_coeffs(kind, order), C)
     ops += [op for row in phi.entries for op in row] + realization_from_phi(g, phi).xhat
-    closed = _function_of_c(KappaParams(b), series_coeffs(kind, order + 1))
+    closed = _function_of_c(kappa_algebra(b), series_coeffs(kind, order + 1))
     ops += [op for row in closed.entries for op in row]
     assert all(op.truncate(op.valid_order).terms == op.terms for op in ops)
 
