@@ -30,9 +30,10 @@ __all__ = [
 
 class LieAlgebra:
     """Immutable structure constants; equality and hash ignore the name and
-    the per-algebra memo caches: PBW straightening and the shift actions, each
-    entry a numerator form (`poly.linear_form`), and the adjoint matrix C with
-    its power chain, which grows to the largest order asked."""
+    the per-algebra memo caches: PBW straightening, the shift actions and
+    y_action's shift route, each entry a numerator form (`poly.linear_form`),
+    the adjoint matrix C with its power chain, which grows to the largest
+    order asked, and the dual algebra."""
 
     __slots__ = ("n", "c", "name", "_caches")
 
@@ -169,14 +170,25 @@ def custom_algebra(n: int, entries: dict, name="custom") -> LieAlgebra:
 
 
 def dual_algebra(g: LieAlgebra) -> LieAlgebra:
-    """Left-right dual: all structure constants negated."""
-    return LieAlgebra(
-        g.n, _freeze(g.n, lambda mu, nu, lam: -g.c[mu][nu][lam]), name=g.name + "~"
-    )
+    """Left-right dual: all structure constants negated; the dual of kappa(b)
+    is kappa(-b).  Built once per algebra and kept in g's caches; the dual
+    keeps no reference to g, so a second `dual_algebra` of it is a new algebra."""
+    memo = g.cache("dual_algebra")
+    if "dual" not in memo:
+        name = g.name + "~"
+        if isinstance(g, KappaAlgebra):
+            memo["dual"] = kappa_algebra([-x for x in g.b], name=name)
+        else:
+            c = tuple(tuple(tuple(-x if x else x for x in row) for row in m) for m in g.c)
+            memo["dual"] = LieAlgebra(g.n, c, name=name)
+    return memo["dual"]
 
 
 def rescale(g: LieAlgebra, h) -> LieAlgebra:
+    """All structure constants times h; kappa(b) rescales to kappa(h b)."""
     h = Scalar.coerce(h)
+    if isinstance(g, KappaAlgebra):
+        return kappa_algebra([x * h for x in g.b], name=g.name)
     return LieAlgebra(
         g.n, _freeze(g.n, lambda mu, nu, lam: g.c[mu][nu][lam] * h), name=g.name
     )

@@ -5,7 +5,8 @@ Products are straightened by bubbling adjacent out-of-order generator pairs
 through the bracket relations; the rewriting terminates by the usual
 degree-lexicographic order and is memoized per algebra, each entry a
 numerator form, as every `PBWElement` stores; only the structure constants
-are read as Scalars.
+are read as Scalars.  Each public function fetches its memo dict once per
+call and reads the hits itself, so the memoized recursions run only on a miss.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ def pbw_mul(g: LieAlgebra, A: PBWElement, B: PBWElement) -> PBWElement:
         raise ValueError("dimension mismatch")
     (da, left), (db, right) = A.form, B.form
     right = [(_word_of(k), r, s) for k, r, s in right]
+    get = g.cache("straighten").get
     return A._like(linear_form(
-        (p * r - q * s, p * s + q * r, da * db, _straighten(g, _word_of(ka) + wb))
-        for ka, p, q in left for wb, r, s in right
+        (p * r - q * s, p * s + q * r, da * db, get(w := wa + wb) or _straighten(g, w))
+        for ka, p, q in left for wa in [_word_of(ka)] for wb, r, s in right
     ))
 
 
@@ -123,9 +125,11 @@ def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> tuple:
 
 def _shift_action(g: LieAlgebra, inverse: bool, mu: int, nu: int, X: PBWElement):
     _check_index(g, mu, nu)
+    get = g.cache("tinv_action" if inverse else "t_action").get
     den, rows = X.form
     return X._like(linear_form(
-        (p, q, den, _shift_mono(g, inverse, mu, nu, k)) for k, p, q in rows
+        (p, q, den, get((mu, nu, k)) or _shift_mono(g, inverse, mu, nu, k))
+        for k, p, q in rows
     ))
 
 
@@ -139,20 +143,32 @@ def tinv_action(g: LieAlgebra, mu: int, nu: int, X: PBWElement) -> PBWElement:
     return _shift_action(g, True, mu, nu, X)
 
 
+def _y_shift_mono(g: LieAlgebra, mu: int, exps) -> tuple:
+    """sum_al X_al (T^{-1}_{mu al} |> X^a), the shift route of X^a X_mu, as a
+    form memoized per algebra under (mu, a), next to the T and T^{-1} memos."""
+    out = linear_form(
+        (p, q, den, _straighten(g, (al,) + _word_of(k)))
+        for al in range(g.n)
+        for den, rows in [_shift_mono(g, True, mu, al, exps)]
+        for k, p, q in rows
+    )
+    g.cache("y_action")[mu, exps] = out
+    return out
+
+
 def y_action(g: LieAlgebra, mu: int, X: PBWElement) -> PBWElement:
     """Right multiplication X X_mu, computed through the T^{-1} decomposition.
 
-    The shift-operator route X X_mu = sum_al X_al (T^{-1}_{mu al} |> X) is
-    required to agree with the direct PBW product; the agreement is checked
-    on every call.
+    The shift-operator route X X_mu = sum_al X_al (T^{-1}_{mu al} |> X),
+    summed from its memoized monomial images, is required to agree with the
+    direct PBW product; the agreement is checked on every call.
     """
     _check_index(g, mu)
     direct = pbw_mul(g, X, PBWElement.generator(g.n, mu))
+    get = g.cache("y_action").get
+    den, rows = X.form
     via_shift = X._like(linear_form(
-        (p, q, den, _straighten(g, (al,) + _word_of(k)))
-        for al in range(g.n)
-        for den, rows in [tinv_action(g, mu, al, X).form]
-        for k, p, q in rows
+        (p, q, den, get((mu, k)) or _y_shift_mono(g, mu, k)) for k, p, q in rows
     ))
     if direct != via_shift:
         raise AssertionError(

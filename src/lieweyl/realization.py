@@ -216,14 +216,17 @@ def random_rational(rng) -> Scalar:
 
 
 def random_polynomial(rng, n: int, max_degree: int, terms: int = 4) -> Polynomial:
-    out = Polynomial.zero(n)
+    """The sum of `terms` random monomials with random rational coefficients,
+    formed in one pass: a repeated monomial adds up, and may cancel."""
+    out = {}
     for _ in range(terms):
         d = rng.randint(0, max_degree)
         exps = [0] * n
         for _ in range(d):
             exps[rng.randrange(n)] += 1
-        out = out + Polynomial(n, {tuple(exps): random_rational(rng)})
-    return out
+        k, c = tuple(exps), random_rational(rng)
+        out[k] = out[k] + c if k in out else c
+    return Polynomial(n, out)
 
 
 def verify_symmetrization(g: LieAlgebra, order, m_max, trials, rng) -> dict:

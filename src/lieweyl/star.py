@@ -4,7 +4,9 @@ omega maps a PBW element to the polynomial obtained by acting with the
 realized operators on 1; the star-product lifts both factors, multiplies in
 U(g) and maps back.  The dual star-product uses the dual realization and
 the dual algebra (negated structure constants).  omega and omega_inv sum
-memoized monomial images, weighted by the argument's own numerator rows.
+memoized monomial images, weighted by the argument's own numerator rows; each
+reads the hits from the context's memo dict itself, so the memoized
+recursions `_omega_mono` and `_omega_inv_mono` run only on a miss.
 """
 
 from __future__ import annotations
@@ -100,9 +102,11 @@ def omega(ctx: StarContext, X: PBWElement, which: str = "primal") -> Polynomial:
     ctx.route(which)  # an unknown route raises here, whatever X is
     if X.degree() > ctx.order:
         raise InsufficientOrder(X.degree(), ctx.order)
+    get = ctx._omega_cache.get
     den, rows = X.form
     return Polynomial(ctx.algebra.n)._like(linear_form(
-        (p, q, den, _omega_mono(ctx, which, exps)) for exps, p, q in rows
+        (p, q, den, get((which, exps)) or _omega_mono(ctx, which, exps))
+        for exps, p, q in rows
     ))
 
 
@@ -134,9 +138,11 @@ def omega_inv(ctx: StarContext, f: Polynomial, which: str = "primal") -> PBWElem
     ctx.route(which)  # an unknown route raises here, whatever f is
     if f.degree() > ctx.order:
         raise InsufficientOrder(f.degree(), ctx.order)
+    get = ctx._omega_cache.get
     den, rows = f.form
     return PBWElement(ctx.algebra.n)._like(linear_form(
-        (p, q, den, _omega_inv_mono(ctx, which, exps)) for exps, p, q in rows
+        (p, q, den, get(("inv", which, exps)) or _omega_inv_mono(ctx, which, exps))
+        for exps, p, q in rows
     ))
 
 

@@ -260,6 +260,31 @@ def test_verify_all_forms_eight_matrix_products(capsys, monkeypatch):
     assert code == 0 and len(products) == 8
 
 
+@pytest.mark.parametrize(
+    "fmt, sha",
+    [
+        ("json", "8676b6a5a27a403803a98f26513188ba001e696ec090cef801918b8297126a02"),
+        ("text", "51722d543d3cd5a11bd81531e019ad323168190e1acd5464dd9db98a18fd1cd1"),
+    ],
+    ids=["json", "text"],
+)
+def test_verify_all_builds_one_dual_algebra(capsys, monkeypatch, fmt, sha):
+    # the duality and kappa suites each make a star context; both read the one
+    # dual algebra kept in the algebra's caches
+    names = []
+    init = lie.LieAlgebra.__init__
+
+    def counted(self, n, c, name="custom"):
+        names.append(name)
+        init(self, n, c, name)
+
+    monkeypatch.setattr(lie.LieAlgebra, "__init__", counted)
+    code, out, _ = run(capsys, "verify", "kappa", "--kappa-b", "1i,1,1/2", "--suite", "all",
+                       "--order", "6", "--format", fmt)
+    assert code == 0 and [x for x in names if x.endswith("~")] == ["kappa3~"]
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_tmatrix_json(capsys):
     code, out, _ = run(capsys, "tmatrix", "g2", "--order", "2", "--format", "json")
     assert code == 0

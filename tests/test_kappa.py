@@ -187,6 +187,21 @@ def test_dual_route_is_the_star_of_the_dual_algebra(g):
             assert bidiff_star(kctx, f, h, dual=True) == bidiff_star(kmirror, f, h)
 
 
+def test_closed_star_of_the_dual_algebra_is_the_dual_route():
+    # dual_algebra of kappa(b) is kappa(-b), b kept, so its closed star
+    # product is the dual route of the original, closed and generic
+    g = kappa_algebra([I, Scalar(1)])
+    d = dual_algebra(g)
+    assert isinstance(d, KappaAlgebra) and d.b == (-I, Scalar(-1)) and d.name == "kappa2~"
+    order, rng = 4, random.Random(17)
+    kdual, kctx = KappaStarContext(d, order), KappaStarContext(g, order)
+    ctx = make_context(g, order)
+    for _ in range(4):
+        f, h = random_polynomial(rng, 2, 2), random_polynomial(rng, 2, 2)
+        got = bidiff_star(kdual, f, h)
+        assert got == star(ctx, f, h, "dual") == bidiff_star(kctx, f, h, dual=True)
+
+
 def test_bidiff_star_order_guard():
     rng = random.Random(2)
     f = random_polynomial(rng, 2, 3)

@@ -13,6 +13,7 @@ from lieweyl import (
     AlgebraSpecError,
     I,
     ONE,
+    KappaAlgebra,
     Scalar,
     abelian,
     algebra_to_json,
@@ -179,6 +180,17 @@ def test_dual_and_rescale():
     assert d.c[0][1][1] == -g.c[0][1][1]
     h = rescale(g, Scalar(1) / 3)
     assert h.c[0][1][1] == g.c[0][1][1] / 3
+
+
+def test_dual_and_rescale_of_kappa_keep_b():
+    # negating or scaling kappa(b)'s constants gives kappa(-b) and kappa(h b)
+    g = kappa_algebra([I, Scalar(1, 2), Scalar(0)])
+    h = Scalar(2, -3)
+    for got, b in ((dual_algebra(g), [-x for x in g.b]), (rescale(g, h), [x * h for x in g.b])):
+        assert isinstance(got, KappaAlgebra) and got == kappa_algebra(b) and got.b == tuple(b)
+    assert dual_algebra(g).name == "kappa3~" and rescale(g, h).name == "kappa3"
+    generic = su2_algebra()
+    assert dual_algebra(generic).c == rescale(generic, -1).c
 
 
 def test_json_roundtrip():

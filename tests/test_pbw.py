@@ -17,6 +17,7 @@ from lieweyl import (
     tinv_action,
     y_action,
 )
+from lieweyl.poly import mi_unit
 from conftest import random_monomial, standard_algebras
 from normal_order import constants, pbw_product
 
@@ -196,6 +197,30 @@ def test_y_action_routes_agree():
                 assert y_action(g, mu, X) == pbw_mul(
                     g, X, PBWElement.generator(g.n, mu)
                 )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_y_action_matches_word_straightening(data):
+    # the algebras are shared by every example, so later draws read warm memos
+    g = data.draw(st.sampled_from(ORACLE_ALGEBRAS))
+    X, mu = data.draw(_pbw_elements(g.n)), data.draw(st.integers(0, g.n - 1))
+    got = y_action(g, mu, PBWElement(g.n, {k: Scalar(*v) for k, v in X.items()}))
+    expected = pbw_product(constants(g), X, {mi_unit(g.n, mu): (1, 0)})
+    assert {k: (v.re, v.im) for k, v in got.terms.items()} == expected
+
+
+def test_y_action_self_check_reads_the_shift_route_memo():
+    # one wrong shift-route entry makes the two routes disagree on every call
+    g = su2_algebra()
+    X = PBWElement.monomial(3, (1, 2, 0), Scalar(1, 2))
+    right = y_action(g, 2, X)
+    memo = g.cache("y_action")
+    assert set(memo) == {(2, (1, 2, 0))}
+    memo[2, (1, 2, 0)] = (1, (((0, 0, 0), 1, 0),))
+    with pytest.raises(AssertionError, match="self-check failed for mu=3"):
+        y_action(g, 2, X)
+    assert y_action(su2_algebra(), 2, X) == right
 
 
 def test_left_right_multiplication_commute():

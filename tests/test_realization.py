@@ -12,6 +12,7 @@ from lieweyl import (
     I,
     InsufficientOrder,
     OpMatrix,
+    Polynomial,
     Scalar,
     WeylOp,
     adjoint_matrix,
@@ -308,3 +309,30 @@ def test_heisenberg_series_stop_at_the_linear_term():
     # the zero entries are the empty form, the unit ones have den 1, and
     # the C/2 ones den 2
     assert phi[0, 1].form == (1, ()) and phi[0, 0].form[0] == 1 and phi[0, 2].form[0] == 2
+
+
+def _folded_random_polynomial(rng, n, max_degree, terms):
+    """random_polynomial's draws summed one monomial at a time with `+`; also
+    the keys drawn."""
+    out, drawn = Polynomial.zero(n), set()
+    for _ in range(terms):
+        exps = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(n)] += 1
+        drawn.add(tuple(exps))
+        out = out + Polynomial(n, {tuple(exps): realization.random_rational(rng)})
+    return out, drawn
+
+
+def test_random_polynomial_is_the_termwise_sum():
+    # the one-pass sum makes the same draws and, where monomials repeat and
+    # cancel, the same polynomial as the sum one term at a time
+    cancelled = 0
+    for seed in range(200):
+        for n, max_degree, terms in ((1, 1, 6), (2, 2, 4), (3, 3, 4)):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            got = realization.random_polynomial(rng, n, max_degree, terms)
+            expected, drawn = _folded_random_polynomial(oracle, n, max_degree, terms)
+            assert got == expected and rng.random() == oracle.random()
+            cancelled += len(drawn) > len(got.form[1])
+    assert cancelled

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -151,10 +152,54 @@ def test_warm_star_reads_only_its_operands_and_forms_no_scalar_product(monkeypat
     assert +calls == Counter()
 
 
+def test_warm_star_and_y_action_call_no_memoized_recursion(monkeypatch):
+    # on a warm context every memo hit is read in the loops of omega_inv,
+    # pbw_mul, omega and y_action: none of the recursions that fill the memos
+    # is called
+    ctx = make_context(kappa_algebra([I, Scalar(1), Scalar(1, 2)]), 6)
+    f = parse_polynomial("(1/2+1i)*x1*x2 + x3^2 - 1/3*x1", 3)
+    h = parse_polynomial("x2*x3 + 2i*x1 + 5", 3)
+
+    def sweep():
+        A = omega_inv(ctx, f)
+        return (star(ctx, f, h), star(ctx, h, f, "dual"),
+                *(y_action(ctx.algebra, mu, A) for mu in range(3)))
+
+    star_module = sys.modules["lieweyl.star"]
+    names = [(pbw, "_straighten"), (pbw, "_shift_mono"),
+             (star_module, "_omega_mono"), (star_module, "_omega_inv_mono")]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    first = sweep()
+    assert set(calls) == {name for _, name in names}  # the counters are live
+    calls.clear()
+    assert sweep() == first
+    assert +calls == Counter()
+
+
+def test_contexts_of_one_algebra_share_its_dual():
+    g = su2_algebra()
+    a, b = make_context(g, 4), make_context(g, 6)
+    assert a.dual_alg is b.dual_alg is dual_algebra(g)
+    assert dual_algebra(g).c == tuple(
+        tuple(tuple(-x for x in row) for row in m) for m in g.c)
+    # kept one way only: the dual's own dual is a new algebra, equal to g
+    assert dual_algebra(a.dual_alg) == g and dual_algebra(a.dual_alg) is not g
+
+
 def _memo_references(g):
     """Each PBW memo entry of g recomputed over Fraction pairs: a word as the
-    product of its letters by `pbw_product`, and a shift action by its
-    peeling recursion with `pbw_product` for the left factor."""
+    product of its letters by `pbw_product`, a shift action by its peeling
+    recursion with `pbw_product` for the left factor, and y_action's shift
+    route as sum_al X_al (T^{-1}_{mu al} |> X^a)."""
     c, n = constants(g), g.n
     one = {(0,) * n: (1, 0)}
 
@@ -180,10 +225,19 @@ def _memo_references(g):
                 out[k] = (r + sign * (re * p - im * q), s + sign * (re * q + im * p))
         return {k: v for k, v in out.items() if any(v)}
 
+    def y_route(mu, exps):
+        out = {}
+        for al in range(n):
+            for k, v in pbw_product(c, {mi_unit(n, al): (1, 0)}, shift(True, mu, al, exps)).items():
+                r, s = out.get(k, (0, 0))
+                out[k] = (r + v[0], s + v[1])
+        return {k: v for k, v in out.items() if any(v)}
+
     return {
         "straighten": word,
         "t_action": lambda key: shift(False, *key),
         "tinv_action": lambda key: shift(True, *key),
+        "y_action": lambda key: y_route(*key),
     }
 
 
@@ -217,8 +271,8 @@ def test_memo_forms_are_reduced_and_exact(g, order, degree):
     for alg in (ctx.algebra, ctx.dual_alg):
         refs = _memo_references(alg)
         memos += [(refs[name], alg.cache(name)) for name in refs]
-    # the sweep fills the omega memo and all three of the algebra's
-    assert all(len(memo) for _, memo in memos[:4])
+    # the sweep fills the omega memo and all four of the algebra's
+    assert all(len(memo) for _, memo in memos[:5])
     for ref, memo in memos:
         for key, (den, rows) in memo.items():
             assert den > 0 and gcd(den, *(x for _, p, q in rows for x in (p, q))) == 1
