@@ -120,6 +120,14 @@ def test_omega_inv_forms_each_monomial_inverse_once():
     assert len(inverses) == 40 and set(inverses.values()) == {1}
 
 
+def _counting(calls, name, fn):
+    """fn, counting each call in calls[name]."""
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
 def test_warm_star_reads_only_its_operands_and_forms_no_scalar_product(monkeypatch):
     # on a warm context f, h, their lifts, the lifted product and every memo
     # entry are read as their stored forms: no Scalar is read into numerators,
@@ -130,12 +138,6 @@ def test_warm_star_reads_only_its_operands_and_forms_no_scalar_product(monkeypat
     first = star(ctx, f, h)
     calls = Counter()
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
     def read(fn):
         # the empty maps that stand for a result type read no Scalar
         def wrapper(coeffs):
@@ -145,9 +147,10 @@ def test_warm_star_reads_only_its_operands_and_forms_no_scalar_product(monkeypat
 
     for module in (poly, pbw):
         monkeypatch.setattr(module, "numerators", read(module.numerators))
-    monkeypatch.setattr(poly, "from_numerators", counted("from_numerators", poly.from_numerators))
+    monkeypatch.setattr(poly, "from_numerators",
+                        _counting(calls, "from_numerators", poly.from_numerators))
     for name in ("__mul__", "__rmul__"):
-        monkeypatch.setattr(Scalar, name, counted(name, getattr(Scalar, name)))
+        monkeypatch.setattr(Scalar, name, _counting(calls, name, getattr(Scalar, name)))
     assert star(ctx, f, h).form == first.form
     assert +calls == Counter()
 
@@ -169,15 +172,8 @@ def test_warm_star_and_y_action_call_no_memoized_recursion(monkeypatch):
     names = [(pbw, "_straighten"), (pbw, "_shift_mono"),
              (star_module, "_omega_mono"), (star_module, "_omega_inv_mono")]
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
     for module, name in names:
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     first = sweep()
     assert set(calls) == {name for _, name in names}  # the counters are live
     calls.clear()
@@ -225,7 +221,8 @@ def _memo_references(g):
                 out[k] = (r + sign * (re * p - im * q), s + sign * (re * q + im * p))
         return {k: v for k, v in out.items() if any(v)}
 
-    def y_route(mu, exps):
+    def y_route(key):
+        mu, exps = key
         out = {}
         for al in range(n):
             for k, v in pbw_product(c, {mi_unit(n, al): (1, 0)}, shift(True, mu, al, exps)).items():
@@ -237,7 +234,7 @@ def _memo_references(g):
         "straighten": word,
         "t_action": lambda key: shift(False, *key),
         "tinv_action": lambda key: shift(True, *key),
-        "y_action": lambda key: y_route(*key),
+        "y_action": y_route,
     }
 
 
