@@ -30,7 +30,14 @@ from .realization import (
 from .scalars import from_numerators, numerators
 from .series import TruncSeries, series_coeffs
 from .star import first_order_matches, make_context, poisson_first_order, star
-from .weyl import InsufficientOrder, OpMatrix, WeylOp, series_in_op, sum_of_products
+from .weyl import (
+    InsufficientOrder,
+    OpMatrix,
+    WeylOp,
+    matrix_series,
+    series_in_op,
+    sum_of_products,
+)
 
 __all__ = [
     "kappa_power_check",
@@ -49,11 +56,17 @@ def _function_of_c(g: KappaAlgebra, f: TruncSeries) -> OpMatrix:
 
     The adjoint matrix is C = (b x d) - A I with (b x d)_{mu nu} = b_mu d_nu,
     and (b x d)^2 = A (b x d), so every power of C splits into these two parts.
+    -A is one 1x1 matrix kept in the algebra's cache, so every series in it
+    reads one power chain, as every series in C does (`adjoint_matrix`).
     """
     n, z = g.n, (0,) * g.n
-    minus_a = -WeylOp(n, {(z, mi_unit(n, mu)): c for mu, c in enumerate(g.b)})
+    memo = g.cache("kappa")
+    if "-A" not in memo:
+        a = WeylOp(n, {(z, mi_unit(n, mu)): c for mu, c in enumerate(g.b)})
+        memo["-A"] = OpMatrix(1, [[-a]])
+    minus_a = memo["-A"][0, 0]
     # corr = (f(-A) - f(0))/(-A) is the one series summed: f(-A) = f(0) - A corr
-    corr = series_in_op(TruncSeries(f.coeffs[1:]), minus_a)
+    corr = matrix_series(TruncSeries(f.coeffs[1:]), memo["-A"])[0, 0]
     d_corr = [WeylOp.d(n, nu) * corr for nu in range(n)]
     rows = [[d_corr[nu].scale(b_mu) for nu in range(n)] for b_mu in g.b]
     one, f0 = WeylOp.one(n), WeylOp.constant(n, f[0])
@@ -143,8 +156,9 @@ def _weights(order: int) -> tuple:
 class KappaStarContext:
     """The closed star product of one kappa algebra, cut at one order.
 
-    Both routes' weight tables (`_weights`) are built on first use and kept;
-    they give the product of any f, g with deg f + deg g <= order.  So are the
+    Both routes' weight tables (`_weights`) are built on first use and kept,
+    with their first-order sub-tables, the entries with s + t = 1; a table
+    gives the product of any f, g with deg f + deg g <= order.  So are the
     A-chains (`_a_chains`) of every polynomial it multiplies, a memo that grows
     with those polynomials: build one context per run, as `verify_kappa` does.
     """
@@ -157,10 +171,21 @@ class KappaStarContext:
         self._tables = None
         self._chains = {}
 
-    def weights(self, dual: bool = False) -> dict:
+    def _table(self, k: int) -> dict:
+        """Table k of (primal, dual, primal first order, dual first order)."""
         if self._tables is None:
-            self._tables = _weights(self.order)
-        return self._tables[dual]
+            full = _weights(self.order)
+            first = ({key: w for key, w in t.items() if key[0] + key[2] == 1} for t in full)
+            self._tables = (*full, *first)
+        return self._tables[k]
+
+    def weights(self, dual: bool = False) -> dict:
+        return self._table(dual)
+
+    def first_order_weights(self, dual: bool = False) -> dict:
+        """The weights with s + t = 1: on homogeneous f_p, g_q they form the
+        degree-(p + q - 1) part of f_p * g_q, since A lowers the degree by one."""
+        return self._table(2 + dual)
 
     def a_chains(self, f: Polynomial) -> dict:
         chains = self._chains.get(f)
@@ -184,20 +209,13 @@ def _a_chains(b, f: Polynomial) -> dict:
     return chains
 
 
-def bidiff_star(
-    ctx: KappaStarContext, f: Polynomial, g: Polynomial, dual: bool = False
-) -> Polynomial:
-    """The closed bi-differential star-product of the kappa space:
-
-    f * g = sum w(s, m, t, k) (A^s f)_m (A^t g)_k over the degree-m and
-    degree-k parts, with A = b . d and the weights w of `_weights`, formed in
-    one `product_terms` call over the context's memoized chains.
-    Raises InsufficientOrder when deg f + deg g exceeds the context's order.
-    """
+def _bidiff(ctx: KappaStarContext, f: Polynomial, g: Polynomial, weights: dict) -> Polynomial:
+    """sum w(s, m, t, k) (A^s f)_m (A^t g)_k over the entries of `weights`,
+    formed in one `product_terms` call over the context's memoized chains.
+    Raises InsufficientOrder when deg f + deg g exceeds the context's order."""
     deg = f.degree() + g.degree()
     if deg > ctx.order:
         raise InsufficientOrder(deg, ctx.order)
-    weights = ctx.weights(dual)
     g_parts = ctx.a_chains(g)
     return f._like(product_terms(
         (fp, gp, w)
@@ -207,16 +225,29 @@ def bidiff_star(
     ))
 
 
+def bidiff_star(
+    ctx: KappaStarContext, f: Polynomial, g: Polynomial, dual: bool = False
+) -> Polynomial:
+    """The closed bi-differential star-product of the kappa space:
+
+    f * g = sum w(s, m, t, k) (A^s f)_m (A^t g)_k over the degree-m and
+    degree-k parts, with A = b . d and the weights w of `_weights`.
+    Raises InsufficientOrder when deg f + deg g exceeds the context's order.
+    """
+    return _bidiff(ctx, f, g, ctx.weights(dual))
+
+
 def kappa_poisson_check(ctx: KappaStarContext, f: Polynomial, g: Polynomial) -> bool:
     """First-order limit of the closed star-product.
 
     The leading correction of f * g is half the Lie-Poisson bracket
     {f, g} = sum (b_al x_be - b_be x_al)(d_al f)(d_be g), and the
-    star-commutator correction is the full bracket.
+    star-commutator correction is the full bracket.  On the homogeneous parts
+    it compares, the product is formed from the first-order weights only.
     """
+    first = ctx.first_order_weights()
     bracket = partial(poisson_first_order, ctx.algebra)
-    # `bidiff_star` is looked up per call, so a wrapped module attribute is seen
-    return first_order_matches(lambda a, b: bidiff_star(ctx, a, b), bracket, f, g)
+    return first_order_matches(lambda a, b: _bidiff(ctx, a, b, first), bracket, f, g)
 
 
 def verify_kappa(g: KappaAlgebra, order: int, trials: int, rng) -> dict:

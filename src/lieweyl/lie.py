@@ -8,13 +8,15 @@ indices.
 from __future__ import annotations
 
 import json
+from itertools import product
 
-from .scalars import Scalar
+from .scalars import Scalar, numerators
 
 __all__ = [
     "LieAlgebra",
     "KappaAlgebra",
     "validate",
+    "asymmetric_triples",
     "abelian",
     "g2_algebra",
     "su2_algebra",
@@ -33,7 +35,8 @@ class LieAlgebra:
     the per-algebra memo caches: PBW straightening, the shift actions and
     y_action's shift route, each entry a numerator form (`poly.linear_form`),
     the adjoint matrix C with its power chain, which grows to the largest
-    order asked, and the dual algebra."""
+    order asked, the dual algebra, and for kappa(b) the 1x1 matrix -A with
+    its chain."""
 
     __slots__ = ("n", "c", "name", "_caches")
 
@@ -83,17 +86,11 @@ def validate(g: LieAlgebra) -> dict:
     its two cyclic terms, summed over the nonzero constants only: past the
     n^3 loop over (mu, al, be), a sparse table costs little.
     """
-    witnesses = []
-    anti = True
+    witnesses = [{"kind": "antisymmetry", "indices": [mu + 1, nu + 1, lam + 1]}
+                 for mu, nu, lam in asymmetric_triples(g)]
+    anti = not witnesses
     c = g.c
     rng = range(g.n)
-    for mu in rng:
-        for nu in rng:
-            for lam in rng:
-                if c[mu][nu][lam] != -c[nu][mu][lam]:
-                    anti = False
-                    witnesses.append({"kind": "antisymmetry",
-                                      "indices": [mu + 1, nu + 1, lam + 1]})
     # nonzero[mu][al]: the (rho, C_{mu al rho}) with C_{mu al rho} != 0
     nonzero = [[[(rho, x) for rho, x in enumerate(row) if x] for row in m] for m in c]
     jacobi = True
@@ -115,6 +112,17 @@ def validate(g: LieAlgebra) -> dict:
                             return {"antisymmetry": anti, "jacobi": False,
                                     "witnesses": witnesses}
     return {"antisymmetry": anti, "jacobi": jacobi, "witnesses": witnesses}
+
+
+def asymmetric_triples(g: LieAlgebra):
+    """The 0-based (mu, nu, lam) with C_{mu nu lam} != -C_{nu mu lam}, in index
+    order, compared on the constants' numerators over one denominator."""
+    n = g.n
+    _, re, im = numerators([x for m in g.c for row in m for x in row])
+    for mu, nu, lam in product(range(n), repeat=3):
+        i, j = (mu * n + nu) * n + lam, (nu * n + mu) * n + lam
+        if re[i] + re[j] or im[i] + im[j]:
+            yield mu, nu, lam
 
 
 # -- builders ---------------------------------------------------------------

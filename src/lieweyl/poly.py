@@ -120,29 +120,42 @@ def product_terms(items, cap=inf) -> tuple:
     items = list(items)
     if not items:
         return 1, ()
-    n, kind, width, den, live = items[0][0].n, type(items[0][0]), 1, 1, []
-    for A, B, *c in items:
+    first = items[0][0]
+    n, kind, width, den, live, consts = first.n, type(first), 1, 1, [], {}
+    for item in items:
+        A, B = item[0], item[1]
         if type(A) is not kind or type(B) is not kind:
             raise TypeError(f"a product of {kind.__name__}s has a factor of another type")
         if A.n != n or B.n != n:
             raise ValueError(f"dimension mismatch: {A.n}, {B.n} vs {n}")
         if A.form[1] and B.form[1]:
             # a right factor is more often stored, so its width goes first
-            _, db, _, x_free = fb = _packed(B, width)
-            if not x_free:
+            pb = _packed(B, width)
+            if not pb[3]:
                 raise ValueError("the right factor of a product must be x-free")
-            width, da, *_ = _packed(A, fb[0])
-            dc, (u,), (v,) = numerators(c) if c else (1, (1,), (0,))
-            live.append((A, B, da * db * dc, u, v))
-            den = lcm(den, da * db * dc)
+            pa = _packed(A, pb[0])
+            width = pa[0]
+            d, u, v = pa[1] * pb[1], 1, 0
+            if len(item) > 2:
+                # each constant's numerators are taken once per call
+                nc = consts.get(id(item[2]))
+                if nc is None:
+                    nc = consts[id(item[2])] = numerators(item[2:])
+                dc, (u,), (v,) = nc
+                d *= dc
+            if den % d:
+                den = lcm(den, d)
+            live.append((A, pa, B, pb, d, u, v))
     acc = {}  # packed key -> [re, im] numerators over den
     get = acc.get
-    for A, B, d, u, v in live:
+    for A, pa, B, pb, d, u, v in live:
         m = den // d
         u *= m
         v *= m
-        rb = _packed(B, width)[2]
-        for dega, ka, p, q in _packed(A, width)[2]:
+        # a layout stored at the call's width is read as it is
+        rb = pb[2] if pb[0] == width else _packed(B, width)[2]
+        ra = pa[2] if pa[0] == width else _packed(A, width)[2]
+        for dega, ka, p, q in ra:
             room = cap - dega
             p, q = p * u - q * v, p * v + q * u
             for degb, kb, r, s in rb:
@@ -155,8 +168,8 @@ def product_terms(items, cap=inf) -> tuple:
                 else:
                     t[0] += p * r - q * s
                     t[1] += p * s + q * r
-    join, mask = items[0][0]._join, (1 << width) - 1
-    shifts = range(0, n * len(items[0][0].KEY_PARTS) * width, width)
+    join, mask = first._join, (1 << width) - 1
+    shifts = range(0, n * len(first.KEY_PARTS) * width, width)
     return reduce_form(den, [
         (join([k >> s & mask for s in shifts], n), p, q)
         for k, (p, q) in acc.items() if p or q
@@ -256,9 +269,8 @@ class TermMap:
     # -- structure ---------------------------------------------------------
 
     def degree(self) -> int:
-        """Total degree over all parts of the keys; -1 for the zero map."""
-        split = self._split
-        return max((sum(map(mi_degree, split(k))) for k, _, _ in self.form[1]), default=-1)
+        """Total degree of the (one-part) keys; -1 for the zero map."""
+        return max([sum(r[0]) for r in self.form[1]], default=-1)
 
     def is_zero(self) -> bool:
         return not self.form[1]

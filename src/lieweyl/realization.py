@@ -15,9 +15,9 @@ from __future__ import annotations
 from functools import partial
 from itertools import combinations, product
 
-from .lie import LieAlgebra
+from .lie import LieAlgebra, asymmetric_triples
 from .poly import Polynomial, linear_form, mi_unit
-from .scalars import MINUS_ONE, ONE, Q, Scalar
+from .scalars import MINUS_ONE, ONE, Q, Scalar, numerators
 from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_of_products
 
@@ -182,6 +182,11 @@ def _over_cube(n, residual, **label):
         yield {**label, "indices": [i + 1 for i in ijk]}, residual(*ijk)
 
 
+def _difference(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
+    """lhs - rhs, formed only when the two sides differ."""
+    return WeylOp.zero(lhs.n) if lhs == rhs else lhs - rhs
+
+
 def closure_residual(g: LieAlgebra, real: Realization):
     """[xhat_mu, xhat_nu] - sum_al C_{mu nu al} xhat_al for mu < nu."""
     one = WeylOp.one(g.n)
@@ -297,7 +302,14 @@ def verify_shift_relations(g: LieAlgebra, order) -> dict:
 
 
 def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
-    """Exponential-matrix identities underpinning the dual realization."""
+    """Exponential-matrix identities underpinning the dual realization.
+
+    The table must be antisymmetric (ValueError otherwise): the triple
+    contraction is then antisymmetric in (mu, nu) and is formed for mu < nu.
+    """
+    for mu, nu, lam in asymmetric_triples(g):
+        raise ValueError(f"the appendix needs an antisymmetric table: C[{mu + 1}][{nu + 1}]"
+                         f"[{lam + 1}] != -C[{nu + 1}][{mu + 1}][{lam + 1}]")
     n = g.n
     C = adjoint_matrix(g)
     # the exact powers C^m (of degree m), read from the chain every series in C shares
@@ -319,17 +331,17 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
             for b, col in enumerate(cols)
         ] for a, row in enumerate(d.entries)]) for d in D[-1]])
 
-    # identity relating C^m to the structure constants (power m)
+    # identity relating C^m to the structure constants (power m): its left side
+    # sum_al C_{al lam nu} (C^m)_{mu al} is one linear form of exact powers
     def power_contraction(m, mu, lam, nu):
-        return sum_of_products([
-            *((powers[m][mu, al], one, c) for al in range(n) if (c := g.c[al][lam][nu])),
-            (D[m][mu][lam, nu], one, MINUS_ONE),
-        ])
+        terms = [(powers[m][mu, al], c) for al in range(n) if (c := g.c[al][lam][nu])]
+        dc, us, vs = numerators([c for _, c in terms])
+        lhs = one._like(linear_form((u, v, dc, P.form) for (P, _), u, v in zip(terms, us, vs)))
+        return _difference(lhs, D[m][mu][lam, nu])
 
     # formal derivative of C^m
     def power_derivative(m, lam, mu, nu):
-        lhs = (powers[m][mu, nu].deriv_d(lam), one)
-        return sum_of_products([lhs, (E[m][mu][lam, nu], one, MINUS_ONE)])
+        return _difference(powers[m][mu, nu].deriv_d(lam), E[m][mu][lam, nu])
 
     def over_powers(residual):
         for m in range(1, m_max + 1):
@@ -361,21 +373,24 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
 
     # triple contraction equals the negated structure constants; its inner
     # sum M[mu, nu, al] = sum_{be rho} C_{be rho al} Tinv_{mu rho} Tinv_{nu be}
-    # does not depend on kap; the zero item keeps an empty sum valid through order
+    # does not depend on kap; the zero item keeps an empty sum valid through order.
+    # The Tinv entries commute, so with C antisymmetric M and the residual are
+    # antisymmetric in (mu, nu) (zero for mu = nu), and the first nonzero
+    # residual in index order has mu < nu: only those are formed.
     Tinv = matrix_series(series_coeffs("exp_neg", order), C)
+    upper = [ijk for ijk in product(range(n), repeat=3) if ijk[0] < ijk[1]]
     M = {
         (mu, nu, al): sum_of_products([(zero, one), *(
             (Tinv[mu, rho], Tinv[nu, be], c) for be, rho in product(range(n), repeat=2)
             if (c := g.c[be][rho][al])
         )], order)
-        for mu, nu, al in product(range(n), repeat=3)
+        for mu, nu, al in upper
     }
 
     def triple_contraction(mu, nu, kap):
         c = WeylOp.constant(n, g.c[mu][nu][kap])
         return sum_of_products([*((T[al, kap], M[mu, nu, al]) for al in range(n)), (c, one)])
 
-    checks.append(
-        residual_check("triple-contraction", order, _over_cube(n, triple_contraction))
-    )
+    residuals = (({"indices": [i + 1 for i in ijk]}, triple_contraction(*ijk)) for ijk in upper)
+    checks.append(residual_check("triple-contraction", order, residuals))
     return suite(order, checks)

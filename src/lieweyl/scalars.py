@@ -34,6 +34,8 @@ def _lowest(p, q):
 def _ratio(v):
     if type(v) is int:
         return v, 1
+    if type(v) is Q:
+        return v.numerator, v.denominator  # already in lowest terms
     if isinstance(v, float):
         raise TypeError(f"float {v!r} is not an exact scalar")
     if isinstance(v, str) and not (s := Scalar.parse(v))._c:

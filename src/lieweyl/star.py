@@ -165,20 +165,21 @@ def duality_check(ctx: StarContext, f: Polynomial, g: Polynomial) -> bool:
 
 def poisson_first_order(g: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
     """Lie-Poisson bracket {f, h} = sum C_{al be rho} (d_al f)(x_rho d_be h),
-    formed in one `product_terms` call."""
+    formed in one `product_terms` call; each d_al f and x_rho d_be h is formed
+    once, and only where some C_{al be rho} is nonzero."""
     n = g.n
-    df = [f.partial(al) for al in range(n)]
+    nonzero = [(al, be, rho, c) for al, be, rho in product(range(n), repeat=3)
+               if (c := g.c[al][be][rho])]
+    df = {al: f.partial(al) for al in {t[0] for t in nonzero}}
     xdh = {}
-    for be in range(n):
+    for be in {t[1] for t in nonzero}:
         den, rows = h.partial(be).form
-        for rho in range(n):
+        for rho in {t[2] for t in nonzero if t[1] == be}:
             xdh[rho, be] = f._like((den, tuple([
                 (k[:rho] + (k[rho] + 1,) + k[rho + 1 :], p, q) for k, p, q in rows
             ])))
     return f._like(product_terms(
-        (df[al], xdh[rho, be], c)
-        for al, be, rho in product(range(n), repeat=3)
-        if (c := g.c[al][be][rho])
+        (df[al], xdh[rho, be], c) for al, be, rho, c in nonzero
     ))
 
 
@@ -223,14 +224,13 @@ def first_order_matches(product, bracket, f: Polynomial, g: Polynomial) -> bool:
     bracket(f_p, g_q), and the star-commutator part is the full bracket.
     """
     half = Scalar(Q(1, 2))
+    g_parts = [(q, gq) for q in range(g.degree() + 1)
+               if not (gq := g.homogeneous_part(q)).is_zero()]
     for p in range(f.degree() + 1):
         fp = f.homogeneous_part(p)
         if fp.is_zero():
             continue
-        for q in range(g.degree() + 1):
-            gq = g.homogeneous_part(q)
-            if gq.is_zero():
-                continue
+        for q, gq in g_parts:
             pb = bracket(fp, gq)
             prod = product(fp, gq)
             flipped = product(gq, fp)

@@ -130,6 +130,10 @@ class WeylOp(TermMap):
 
     # -- structure ---------------------------------------------------------
 
+    def degree(self) -> int:
+        """Total degree in x and d; -1 for the zero operator."""
+        return max([sum(a) + sum(b) for (a, b), _, _ in self.form[1]], default=-1)
+
     def xdeg(self) -> int:
         return max((mi_degree(a) for (a, _), _, _ in self.form[1]), default=0)
 

@@ -5,6 +5,8 @@ from itertools import product
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieweyl import (
     I,
@@ -267,6 +269,72 @@ def test_context_builds_the_chains_of_each_polynomial_once(monkeypatch):
     for _ in range(2):
         assert products(KappaStarContext(p, 6)) == shared
     assert shared[-1]
+
+
+_part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_gaussian = st.builds(Scalar, _part, _part)
+
+
+@st.composite
+def _homogeneous(draw, n, p):
+    """A nonzero homogeneous polynomial of degree p in n variables."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exps = [0] * n
+        for _ in range(p):
+            exps[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(exps)] = draw(_gaussian.filter(bool))
+    return Polynomial(n, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_first_order_weights_form_the_first_order_part(data):
+    # A = b . d lowers the degree by one, so on homogeneous f_p, g_q the
+    # entries s + t = 1 form exactly the degree-(p + q - 1) part of f_p * g_q
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    g = kappa_algebra(data.draw(st.lists(_gaussian, min_size=n, max_size=n), label="b"))
+    p, q = data.draw(st.integers(0, 3), label="p"), data.draw(st.integers(0, 3), label="q")
+    f, h = data.draw(_homogeneous(n, p), label="f"), data.draw(_homogeneous(n, q), label="g")
+    ctx = KappaStarContext(g, 6)
+    for dual in (False, True):
+        first = kappa._bidiff(ctx, f, h, ctx.first_order_weights(dual))
+        assert first == bidiff_star(ctx, f, h, dual).homogeneous_part(p + q - 1)
+
+
+def test_verify_kappa_forms_two_full_products_a_trial_and_one_minus_a_chain(monkeypatch):
+    # the poisson check forms first-order products only, so each trial makes
+    # one full product per route; every series in -A (the closed forms and the
+    # power check) reads one chain, kept in the algebra's cache, whose links
+    # -A^2, -A^3, ... are each formed once
+    calls = Counter()
+    full = kappa.bidiff_star
+
+    def counting(*args, **kwargs):
+        calls["bidiff_star"] += 1
+        return full(*args, **kwargs)
+
+    links = []
+    mul = OpMatrix.__mul__
+
+    def counted(a, other):
+        links.append(other)
+        return mul(a, other)
+
+    monkeypatch.setattr(kappa, "bidiff_star", counting)
+    monkeypatch.setattr(OpMatrix, "__mul__", counted)
+    # n = 3, so the 1x1 products over 3 variables are the -A chain's and the
+    # weight table's (over 2 variables) are not counted
+    g = kappa_algebra([I, Scalar(1), Scalar(1) / 2])
+    assert verify_kappa(g, 6, 10, random.Random(41))["pass"]
+    assert calls == {"bidiff_star": 20}
+    chain = g.cache("kappa")["-A"]._chain
+    own = [m for m in links if m.n == 1 and m.entries[0][0].n == g.n]
+    assert own and all(m is chain[1] for m in own)
+    assert len(own) == len(chain) - 2
+    # a second power check reads the same chain
+    assert kappa_power_check(g, 6)
+    assert [m for m in links if m.n == 1 and m.entries[0][0].n == g.n] == own
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])

@@ -11,6 +11,7 @@ from normal_order import commutator
 from lieweyl import (
     I,
     InsufficientOrder,
+    LieAlgebra,
     OpMatrix,
     Polynomial,
     Scalar,
@@ -128,7 +129,11 @@ def test_appendix_power_identities_to_m6():
 
 def test_appendix_forms_each_truncated_product_once(monkeypatch):
     # the triple contraction's kap-free inner sum is formed once per (mu, nu, al),
-    # not once per kap: 54 exp-derivative + 54 inner + 54 outer products for su2
+    # not once per kap, and both it and the residual only for mu < nu, as both
+    # are antisymmetric in (mu, nu).  For su2 (n = 3, two nonzero C_{mu al be}
+    # per mu and per al): 27 (lam, mu, nu) x 2 = 54 exp-derivative products,
+    # 3 pairs mu < nu x 3 al x 2 = 18 inner ones, and 3 pairs x 3 kap x 3 al = 27
+    # outer ones
     pairs = []
     kernel = weyl.sum_of_products
 
@@ -144,7 +149,30 @@ def test_appendix_forms_each_truncated_product_once(monkeypatch):
     for module in (weyl, realization):
         monkeypatch.setattr(module, "sum_of_products", counting)
     assert verify_appendix(su2_algebra(), 4, 4)["pass"]
-    assert len(pairs) == 162
+    assert len(pairs) == 54 + 18 + 27
+
+
+def _table(n, entries):
+    return tuple(
+        tuple(tuple(Scalar(entries.get((mu, nu, lam), 0)) for lam in range(n)) for nu in range(n))
+        for mu in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 1, 1): 1, (1, 0, 1): 1},  # [X1, X2] = [X2, X1] = X2
+        {(0, 1, 1): 1, (1, 0, 1): -1, (0, 0, 1): Fraction(1, 2)},  # [X1, X1] = X2/2
+    ],
+    ids=["symmetric-pair", "diagonal"],
+)
+def test_appendix_rejects_a_table_that_is_not_antisymmetric(entries):
+    # the triple contraction is formed for mu < nu only, which holds for an
+    # antisymmetric table alone
+    g = LieAlgebra(2, _table(2, entries))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        verify_appendix(g, 4, 4)
 
 
 @pytest.mark.parametrize("cut", [1, 2, 3, INF])
