@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -382,12 +383,19 @@ def main(argv=None) -> int:
         message = f"error: --order {args.order} is outside 1..{MAX_ORDER}\n"
         parser.exit(EXIT_INPUT, message)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InsufficientOrder as exc:
         print(f"error: {exc}; raise --order", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        # stdout failed (a closed pipe, a full device): its buffer drains to os.devnull
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
 
 

@@ -3,16 +3,16 @@ generic engine.
 
 Every function takes the algebra `lie.kappa_algebra(b)`, which keeps its b:
 [X_mu, X_nu] = b_mu X_nu - b_nu X_mu with b_mu = i a_mu exact Gaussian
-rationals.  Every closed-form matrix is one function f(C) of the adjoint
-matrix, written through the single derivative operator A = b . d (see
-`_function_of_c`); the results reproduce the generic matrix-series
-realizations entry by entry.  The closed star product of either route is
-applied from a table of weights in two variables (see `_weights`).
+rationals.  Two identities carry the module, with A = b . d.  C^2 = -A C, so
+every closed-form matrix is f(C) = f(0) I + h(-A) C (`_function_of_c`), and
+reproduces the generic realizations entry by entry.  A lowers the degree by
+one, so the first-order part of the closed star product, applied from a table
+of weights (`_weights`), is two of its entries (`_first_order`).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 
 from .lie import KappaAlgebra
 from .poly import Polynomial, linear_form, mi_unit, product_terms
@@ -52,32 +52,26 @@ __all__ = [
 
 
 def _function_of_c(g: KappaAlgebra, f: TruncSeries) -> OpMatrix:
-    """f(C) = f(-A) I + (b x d) (f(-A) - f(0))/(-A), exact through order(f) - 1.
+    """f(C) = f(0) I + h(-A) C with h(t) = (f(t) - f(0))/t, exact through the
+    order of h, which is order(f) - 1.
 
-    The adjoint matrix is C = (b x d) - A I with (b x d)_{mu nu} = b_mu d_nu,
-    and (b x d)^2 = A (b x d), so every power of C splits into these two parts.
-    -A is one 1x1 matrix kept in the algebra's cache, so every series in it
-    reads one power chain, as every series in C does (`adjoint_matrix`).
+    C^2 = -A C gives C^k = (-A)^{k-1} C for k >= 1.  -A is one 1x1 matrix kept
+    in the algebra's cache, so every series in it reads one power chain, as
+    every series in C does (`adjoint_matrix`).
     """
     n, z = g.n, (0,) * g.n
     memo = g.cache("kappa")
     if "-A" not in memo:
         a = WeylOp(n, {(z, mi_unit(n, mu)): c for mu, c in enumerate(g.b)})
         memo["-A"] = OpMatrix(1, [[-a]])
-    minus_a = memo["-A"][0, 0]
-    # corr = (f(-A) - f(0))/(-A) is the one series summed: f(-A) = f(0) - A corr
-    corr = matrix_series(TruncSeries(f.coeffs[1:]), memo["-A"])[0, 0]
-    d_corr = [WeylOp.d(n, nu) * corr for nu in range(n)]
-    rows = [[d_corr[nu].scale(b_mu) for nu in range(n)] for b_mu in g.b]
-    one, f0 = WeylOp.one(n), WeylOp.constant(n, f[0])
-    for mu, b_mu in enumerate(g.b):
-        rows[mu][mu] = sum_of_products([(d_corr[mu], one, b_mu), (f0, one), (minus_a, corr)])
-    return OpMatrix(n, rows)
+    h = matrix_series(TruncSeries(f.coeffs[1:]), memo["-A"])[0, 0]
+    C, f0 = adjoint_matrix(g), [(WeylOp.constant(n, f[0]), WeylOp.one(n))]
+    return OpMatrix(n, [[sum_of_products([(C[mu, nu], h)] + f0 * (mu == nu)) for nu in range(n)]
+                        for mu in range(n)])
 
 
 def kappa_power_check(g: KappaAlgebra, order: int) -> bool:
-    """C^k == (-1)^{k-1} A^{k-1} (b x d) + (-1)^k A^k I through the order,
-    for every k = 1..order."""
+    """C^k == (-A)^{k-1} C through the order, for every k = 1..order."""
     powers = adjoint_matrix(g).powers(order)
     for k in range(1, order + 1):
         t_k = TruncSeries([int(j == k) for j in range(order + 2)])
@@ -130,9 +124,9 @@ def _weights(order: int) -> tuple:
     (1 - e^{-t})/t are the kinds dexp and dexp_neg, so each ratio is a
     product of x-free operators in u = d_1 and v = d_2.
     """
-    z = (0, 0)
     u, v = WeylOp.d(2, 0), WeylOp.d(2, 1)
-    u_plus_v = WeylOp(2, {(z, (1, 0)): 1, (z, (0, 1)): 1})
+    # written out, since the suites form no pairwise operator sum
+    u_plus_v = WeylOp(2, {((0, 0), (1, 0)): 1, ((0, 0), (0, 1)): 1})
     powers = []
     for f, inverse, var in (("psi_tilde", "dexp", u), ("psi", "dexp_neg", v)):
         ratio = series_in_op(series_coeffs(f, order), u_plus_v) * series_in_op(
@@ -156,9 +150,8 @@ def _weights(order: int) -> tuple:
 class KappaStarContext:
     """The closed star product of one kappa algebra, cut at one order.
 
-    Both routes' weight tables (`_weights`) are built on first use and kept,
-    with their first-order sub-tables, the entries with s + t = 1; a table
-    gives the product of any f, g with deg f + deg g <= order.  So are the
+    Both routes' weight tables (`_weights`), which give the product of any f, g
+    with deg f + deg g <= order, are built on first use and kept.  So are the
     A-chains (`_a_chains`) of every polynomial it multiplies, a memo that grows
     with those polynomials: build one context per run, as `verify_kappa` does.
     """
@@ -171,21 +164,10 @@ class KappaStarContext:
         self._tables = None
         self._chains = {}
 
-    def _table(self, k: int) -> dict:
-        """Table k of (primal, dual, primal first order, dual first order)."""
-        if self._tables is None:
-            full = _weights(self.order)
-            first = ({key: w for key, w in t.items() if key[0] + key[2] == 1} for t in full)
-            self._tables = (*full, *first)
-        return self._tables[k]
-
     def weights(self, dual: bool = False) -> dict:
-        return self._table(dual)
-
-    def first_order_weights(self, dual: bool = False) -> dict:
-        """The weights with s + t = 1: on homogeneous f_p, g_q they form the
-        degree-(p + q - 1) part of f_p * g_q, since A lowers the degree by one."""
-        return self._table(2 + dual)
+        if self._tables is None:
+            self._tables = _weights(self.order)
+        return self._tables[dual]
 
     def a_chains(self, f: Polynomial) -> dict:
         chains = self._chains.get(f)
@@ -194,29 +176,39 @@ class KappaStarContext:
         return chains
 
 
+def _apply_a(b, f: Polynomial) -> Polynomial:
+    """A f = sum_mu b_mu d_mu f, formed as one `linear_form` of the partials."""
+    db, us, vs = numerators(b)
+    return f._like(linear_form(
+        (u, v, db, f.partial(mu).form) for mu, (u, v) in enumerate(zip(us, vs)) if u or v
+    ))
+
+
 def _a_chains(b, f: Polynomial) -> dict:
     """{(s, m): the degree-m part of A^s f, which is A^s f_{s+m}} over the
     nonzero parts, with A = b . d."""
-    db, us, vs = numerators(b)
     chains, h, s = {}, f, 0
     while h.form[1]:
         for m in sorted({sum(k) for k, _, _ in h.form[1]}):
             chains[s, m] = h.homogeneous_part(m)
-        h = f._like(linear_form(
-            (u, v, db, h.partial(mu).form) for mu, (u, v) in enumerate(zip(us, vs)) if u or v
-        ))
+        h = _apply_a(b, h)
         s += 1
     return chains
 
 
-def _bidiff(ctx: KappaStarContext, f: Polynomial, g: Polynomial, weights: dict) -> Polynomial:
-    """sum w(s, m, t, k) (A^s f)_m (A^t g)_k over the entries of `weights`,
-    formed in one `product_terms` call over the context's memoized chains.
-    Raises InsufficientOrder when deg f + deg g exceeds the context's order."""
+def bidiff_star(ctx: KappaStarContext, f: Polynomial, g: Polynomial,
+                dual: bool = False) -> Polynomial:
+    """The closed bi-differential star-product of the kappa space:
+
+    f * g = sum w(s, m, t, k) (A^s f)_m (A^t g)_k over the degree-m and
+    degree-k parts, with A = b . d and the weights w of `_weights`, formed in
+    one `product_terms` call over the context's memoized chains.
+    Raises InsufficientOrder when deg f + deg g exceeds the context's order.
+    """
     deg = f.degree() + g.degree()
     if deg > ctx.order:
         raise InsufficientOrder(deg, ctx.order)
-    g_parts = ctx.a_chains(g)
+    weights, g_parts = ctx.weights(dual), ctx.a_chains(g)
     return f._like(product_terms(
         (fp, gp, w)
         for sm, fp in ctx.a_chains(f).items()
@@ -225,16 +217,13 @@ def _bidiff(ctx: KappaStarContext, f: Polynomial, g: Polynomial, weights: dict) 
     ))
 
 
-def bidiff_star(
-    ctx: KappaStarContext, f: Polynomial, g: Polynomial, dual: bool = False
-) -> Polynomial:
-    """The closed bi-differential star-product of the kappa space:
-
-    f * g = sum w(s, m, t, k) (A^s f)_m (A^t g)_k over the degree-m and
-    degree-k parts, with A = b . d and the weights w of `_weights`.
-    Raises InsufficientOrder when deg f + deg g exceeds the context's order.
-    """
-    return _bidiff(ctx, f, g, ctx.weights(dual))
+def _first_order(w: dict, apply_a, fp: Polynomial, gq: Polynomial) -> Polynomial:
+    """The degree-(p + q - 1) part of fp * gq under the table w, for fp, gq
+    homogeneous of degrees p, q: A lowers the degree by exactly one, so it is
+    w(1, p-1, 0, q) (A fp) gq + w(0, p, 1, q-1) fp (A gq), with A f = apply_a(f)."""
+    p, q = fp.degree(), gq.degree()
+    items = (((1, p - 1, 0, q), apply_a(fp), gq), ((0, p, 1, q - 1), fp, apply_a(gq)))
+    return fp._like(product_terms((a, c, w[key]) for key, a, c in items if key in w))
 
 
 def kappa_poisson_check(ctx: KappaStarContext, f: Polynomial, g: Polynomial) -> bool:
@@ -243,11 +232,14 @@ def kappa_poisson_check(ctx: KappaStarContext, f: Polynomial, g: Polynomial) -> 
     The leading correction of f * g is half the Lie-Poisson bracket
     {f, g} = sum (b_al x_be - b_be x_al)(d_al f)(d_be g), and the
     star-commutator correction is the full bracket.  On the homogeneous parts
-    it compares, the product is formed from the first-order weights only.
+    it compares, only the first-order part is formed (`_first_order`), from
+    A-images formed once per part and call.
     """
-    first = ctx.first_order_weights()
-    bracket = partial(poisson_first_order, ctx.algebra)
-    return first_order_matches(lambda a, b: _bidiff(ctx, a, b, first), bracket, f, g)
+    deg = f.degree() + g.degree()
+    if deg > ctx.order:
+        raise InsufficientOrder(deg, ctx.order)
+    first = partial(_first_order, ctx.weights(), cache(partial(_apply_a, ctx.algebra.b)))
+    return first_order_matches(first, partial(poisson_first_order, ctx.algebra), f, g)
 
 
 def verify_kappa(g: KappaAlgebra, order: int, trials: int, rng) -> dict:

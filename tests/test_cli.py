@@ -147,6 +147,12 @@ def test_star_examples(capsys):
     assert out.strip() == "1/2*x2 + x1*x2"
 
 
+def test_star_check_duality_json(capsys):
+    code, out, _ = run(capsys, "star", "su2", "x1*x2", "x3", "--order", "4",
+                       "--check-duality", "--format", "json")
+    assert code == 0 and json.loads(out)["duality"] is True
+
+
 def test_star_degree_exceeds_order(capsys):
     code, _, err = run(capsys, "star", "g2", "x1^4", "x2^4", "--order", "6")
     assert code == 2 and "order" in err
@@ -498,3 +504,29 @@ def test_star_table_script_first_order_ok():
     lines = out.split("first-order check on generator pairs:\n")[1].splitlines()
     assert len(lines) == 4
     assert all(line.endswith("ok") for line in lines)
+
+
+def _cli_process(stdout):
+    src = str(Path(lieweyl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "lieweyl.cli", "verify", "su2", "--order", "4"],
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_ends_in_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.splitlines() == ["error: cannot write the output: [Errno 28] No space left on device"]
+
+
+def test_a_closed_pipe_ends_in_one_error_line():
+    # the reading end is closed before the process writes
+    proc = _cli_process(subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err.splitlines() == ["error: cannot write the output: [Errno 32] Broken pipe"]

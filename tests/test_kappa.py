@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb, factorial, prod
 
@@ -263,9 +264,8 @@ def test_context_builds_the_chains_of_each_polynomial_once(monkeypatch):
         ]
 
     shared = products(KappaStarContext(p, 6))
-    # the poisson check multiplies the nonzero homogeneous parts of f and g
-    parts = {h.homogeneous_part(d) for h in (f, g) for d in range(h.degree() + 1)}
-    assert built == Counter({f, g, *parts} - {Polynomial.zero(3)})
+    # the poisson check forms first-order products from A-images, not chains
+    assert built == Counter({f, g})
     for _ in range(2):
         assert products(KappaStarContext(p, 6)) == shared
     assert shared[-1]
@@ -289,16 +289,17 @@ def _homogeneous(draw, n, p):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_first_order_weights_form_the_first_order_part(data):
-    # A = b . d lowers the degree by one, so on homogeneous f_p, g_q the
-    # entries s + t = 1 form exactly the degree-(p + q - 1) part of f_p * g_q
+def test_first_order_forms_the_first_order_part(data):
+    # A = b . d lowers the degree by one, so on homogeneous f_p, g_q the two
+    # entries w(1, p-1, 0, q) and w(0, p, 1, q-1) form exactly the
+    # degree-(p + q - 1) part of f_p * g_q
     n = data.draw(st.sampled_from([2, 3]), label="n")
-    g = kappa_algebra(data.draw(st.lists(_gaussian, min_size=n, max_size=n), label="b"))
+    b = data.draw(st.lists(_gaussian, min_size=n, max_size=n), label="b")
     p, q = data.draw(st.integers(0, 3), label="p"), data.draw(st.integers(0, 3), label="q")
     f, h = data.draw(_homogeneous(n, p), label="f"), data.draw(_homogeneous(n, q), label="g")
-    ctx = KappaStarContext(g, 6)
+    ctx = KappaStarContext(kappa_algebra(b), 6)
     for dual in (False, True):
-        first = kappa._bidiff(ctx, f, h, ctx.first_order_weights(dual))
+        first = kappa._first_order(ctx.weights(dual), partial(kappa._apply_a, ctx.algebra.b), f, h)
         assert first == bidiff_star(ctx, f, h, dual).homogeneous_part(p + q - 1)
 
 

@@ -97,6 +97,22 @@ def test_symmetrization():
         assert rep["pass"], (g.name, rep)
 
 
+def test_symmetrization_fails_on_a_realization_that_is_not_symmetric(monkeypatch):
+    # phi = 2 psi(C) gives xhat_mu |> 1 = 2 x_mu; every phi = f(C) with f(0) = 1,
+    # exp(C) and psi_tilde(C) among them, passes this check
+    weyl = realization.weyl_realization
+
+    def doubled(g, order):
+        phi = weyl(g, order).phi
+        return realization_from_phi(g, OpMatrix(g.n, [[op.scale(2) for op in row]
+                                                      for row in phi.entries]))
+
+    monkeypatch.setattr(realization, "weyl_realization", doubled)
+    rep = verify_symmetrization(su2_algebra(), 5, 4, 3, random.Random(5))
+    assert not rep["pass"]
+    assert rep["checks"] and not any(c["pass"] for c in rep["checks"])
+
+
 def test_symmetrization_order_guard():
     with pytest.raises(InsufficientOrder):
         verify_symmetrization(g2_algebra(), 3, 5, 1, random.Random(0))

@@ -2,7 +2,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import gcd
 
@@ -38,6 +38,7 @@ from lieweyl import (
 from lieweyl import pbw, poly
 from lieweyl.poly import mi_unit
 from lieweyl.realization import random_polynomial
+from lieweyl.star import first_order_matches
 from conftest import random_monomial, standard_algebras
 from normal_order import constants, pbw_product
 
@@ -371,6 +372,23 @@ def test_poisson_first_order():
             assert first_order_check(ctx, f, h)
 
 
+def test_first_order_matches_rejects_products_without_the_bracket():
+    # on su2's x1, x2 the commutative product has no first-order part; the
+    # other product adds half the bracket of the pair in a fixed order, so its
+    # first-order part is right for (x1, x2) but its star-commutator part is 0
+    g = su2_algebra()
+    bracket = partial(poisson_first_order, g)
+    x1, x2 = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+    assert not bracket(x1, x2).is_zero()
+
+    def half_sorted(a, b):
+        return a * b + bracket(*sorted((a, b), key=str)).scale(Scalar(1, 2))
+
+    assert half_sorted(x1, x2).homogeneous_part(1) == bracket(x1, x2).scale(Scalar(1, 2))
+    for product_ in (lambda a, b: a * b, half_sorted):
+        assert not first_order_matches(product_, bracket, x1, x2)
+
+
 def test_poisson_bracket_antisymmetric():
     rng = random.Random(61)
     g = g2_algebra()
@@ -388,6 +406,8 @@ def test_order_guards():
         star(ctx, big, big)
     with pytest.raises(InsufficientOrder):
         omega_inv(ctx, parse_polynomial("x1^4", 2))
+    with pytest.raises(InsufficientOrder):
+        omega(ctx, PBWElement.monomial(2, (2, 2)))
 
 
 @pytest.mark.parametrize("zero", [True, False], ids=["zero", "nonzero"])

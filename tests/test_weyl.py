@@ -46,6 +46,8 @@ def test_normal_ordering():
     x2 = product(x(0), x(0))
     # d^2 x = x d^2 + 2 d
     assert product(d(0) * d(0), x(0)) == x(0) * d(0) * d(0) + d(0).scale(Scalar(2))
+    # the total degree in x and d: x d^2 + 2 d has degree 3, and 0 has degree -1
+    assert product(d(0) * d(0), x(0)).degree() == 3 and WeylOp.zero(2).degree() == -1
     # d x^2 = x^2 d + 2x
     assert product(d(0), x2) == x2 * d(0) + x(0).scale(Scalar(2))
 
