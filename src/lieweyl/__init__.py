@@ -41,6 +41,7 @@ from .realization import (
     adjoint_matrix,
     dual_realization,
     realization_from_phi,
+    series_matrix,
     t_realization,
     verify_appendix,
     verify_realization,

@@ -35,8 +35,9 @@ class LieAlgebra:
     the per-algebra memo caches: PBW straightening, the shift actions and
     y_action's shift route, each entry a numerator form (`poly.linear_form`),
     the adjoint matrix C with its power chain, which grows to the largest
-    order asked, the dual algebra, and for kappa(b) the 1x1 matrix -A with
-    its chain."""
+    order asked, and beside it the table of C's series, one matrix per
+    (kind, order) (`realization.series_matrix`), the dual algebra, and for
+    kappa(b) the 1x1 matrix -A with its chain."""
 
     __slots__ = ("n", "c", "name", "_caches")
 

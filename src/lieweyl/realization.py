@@ -1,9 +1,9 @@
 """Realizations of Lie algebras inside the truncated Weyl algebra.
 
-Builds the adjoint operator matrix, the Weyl-symmetric realization, its
-left-right dual, the shift-operator matrices exp(+-C), and the verification
-suites (commutator closure, symmetrization, the exponential-matrix
-identities).
+Builds the adjoint operator matrix, the table of its series (`series_matrix`),
+the Weyl-symmetric realization, its left-right dual, the shift-operator
+matrices exp(+-C), and the verification suites (commutator closure,
+symmetrization, the exponential-matrix identities).
 
 Index convention: realizations are handed around as the coefficient matrix
 P with xhat_mu = sum_al x_al * P[mu][al]; the Weyl-symmetric choice is
@@ -24,6 +24,7 @@ from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_o
 __all__ = [
     "Realization",
     "adjoint_matrix",
+    "series_matrix",
     "weyl_realization",
     "dual_realization",
     "t_realization",
@@ -71,6 +72,18 @@ def adjoint_matrix(g: LieAlgebra) -> OpMatrix:
     return memo["C"]
 
 
+def series_matrix(g: LieAlgebra, kind: str, order: int) -> OpMatrix:
+    """The series `kind` of C through `order` (`series.series_coeffs`), formed
+    once per algebra and kept beside C, keyed by (kind, order).  Every suite
+    reads psi(C), psi_tilde(C) and exp(+-C) here; a kept matrix is never
+    changed in place."""
+    memo = g.cache("adjoint_matrix")
+    key = (kind, order)
+    if key not in memo:
+        memo[key] = matrix_series(series_coeffs(kind, order), adjoint_matrix(g))
+    return memo[key]
+
+
 def _contract_x(row, valid_order) -> WeylOp:
     """sum_al x_al * row[al] for x-free row[al], valid through at most
     valid_order: each term d^b of row[al] becomes x_al d^b, and no two meet."""
@@ -116,23 +129,17 @@ def realization_from_phi(g: LieAlgebra, phi: OpMatrix, kind="custom") -> Realiza
 
 def weyl_realization(g: LieAlgebra, order: int) -> Realization:
     """The Weyl-symmetric realization xhat_mu = sum_al x_al psi(C)_{mu al}."""
-    phi = matrix_series(series_coeffs("psi", order), adjoint_matrix(g))
-    return realization_from_phi(g, phi, "weyl_symmetric")
+    return realization_from_phi(g, series_matrix(g, "psi", order), "weyl_symmetric")
 
 
 def dual_realization(g: LieAlgebra, order: int) -> Realization:
     """The dual realization yhat_mu = sum_al x_al psi_tilde(C)_{mu al}."""
-    phi = matrix_series(series_coeffs("psi_tilde", order), adjoint_matrix(g))
-    return realization_from_phi(g, phi, "dual_weyl_symmetric")
+    return realization_from_phi(g, series_matrix(g, "psi_tilde", order), "dual_weyl_symmetric")
 
 
 def t_realization(g: LieAlgebra, order: int):
     """The shift-operator matrices (exp(C), exp(-C))."""
-    C = adjoint_matrix(g)
-    return (
-        matrix_series(series_coeffs("exp", order), C),
-        matrix_series(series_coeffs("exp_neg", order), C),
-    )
+    return series_matrix(g, "exp", order), series_matrix(g, "exp_neg", order)
 
 
 # -- verification suites -----------------------------------------------------
@@ -180,11 +187,6 @@ def _over_cube(n, residual, **label):
     """(label with 1-based "indices", residual(i, j, k)) for every index triple."""
     for ijk in product(range(n), repeat=3):
         yield {**label, "indices": [i + 1 for i in ijk]}, residual(*ijk)
-
-
-def _difference(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
-    """lhs - rhs, formed only when the two sides differ."""
-    return WeylOp.zero(lhs.n) if lhs == rhs else lhs - rhs
 
 
 def closure_residual(g: LieAlgebra, real: Realization):
@@ -235,15 +237,18 @@ def random_polynomial(rng, n: int, max_degree: int, terms: int = 4) -> Polynomia
 
 
 def verify_symmetrization(g: LieAlgebra, order, m_max, trials, rng) -> dict:
-    """(sum k_mu xhat_mu)^m |> 1 == (sum k_mu x_mu)^m for random rational k."""
+    """(sum k_mu xhat_mu)^m |> 1 == (sum k_mu x_mu)^m for random rational k.
+
+    The m-th power acts on polynomials of degree below m, so psi(C) is read
+    through m_max only."""
     if m_max > order:
         raise InsufficientOrder(m_max, order)
-    real = weyl_realization(g, order)
+    real = weyl_realization(g, m_max)
     n, one = g.n, WeylOp.one(g.n)
     checks = []
     for trial in range(trials):
         ks = [random_rational(rng) for _ in range(n)]
-        op = sum_of_products([(xhat, one, k) for xhat, k in zip(real.xhat, ks)], order)
+        op = sum_of_products([(xhat, one, k) for xhat, k in zip(real.xhat, ks)], m_max)
         lin = Polynomial(n, {mi_unit(n, mu): k for mu, k in enumerate(ks)})
         acted = expected = Polynomial.one(n)
         for _ in range(m_max):
@@ -322,6 +327,11 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     D = [[OpMatrix(n, [[WeylOp.constant(n, c) for c in r] for r in K]) for K in g.c]]
     E = [[OpMatrix.zero(n)] * n]
     zero, one, cols = WeylOp.zero(n), WeylOp.one(n), list(zip(*C.entries))
+
+    def difference(lhs, rhs):
+        """lhs - rhs, formed only when the two sides differ."""
+        return zero if lhs == rhs else lhs - rhs
+
     for _ in range(m_max):
         E.append([OpMatrix(n, [[
             sum_of_products([*zip(row, col), (d[a, b], one)]) for b, col in enumerate(cols)
@@ -337,11 +347,11 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
         terms = [(powers[m][mu, al], c) for al in range(n) if (c := g.c[al][lam][nu])]
         dc, us, vs = numerators([c for _, c in terms])
         lhs = one._like(linear_form((u, v, dc, P.form) for (P, _), u, v in zip(terms, us, vs)))
-        return _difference(lhs, D[m][mu][lam, nu])
+        return difference(lhs, D[m][mu][lam, nu])
 
     # formal derivative of C^m
     def power_derivative(m, lam, mu, nu):
-        return _difference(powers[m][mu, nu].deriv_d(lam), E[m][mu][lam, nu])
+        return difference(powers[m][mu, nu].deriv_d(lam), E[m][mu][lam, nu])
 
     def over_powers(residual):
         for m in range(1, m_max + 1):
@@ -355,10 +365,10 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
         )
     ]
 
-    # derivative of the matrix exponential
-    T_hi = matrix_series(series_coeffs("exp", order + 1), C)
-    T = T_hi.truncate(order)
-    F = matrix_series(series_coeffs("dexp_neg", order), C)
+    # derivative of the matrix exponential; T and Tinv are the shift suite's
+    T_hi = series_matrix(g, "exp", order + 1)
+    T, Tinv = t_realization(g, order)
+    F = series_matrix(g, "dexp_neg", order)
 
     def exp_derivative(lam, mu, nu):
         return sum_of_products([
@@ -377,7 +387,6 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
     # The Tinv entries commute, so with C antisymmetric M and the residual are
     # antisymmetric in (mu, nu) (zero for mu = nu), and the first nonzero
     # residual in index order has mu < nu: only those are formed.
-    Tinv = matrix_series(series_coeffs("exp_neg", order), C)
     upper = [ijk for ijk in product(range(n), repeat=3) if ijk[0] < ijk[1]]
     M = {
         (mu, nu, al): sum_of_products([(zero, one), *(

@@ -23,7 +23,9 @@ from lieweyl import (
     load_algebra,
     make_context,
     realization_from_phi,
+    series_matrix,
     su2_algebra,
+    sum_of_products,
     t_realization,
     verify_appendix,
     verify_duality,
@@ -34,6 +36,7 @@ from lieweyl import (
     weyl_realization,
 )
 from lieweyl import realization, weyl
+from lieweyl.cli import main
 from lieweyl.realization import x_free_bracket, x_linear_bracket
 from lieweyl.weyl import INF
 from conftest import standard_algebras
@@ -223,6 +226,51 @@ def test_appendix_run_forms_the_power_chain_once(monkeypatch):
     chain = C.powers(order + 1)
     assert [o is chain[1] for o in links] == [True] * order + [False] * 2
     assert chain[1] is not C and chain[1] == C
+
+
+def test_cli_runs_form_each_series_of_c_once(capsys, monkeypatch):
+    # every suite reads one table of C's series per algebra: the appendix run
+    # forms exp(C) through 7, dexp_neg(C), exp(C) and exp(-C) through 6 and
+    # psi(C) once each, and the symmetrization run reads psi(C) through
+    # m_max = 5 only, whose t^5 coefficient is 0, so C's chain stops at C^4
+    series = []
+    kernel = realization.matrix_series
+
+    def counting(f, M):
+        series.append(f)
+        return kernel(f, M)
+
+    monkeypatch.setattr(realization, "matrix_series", counting)
+    assert main(["verify", "su2", "--suite", "appendix", "--order", "6"]) == 0
+    assert len(series) == 5
+    links = []
+    mul = OpMatrix.__mul__
+
+    def counted(a, other):
+        links.append(other)
+        return mul(a, other)
+
+    monkeypatch.setattr(OpMatrix, "__mul__", counted)
+    series.clear()
+    assert main(["verify", "su2", "--suite", "symmetrization", "--order", "8"]) == 0
+    assert len(series) == 1 and series[0].order == 5
+    assert len(links) == 3
+    capsys.readouterr()
+
+
+def test_a_corrupt_shared_tinv_fails_both_suites_that_read_it(monkeypatch):
+    # the appendix and the shift relations read the one exp(-C) of the table,
+    # so a wrong entry there is seen by both
+    g, order = su2_algebra(), 6
+    Tinv = series_matrix(g, "exp_neg", order)
+    wrong = sum_of_products([(Tinv[0, 1], WeylOp.one(3)), (WeylOp.d(3, 0), WeylOp.one(3))])
+    entries = [list(row) for row in Tinv.entries]
+    entries[0][1] = wrong
+    monkeypatch.setattr(Tinv, "entries", entries)
+    appendix, shifts = verify_appendix(g, order, 5), verify_shift_relations(g, order)
+    verdicts = {c["identity"]: c["pass"] for rep in (appendix, shifts) for c in rep["checks"]}
+    assert not verdicts["triple-contraction"] and not verdicts["T-Tinv-inverse"]
+    assert t_realization(g, order)[1] is Tinv
 
 
 @pytest.mark.parametrize("name", ["su2", "kappa"])

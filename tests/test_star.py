@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from lieweyl import (
     first_order_check,
     g2_algebra,
     kappa_algebra,
+    load_algebra,
     make_context,
     omega,
     omega_inv,
@@ -29,6 +31,7 @@ from lieweyl import (
     pbw_mul,
     poisson_first_order,
     realization_from_phi,
+    series_matrix,
     star,
     su2_algebra,
     t_action,
@@ -424,3 +427,45 @@ def test_unknown_route_is_rejected_for_every_input(zero):
     ):
         with pytest.raises(ValueError, match="unknown route"):
             call()
+
+
+# the paper's left-right duality as operator identities, on algebras with
+# real, Gaussian and nilpotent constants
+DUALITY_ALGEBRAS = pytest.mark.parametrize(
+    "g",
+    [
+        su2_algebra(),
+        g2_algebra(),
+        kappa_algebra([I, Scalar(1), Scalar(1) / 2]),
+        load_algebra(str(Path(__file__).with_name("heisenberg.json"))),
+    ],
+    ids=["su2", "g2", "kappa(1i,1,1/2)", "heisenberg"],
+)
+
+
+@DUALITY_ALGEBRAS
+def test_each_realization_multiplies_on_the_right_on_the_other_route(g):
+    # yhat_mu |> f = f * x_mu and xhat_mu |> f = f *~ x_mu, with the left
+    # companions xhat_mu |> f = x_mu * f and yhat_mu |> f = x_mu *~ f
+    order, n, rng = 6, g.n, random.Random(9)
+    ctx = make_context(g, order)
+    assert ctx.primal.phi is series_matrix(g, "psi", order)
+    assert ctx.dual.phi is series_matrix(g, "psi_tilde", order)
+    for _ in range(5):
+        f = random_polynomial(rng, n, 3)
+        for mu in range(n):
+            x = Polynomial(n, {mi_unit(n, mu): Scalar(1)})
+            xf, yf = ctx.primal.xhat[mu].apply(f), ctx.dual.xhat[mu].apply(f)
+            assert yf == star(ctx, f, x) and xf == star(ctx, f, x, "dual")
+            assert xf == star(ctx, x, f) and yf == star(ctx, x, f, "dual")
+
+
+@DUALITY_ALGEBRAS
+def test_shift_operators_carry_one_realization_to_the_other(g):
+    # psi_tilde(t) = e^{-t} psi(t): phi_dual = Tinv phi and phi = T phi_dual
+    # through N - 1, so yhat_mu = sum_be xhat_be Tinv_{mu be}
+    order = 6
+    phi, phi_dual = series_matrix(g, "psi", order), series_matrix(g, "psi_tilde", order)
+    T, Tinv = series_matrix(g, "exp", order), series_matrix(g, "exp_neg", order)
+    assert (Tinv * phi).truncate(order - 1) == phi_dual.truncate(order - 1)
+    assert (T * phi_dual).truncate(order - 1) == phi.truncate(order - 1)
