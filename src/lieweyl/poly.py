@@ -12,15 +12,18 @@ multi-index (a tuple of ints), or a pair of them for operators.
 Every producer works on the ints and ends in the one gcd reduction,
 `reduce_form`.  `linear_form` forms every sum of scaled forms in one pass;
 `product_terms` is the one product kernel, for operators and polynomials.
-Each factor keeps its keys packed into ints (x in the low fields, d or a
-polynomial's x in the high ones), so a product key is one int addition.
+Each factor keeps its keys packed into ints of little-endian byte-aligned
+fields, one struct pack each (x in the low fields, d or a polynomial's x in
+the high ones), so a product key is one int addition and one unpack, and
+a derivative's key one subtraction (`_derivatives`).
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
 from math import gcd, inf, lcm
-from operator import lshift
+from struct import Struct, error as struct_error
 
 from .scalars import MINUS_ONE, ONE, Scalar, as_scalar, from_numerators, numerators
 
@@ -85,28 +88,63 @@ def linear_form(items) -> tuple:
     return reduce_form(den, [(k, p, q) for k, (p, q) in acc.items() if p or q])
 
 
-def _packed(M, width=1):
+@cache
+def _fields(count, width):
+    """The Struct of `count` little-endian fields of `width` (8, 16, 32 or 64) bits,
+    which packs and unpacks a key's fields as bytes."""
+    if width > 64:
+        raise OverflowError("an exponent or twice a degree past 64 bits")
+    return Struct(f"<{count}{'BHIQ'[width.bit_length() - 4]}")
+
+
+def _packed(M, width=8):
     """M's packed keys, at least `width` bits wide: (width, den, rows sorted by
     degree as (degree, packed key, re, im), x-free), built from M's form and
-    kept.  A new layout is at least as wide as M's largest exponent and twice
-    its largest degree."""
+    kept.  A new layout takes the least width of 8, 16, 32 or 64 bits that
+    holds M's largest exponent and twice its largest degree."""
     packed = M._packed
     if packed is not None and packed[0] >= width:
         return packed
     den, rows = M.form
-    lo = M.n * (len(M.KEY_PARTS) - 1)  # the x fields lead; the degree is of the rest
-    fields, top = [], 0
-    for k, p, q in rows:
-        f = sum(M._split(k), ())
-        d = sum(f[lo:])
-        top = max(top, d + d, *f)
-        fields.append((d, f, p, q))
-    width = max(width, top.bit_length())
-    shifts = range(0, (lo + M.n) * width, width)
-    rows = sorted((d, sum(map(lshift, f, shifts)), p, q) for d, f, p, q in fields)
-    low = (1 << lo * width) - 1
-    M._packed = packed = (width, den, rows, not any(r[1] & low for r in rows))
-    return packed
+    pack, from_bytes = _fields(M.n * len(M.KEY_PARTS), width).pack, int.from_bytes
+    try:
+        if M.KEY_PARTS[1:]:  # the x fields lead; the degree is of the d fields
+            rows = sorted([(sum(b), from_bytes(pack(*a, *b), "little"), p, q)
+                           for (a, b), p, q in rows])
+        else:
+            rows = sorted([(sum(k), from_bytes(pack(*k), "little"), p, q) for k, p, q in rows])
+    except struct_error:  # an exponent past the width
+        return _packed(M, 2 * width)
+    if rows and rows[-1][0] * 2 >> width:
+        return _packed(M, 2 * width)
+    return _keep(M, width, den, rows)._packed
+
+
+def _keep(M, width, den, rows):
+    """M, with (width, den, rows, x-free) kept as its layout."""
+    low = (1 << M.n * (len(M.KEY_PARTS) - 1) * width) - 1
+    M._packed = (width, den, rows, not any(r[1] & low for r in rows))
+    return M
+
+
+def _derivatives(M, *like):
+    """M's derivatives in each field of its last key part (d for an operator), as
+    M._like(form, *like), from M's packed layout: a row with e > 0 in the field
+    becomes (degree - 1, key - unit, e p, e q), still in degree order, and the
+    rows are kept as the derivative's layout beside the form unpacked from them."""
+    width, den, rows, _ = _packed(M)
+    s, join, n, mask = _fields(M.n * len(M.KEY_PARTS), width), M._join, M.n, (1 << width) - 1
+    out = []
+    for shift in range((len(M.KEY_PARTS) - 1) * n * width, len(M.KEY_PARTS) * n * width, width):
+        drows = [(d - 1, k - (1 << shift), p * e, q * e) for d, k, p, q in rows
+                 if (e := k >> shift & mask)]
+        form = reduce_form(den, [(join(s.unpack(k.to_bytes(s.size, "little")), n), p, q)
+                                 for _, k, p, q in drows])
+        if form[0] != den:
+            g = den // form[0]
+            drows = [(d, k, p // g, q // g) for d, k, p, q in drows]
+        out.append(_keep(M._like(form, *like), width, form[0], drows))
+    return out
 
 
 def product_terms(items, cap=inf) -> tuple:
@@ -116,12 +154,12 @@ def product_terms(items, cap=inf) -> tuple:
     Each factor is read through its packed keys; the call runs at the widest
     layout among its factors, which holds every exponent and every
     deg A + deg B, so no field of a sum of keys carries, and a narrower layout
-    is rebuilt at that width."""
+    is rebuilt at that width.  The result's keys are unpacked at the end."""
     items = list(items)
     if not items:
         return 1, ()
     first = items[0][0]
-    n, kind, width, den, live, consts = first.n, type(first), 1, 1, [], {}
+    n, kind, width, den, live, consts = first.n, type(first), 8, 1, [], {}
     for item in items:
         A, B = item[0], item[1]
         if type(A) is not kind or type(B) is not kind:
@@ -168,10 +206,10 @@ def product_terms(items, cap=inf) -> tuple:
                 else:
                     t[0] += p * r - q * s
                     t[1] += p * s + q * r
-    join, mask = first._join, (1 << width) - 1
-    shifts = range(0, n * len(first.KEY_PARTS) * width, width)
+    join, s = first._join, _fields(n * len(first.KEY_PARTS), width)
+    unpack, size = s.unpack, s.size
     return reduce_form(den, [
-        (join([k >> s & mask for s in shifts], n), p, q)
+        (join(unpack(k.to_bytes(size, "little")), n), p, q)
         for k, (p, q) in acc.items() if p or q
     ])
 
@@ -259,8 +297,8 @@ class TermMap:
 
     @staticmethod
     def _join(fields, n):
-        """The key whose `_split` parts, concatenated, are the list `fields`."""
-        return tuple(fields)
+        """The key whose `_split` parts, concatenated, are the tuple `fields`."""
+        return fields
 
     @staticmethod
     def _sort_key(item):

@@ -76,7 +76,8 @@ def series_matrix(g: LieAlgebra, kind: str, order: int) -> OpMatrix:
     """The series `kind` of C through `order` (`series.series_coeffs`), formed
     once per algebra and kept beside C, keyed by (kind, order).  Every suite
     reads psi(C), psi_tilde(C) and exp(+-C) here; a kept matrix is never
-    changed in place."""
+    changed in place.  The appendix's exp(C) through order + 1 and dexp_neg(C)
+    are formed apart, since no other suite reads them."""
     memo = g.cache("adjoint_matrix")
     key = (kind, order)
     if key not in memo:
@@ -365,10 +366,11 @@ def verify_appendix(g: LieAlgebra, order, m_max) -> dict:
         )
     ]
 
-    # derivative of the matrix exponential; T and Tinv are the shift suite's
-    T_hi = series_matrix(g, "exp", order + 1)
+    # derivative of the matrix exponential; T and Tinv are the shift suite's, and
+    # exp(C) through order + 1 and dexp_neg(C), read only here, stay out of the table
+    T_hi = matrix_series(series_coeffs("exp", order + 1), C)
     T, Tinv = t_realization(g, order)
-    F = series_matrix(g, "dexp_neg", order)
+    F = matrix_series(series_coeffs("dexp_neg", order), C)
 
     def exp_derivative(lam, mu, nu):
         return sum_of_products([

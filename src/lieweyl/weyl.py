@@ -16,7 +16,8 @@ operators keeps that one valid-order rule; it is the one place a product
 is cut.  `matrix_series` takes matrices linear in d and reads their
 powers, homogeneous and uncut, from the chain an `OpMatrix` keeps
 (`OpMatrix.powers`), each formed once and extended on demand.  `deriv_d`
-and `apply` multiply the stored numerators by integer factors.
+forms the derivatives from the packed keys and keeps them as their layout;
+`apply` reads only the d-parts b <= e of each row x^e of the polynomial.
 `deriv_d` lowers the order by one, so the commutators with x formed from it
 (realization.py) are certified through N - 1 for operators valid through N.
 The rule is never clamped: a negative valid_order certifies no coefficient
@@ -27,10 +28,12 @@ InsufficientOrder for every polynomial.
 from __future__ import annotations
 
 import math
+from itertools import product
 from math import perm, prod
-from operator import add, sub
+from operator import add, le, sub
 
-from .poly import Polynomial, TermMap, linear_form, mi_degree, product_terms, reduce_form
+from .poly import (Polynomial, TermMap, _derivatives, linear_form, mi_degree,
+                   product_terms, reduce_form)
 from .scalars import MINUS_ONE, Scalar, numerators
 from .series import TruncSeries
 
@@ -61,7 +64,7 @@ class InsufficientOrder(Exception):
 class WeylOp(TermMap):
     """Normal-ordered operator: {(a, b): coeff} meaning sum c * x^a d^b."""
 
-    __slots__ = ("valid_order", "_derivs")
+    __slots__ = ("valid_order", "_derivs", "_by_b")
 
     KEY_PARTS = (("x", "x", "x"), ("d", "d", "\\partial"))
 
@@ -82,7 +85,7 @@ class WeylOp(TermMap):
 
     @staticmethod
     def _join(fields, n):
-        return tuple(fields[:n]), tuple(fields[n:])
+        return fields[:n], fields[n:]
 
     @staticmethod
     def _sort_key(item):
@@ -165,39 +168,50 @@ class WeylOp(TermMap):
 
     def deriv_d(self, lam: int) -> "WeylOp":
         """Formal coefficientwise derivative in the variable d_lam.  The suites
-        take each one many times, so all n are formed at the first call."""
+        take each one many times, so all n are formed at the first call, from
+        the packed layout (`poly._derivatives`), and each keeps its rows as
+        its own layout."""
         try:
             return self._derivs[lam]
         except AttributeError:
-            den, rows = self.form
-            self._derivs = [self._like(reduce_form(den, [
-                ((a, b[:mu] + (e - 1,) + b[mu + 1 :]), p * e, q * e)
-                for (a, b), p, q in rows
-                if (e := b[mu])
-            ]), self.valid_order - 1) for mu in range(self.n)]
+            self._derivs = _derivatives(self, self.valid_order - 1)
         return self._derivs[lam]
 
     # -- action on polynomials ----------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """Left action on a polynomial: x acts by multiplication, d by d/dx."""
+        """Left action on a polynomial: x acts by multiplication, d by d/dx.
+        x^a d^b sends x^e to e!/(e - b)! x^(a + e - b) if b <= e, else to 0, so
+        a row x^e of f reads the rows (indexed by b once) of its divisors b, or
+        scans the distinct b when the divisors outnumber them."""
         if f.n != self.n:
             raise ValueError("dimension mismatch")
         fdeg = f.degree()
         if self.valid_order < fdeg:
             raise InsufficientOrder(fdeg, self.valid_order)
-        # x^a d^b sends x^e to e!/(e - b)! x^(a + e - b), one-to-one in e;
-        # the factor is 0 when d^b kills x^e, as it kills all of f if |b| > deg f
-        (den, rows), (fden, frows) = self.form, f.form
-        return f._like(linear_form(
-            (p, q, den, (fden, [
-                (tuple(map(add, a, map(sub, e, b))), r * factor, s * factor)
-                for e, r, s in frows
-                if (factor := prod(map(perm, e, b)))
-            ]))
-            for (a, b), p, q in rows
-            if sum(b) <= fdeg
-        ))
+        try:
+            by_b = self._by_b
+        except AttributeError:
+            by_b = {}
+            for row in self.form[1]:
+                by_b.setdefault(row[0][1], []).append(row)
+            by_b = self._by_b = {b: tuple(rows) for b, rows in by_b.items()}
+        (den, _), (fden, frows) = self.form, f.form
+        acc = {}  # key -> [re, im] numerators over den fden
+        setdefault = acc.setdefault
+        for e, r, s in frows:
+            if prod([k + 1 for k in e]) <= len(by_b):
+                bs = [b for b in product(*[range(k + 1) for k in e]) if b in by_b]
+            else:
+                bs = [b for b in by_b if all(map(le, b, e))]
+            for b in bs:
+                m, c = prod(map(perm, e, b)), tuple(map(sub, e, b))
+                u, v = r * m, s * m
+                for (a, _), p, q in by_b[b]:
+                    t = setdefault(tuple(map(add, a, c)), [0, 0])
+                    t[0] += p * u - q * v
+                    t[1] += p * v + q * u
+        return f._like(reduce_form(den * fden, [(k, p, q) for k, (p, q) in acc.items() if p or q]))
 
 
 class OpMatrix:

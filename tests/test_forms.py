@@ -28,6 +28,7 @@ from lieweyl import (
     tinv_action,
     y_action,
 )
+from lieweyl.poly import _packed
 from lieweyl.star import omega, omega_inv
 from lieweyl.weyl import INF, OpMatrix, matrix_series, series_in_op, sum_of_products
 
@@ -91,6 +92,30 @@ def test_operator_results_are_reduced(A, B, C, c, order, lam, f):
               sum_of_products([(A, B), (A, C, c)], order), B.apply(f),
               WeylOp(N, A.terms).apply(f)):
         assert_canonical(M)
+
+
+wide_multi = st.tuples(*[st.integers(0, 2) | st.integers(100, 140)] * N)
+
+
+@given(
+    st.dictionaries(st.tuples(wide_multi, wide_multi), gaussians, max_size=4),
+    orders,
+    st.sampled_from([8, 16, 32]),
+)
+@settings(max_examples=40, deadline=None)
+@example({((0, 0), (130, 2)): Scalar(1, 3), ((1, 0), (2, 0)): Scalar(2, 3)}, INF, 8)
+def test_derivatives_keep_the_layout_packed_from_their_form(terms, order, width):
+    # each derivative is formed from its operator's packed rows and keeps them
+    # as its layout, at the operator's width: the very layout that packing the
+    # derivative's own form at that width builds
+    A = WeylOp(N, terms, order)
+    layout = _packed(A, width)
+    for lam in range(N):
+        D = A.deriv_d(lam)
+        assert_canonical(D)
+        assert D.valid_order == A.valid_order - 1
+        assert D._packed[0] == layout[0]
+        assert D._packed == _packed(D._like(D.form), layout[0])
 
 
 @given(linear, linear, st.sampled_from(["psi", "psi_tilde", "exp", "exp_neg"]))

@@ -48,12 +48,13 @@ def test_product_and_partial_against_sympy(f, g, mu):
 @given(
     polys(n=2, max_degree=64, max_terms=3, gaussian=True),
     polys(n=2, max_degree=64, max_terms=3, gaussian=True),
-    st.sampled_from([(31, 0), (33, 31), (64, 1), (40, 40)]),
+    st.sampled_from([(31, 0), (33, 31), (64, 1), (40, 40), (130, 0), (200, 7)]),
 )
 @settings(max_examples=40, deadline=None)
 def test_product_with_exponents_past_each_field_width_against_sympy(f, g, e):
-    # exponents up to 64 make the product's packed fields 5 to 7 bits wide; f
-    # is multiplied again after a wider product, through its widened form
+    # the product's packed fields are 8 bits wide for a degree below 128 and
+    # 16 bits past it; f is multiplied again after a wider product, through
+    # its widened form
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols("x1:3")
     h = Polynomial(2, {e: Scalar(1, 2)})
@@ -62,6 +63,16 @@ def test_product_with_exponents_past_each_field_width_against_sympy(f, g, e):
         assert sympy.expand(got - sympy_poly(f, xs) * sympy_poly(right, xs)) == 0
     x40 = Polynomial(1, {(40,): ONE})
     assert (x40 * x40).terms == {(80,): ONE}
+
+
+def test_product_past_64_bit_fields_raises_overflow():
+    # a packed key's fields are at most 64 bits wide: a product whose degree
+    # needs more is refused, never wrapped
+    x1 = Polynomial(1, {(1,): ONE})
+    assert (Polynomial(1, {(2**62,): ONE}) * x1).terms == {(2**62 + 1,): ONE}
+    for e in (2**63, 2**64):
+        with pytest.raises(OverflowError):
+            Polynomial(1, {(e,): ONE}) * x1
 
 
 @given(polys())

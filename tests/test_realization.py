@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import perm
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from lieweyl import (
     verify_symmetrization,
     weyl_realization,
 )
-from lieweyl import realization, weyl
+from lieweyl import poly, realization, weyl
 from lieweyl.cli import main
 from lieweyl.realization import x_free_bracket, x_linear_bracket
 from lieweyl.weyl import INF
@@ -226,6 +227,11 @@ def test_appendix_run_forms_the_power_chain_once(monkeypatch):
     chain = C.powers(order + 1)
     assert [o is chain[1] for o in links] == [True] * order + [False] * 2
     assert chain[1] is not C and chain[1] == C
+    # exp(C) through order + 1 and dexp_neg(C), read only by the appendix,
+    # stay out of the table, so they and their derivatives die with the suite
+    table = g.cache("adjoint_matrix")
+    assert ("exp", order) in table and ("exp", order + 1) not in table
+    assert not any(kind == "dexp_neg" for kind, *_ in table)
 
 
 def test_cli_runs_form_each_series_of_c_once(capsys, monkeypatch):
@@ -255,6 +261,36 @@ def test_cli_runs_form_each_series_of_c_once(capsys, monkeypatch):
     assert main(["verify", "su2", "--suite", "symmetrization", "--order", "8"]) == 0
     assert len(series) == 1 and series[0].order == 5
     assert len(links) == 3
+    capsys.readouterr()
+
+
+def test_cli_runs_build_few_layouts_and_visit_only_the_b_below_each_row(capsys, monkeypatch):
+    # packed layouts built by poly._packed (a kept layout read again is not
+    # counted), and apply's (row, b) visits, each one evaluation of
+    # e!/(e - b)! through weyl.perm (n = 3 calls); derivatives are born
+    # packed and apply reads only the b <= e of each row x^e
+    kernel, builds, perms = poly._packed, [], []
+
+    def building(M, *width):
+        before = M._packed
+        out = kernel(M, *width)
+        if out is not before:
+            builds.append(out)
+        return out
+
+    def counted(e, b):
+        perms.append(b)
+        return perm(e, b)
+
+    monkeypatch.setattr(poly, "_packed", building)
+    monkeypatch.setattr(weyl, "perm", counted)
+    counts = {}
+    for name in ("duality", "symmetrization"):
+        builds.clear()
+        perms.clear()
+        assert main(["verify", "su2", "--suite", name, "--order", "6"]) == 0
+        counts[name] = len(builds), len(perms) // 3
+    assert counts == {"duality": (61, 876), "symmetrization": (55, 626)}
     capsys.readouterr()
 
 

@@ -1,5 +1,8 @@
 import gc
 from fractions import Fraction
+from math import perm
+from operator import add
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +26,7 @@ from lieweyl import (
     su2_algebra,
     sum_of_products,
 )
+from lieweyl import weyl
 from lieweyl.kappa import _function_of_c
 from lieweyl.weyl import INF
 
@@ -142,6 +146,41 @@ def test_apply_against_sympy(case):
     assert sympy.expand(sympy_poly(A.apply(f), xs) - expected) == 0
 
 
+def test_apply_to_a_squarefree_monomial_of_degree_24_scans_the_distinct_b(monkeypatch):
+    # x_1 ... x_24 has 2^24 divisors, far more than the operator's 38 distinct
+    # b, so apply scans those and visits the 37 b <= e, each one evaluation of
+    # e!/(e - b)! through weyl.perm (n calls); the result agrees with sympy's
+    # diff and expand
+    sympy = pytest.importorskip("sympy")
+    perms = []
+
+    def counted(e, b):
+        perms.append(b)
+        return perm(e, b)
+
+    monkeypatch.setattr(weyl, "perm", counted)
+    n = 24
+    unit = [tuple(int(k == mu) for k in range(n)) for mu in range(n)]
+    z = (0,) * n
+    A = WeylOp(n, {
+        **{(unit[mu], unit[(mu + 1) % n]): Scalar(mu + 1, 2) for mu in range(n)},
+        **{(z, tuple(map(add, unit[mu], unit[mu + 5]))): Scalar(1, mu + 1) for mu in range(12)},
+        (z, tuple(2 * e for e in unit[3])): Scalar(7),
+        (unit[0], z): Scalar(0, 1),
+    })
+    f = Polynomial(n, {(1,) * n: Scalar(3, 5)})
+    start = perf_counter()
+    got = A.apply(f)
+    assert perf_counter() - start < 1 and len(perms) == 37 * n
+    xs = sympy.symbols(f"x1:{n + 1}")
+    F = sympy_poly(f, xs)
+    expected = sympy.Add(*(
+        sympy_poly(Polynomial(n, {a: c}), xs) * sympy.diff(F, *zip(xs, b))
+        for (a, b), c in A.terms.items()
+    ))
+    assert sympy.expand(sympy_poly(got, xs) - expected) == 0 and len(got.form[1]) == 37
+
+
 @given(operands(), st.integers(0, 4), st.integers(0, 4))
 @example((1, d(0, 1), x(0, 1), None), 0, 0)
 @settings(max_examples=60, deadline=None)
@@ -223,11 +262,11 @@ def _cut_product(A, B, cap):
 
 @st.composite
 def wide_product_sums(draw):
-    """(pairs, cap) as product_sums draws them, with exponents of 31-64 next to
-    small ones: sums of two exponents cross 32, 64 and 128, the limits of 5-,
-    6- and 7-bit fields of the packed keys."""
+    """(pairs, cap) as product_sums draws them, with exponents of 31-64 and
+    120-136 next to small ones: twice a degree crosses 256, the limit of the
+    packed keys' 8-bit fields, and the call runs at 16 bits."""
     n = draw(st.integers(1, 2))
-    mi = st.tuples(*[st.integers(0, 2) | st.integers(31, 64)] * n)
+    mi = st.tuples(*[st.integers(0, 2) | st.integers(31, 64) | st.integers(120, 136)] * n)
     zero = (0,) * n
     left = st.dictionaries(st.tuples(mi, mi), gauss_q, min_size=1, max_size=3)
     right = st.dictionaries(mi, gauss_q, min_size=1, max_size=3)
@@ -235,17 +274,19 @@ def wide_product_sums(draw):
         left.map(lambda t: WeylOp(n, t)),
         right.map(lambda t: WeylOp(n, {(zero, e): c for e, c in t.items()})),
     )
-    cap = st.sampled_from([31, 32, 63, 64, 127, INF])
+    cap = st.sampled_from([31, 64, 127, 128, 255, 256, INF])
     return draw(st.lists(pair, min_size=1, max_size=3)), draw(cap)
 
 
 D40 = WeylOp(1, {((0,), (40,)): Scalar(1)})
+D200 = WeylOp(1, {((0,), (200,)): Scalar(1)})
 
 
 @given(wide_product_sums())
 @example(([(D40, D40)], INF))
 @example(([(D40, D40)], 31))
 @example(([(D40, D40)], 80))
+@example(([(D200, D200)], INF))
 @settings(max_examples=60, deadline=None)
 def test_sum_of_products_with_exponents_past_each_field_width(case):
     pairs, cap = case
@@ -258,20 +299,24 @@ def test_sum_of_products_with_exponents_past_each_field_width(case):
 
 def test_stored_form_is_widened_and_kept_across_calls():
     # one left operand under two caps and two field widths: its packed keys
-    # are rebuilt once, wider, and the narrower calls after that read the wide
-    # layout; the stored numerator form itself never changes
+    # are rebuilt once, from 8 to 16 bits, when a right factor of degree 130
+    # needs them, and the narrower calls after that read the wide layout; the
+    # stored numerator form itself never changes
     z = (0, 0)
     A = WeylOp(2, {((1, 0), (3, 0)): Scalar(1, 2), ((0, 2), (0, 1)): Scalar(0, 1)})
     narrow = d(1) * d(0)
-    wide = WeylOp(2, {(z, (40, 0)): Scalar(1), (z, (0, 33)): Scalar(-2, 3)})
+    wide = WeylOp(2, {(z, (130, 0)): Scalar(1), (z, (0, 128)): Scalar(-2, 3)})
     widths, form = [], A.form
-    for B, cap in [(narrow, INF), (narrow, 3), (wide, INF), (wide, 31), (narrow, INF)]:
+    for B, cap in [(narrow, INF), (narrow, 3), (wide, INF), (wide, 129), (narrow, INF)]:
         out = sum_of_products([(A, B)], cap)
         assert out == _cut_product(A, B, cap) and out.valid_order == cap
         widths.append(A._packed[0])
         assert A.form is form
-    assert widths[0] == widths[1] < widths[2] == widths[3] == widths[4]
-    assert (D40 * D40).terms == {((0,), (80,)): Scalar(1)}
+    assert widths == [8, 8, 16, 16, 16]
+    # an x exponent past 255 widens a layout on its own, whatever the degree
+    X300 = WeylOp(1, {((300,), (1,)): Scalar(1)})
+    assert (X300 * D40).terms == {((300,), (41,)): Scalar(1)} and X300._packed[0] == 16
+    assert (D200 * D200).terms == {((0,), (400,)): Scalar(1)} and D200._packed[0] == 16
 
 
 def test_sum_of_products_needs_a_pair():
