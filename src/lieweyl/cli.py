@@ -34,6 +34,7 @@ from .poly import parse_polynomial
 from .realization import (
     check,
     dual_realization,
+    series_matrix,
     suite,
     t_realization,
     verify_appendix,
@@ -112,8 +113,6 @@ def _load_phi(path: str, n: int) -> OpMatrix:
             for row in data["phi"]
         ]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
         raise InputError(f"cannot load phi file {path!r}: {exc}") from exc
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("phi file matrix is not n x n")
@@ -273,7 +272,7 @@ def _run_suites(g, args):
         if args.phi_file:
             phi = _load_phi(args.phi_file, g.n)
         else:
-            phi = weyl_realization(g, order).phi
+            phi = series_matrix(g, "psi", order)
         suites["closure"] = verify_realization(g, phi, order)
     if want("symmetrization"):
         rng = random.Random(args.seed)

@@ -12,7 +12,7 @@ call and reads the hits itself, so the memoized recursions run only on a miss.
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .poly import TermMap, linear_form, mi_degree, mi_unit
+from .poly import TermMap, linear_form
 from .scalars import Scalar, numerators
 
 __all__ = ["PBWElement", "pbw_mul", "t_action", "tinv_action", "y_action"]
@@ -27,7 +27,7 @@ class PBWElement(TermMap):
 
     @classmethod
     def generator(cls, n, mu):
-        return cls(n, {mi_unit(n, mu): Scalar(1)})
+        return cls._monomial(n, 1, mu)
 
     @classmethod
     def monomial(cls, n, exps, coeff=1):
@@ -103,7 +103,7 @@ def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> tuple:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if mi_degree(exps) == 0:
+    if sum(exps) == 0:
         out = (1, ((exps, 1, 0),) if mu == nu else ())
     else:
         al = next(i for i, e in enumerate(exps) if e)

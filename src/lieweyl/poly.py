@@ -7,7 +7,9 @@ PBW monomials in U(g).  A `TermMap` stores one thing, its numerator form
 terms: den > 0, gcd(den, every numerator) = 1, no zero row, den = 1 for
 the zero map.  The star path's memos store the same forms, and `.terms`
 builds a {key: Scalar} dict on demand, for the edges.  A key is a
-multi-index (a tuple of ints), or a pair of them for operators.
+multi-index (a tuple of ints), or a pair of them for operators; `TermMap`
+alone builds, reads and orders keys, from a type's KEY_PARTS, `_split` and
+`_join`.
 
 Every producer works on the ints and ends in the one gcd reduction,
 `reduce_form`.  `linear_form` forms every sum of scaled forms in one pass;
@@ -28,7 +30,6 @@ from struct import Struct, error as struct_error
 from .scalars import MINUS_ONE, ONE, Scalar, as_scalar, from_numerators, numerators
 
 __all__ = [
-    "mi_degree",
     "mi_unit",
     "reduce_form",
     "linear_form",
@@ -37,10 +38,6 @@ __all__ = [
     "Polynomial",
     "parse_polynomial",
 ]
-
-
-def mi_degree(a) -> int:
-    return sum(a)
 
 
 def mi_unit(n: int, mu: int):
@@ -270,12 +267,36 @@ class TermMap:
         self._packed = None
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
+    def _monomial(cls, n, c, field=None, *rest):
+        """c times the key whose flat fields are all 0 but a 1 at `field`; `rest`
+        goes to the constructor (an operator's valid order)."""
+        fields = [0] * (n * len(cls.KEY_PARTS))
+        if field is not None:
+            fields[field] = 1
+        return cls(n, {cls._join(tuple(fields), n): c}, *rest)
+
+    @classmethod
+    def zero(cls, n, *rest):
+        return cls._monomial(n, 0, None, *rest)
 
     @classmethod
     def one(cls, n):
-        return cls(n, {(0,) * n: Scalar(1)})
+        return cls._monomial(n, 1)
+
+    @classmethod
+    def constant(cls, n, c):
+        return cls._monomial(n, c)
+
+    @classmethod
+    def from_json(cls, n, data, *rest, **kw):
+        """The map that `to_json` wrote, read one tuple per key part: the parts are
+        never flattened, so a part of the wrong length stays visible."""
+        one_part = len(cls.KEY_PARTS) == 1
+        return cls(n, {
+            parts[0] if one_part else parts: Scalar.parse(t["coeff"])
+            for t in data
+            for parts in [tuple(tuple(t[field]) for field, _, _ in cls.KEY_PARTS)]
+        }, *rest, **kw)
 
     def _like(self, form):
         """A map of the same kind and dimension holding the reduced `form`."""
@@ -300,9 +321,11 @@ class TermMap:
         """The key whose `_split` parts, concatenated, are the tuple `fields`."""
         return fields
 
-    @staticmethod
-    def _sort_key(item):
-        return (mi_degree(item[0]), item[0])
+    def _sort_key(self, item):
+        """A (key, coefficient) item's place: the degree of the key's last part,
+        then that part, then the rest."""
+        *rest, last = self._split(item[0])
+        return sum(last), last, *rest
 
     # -- structure ---------------------------------------------------------
 
@@ -415,21 +438,13 @@ class Polynomial(TermMap):
 
     @classmethod
     def variable(cls, n, mu):
-        return cls(n, {mi_unit(n, mu): Scalar(1)})
-
-    @classmethod
-    def constant(cls, n, c):
-        return cls(n, {(0,) * n: Scalar.coerce(c)})
-
-    @classmethod
-    def from_json(cls, n: int, data) -> "Polynomial":
-        return cls(n, {tuple(t["exps"]): Scalar.parse(t["coeff"]) for t in data})
+        return cls._monomial(n, 1, mu)
 
     # -- structure and arithmetic --------------------------------------------
 
     def homogeneous_part(self, d: int) -> "Polynomial":
         den, rows = self.form
-        return self._like(reduce_form(den, [r for r in rows if mi_degree(r[0]) == d]))
+        return self._like(reduce_form(den, [r for r in rows if sum(r[0]) == d]))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):

@@ -171,16 +171,13 @@ def residual_check(identity, order, residuals, cut=None) -> dict:
 
     `residuals` yields (label, WeylOp) pairs and is consumed up to the first
     residual that does not vanish; the witness is that label followed by the
-    residual's first term through `cut` (`sorted_terms` order), found without
-    copying the residual.  `cut` defaults to `order`.
+    residual's first JSON term through `cut`, read only from a nonzero
+    residual.  `cut` defaults to `order`.
     """
     cut = order if cut is None else cut
     for label, res in residuals:
-        kept = [(k, c) for k, c in res.terms.items() if sum(k[1]) <= cut]
-        if kept:
-            (a, b), coeff = min(kept, key=WeylOp._sort_key)
-            witness = {**label, "x": list(a), "d": list(b), "coeff": str(coeff)}
-            return check(identity, order, False, witness)
+        if res.form[1] and (kept := res.truncate(cut).to_json()):
+            return check(identity, order, False, {**label, **kept[0]})
     return check(identity, order, True)
 
 
@@ -264,7 +261,7 @@ def verify_symmetrization(g: LieAlgebra, order, m_max, trials, rng) -> dict:
 def verify_shift_relations(g: LieAlgebra, order) -> dict:
     """Operator-level relations of the extended algebra for (xhat, That^{+-1})."""
     n = g.n
-    real = weyl_realization(g, order)
+    phi = series_matrix(g, "psi", order)
     T, Tinv = t_realization(g, order)
 
     # [That_{mu nu}, That_{al be}] = 0 because every entry of T and Tinv is
@@ -276,14 +273,14 @@ def verify_shift_relations(g: LieAlgebra, order) -> dict:
     # [That_{mu nu}, xhat_lam] = sum_be C_{mu lam be} That_{be nu}
     def t_x(mu, nu, lam):
         return sum_of_products([
-            *_bracket_items(T[mu, nu], real.phi.entries[lam]),
+            *_bracket_items(T[mu, nu], phi.entries[lam]),
             *((T[be, nu], one, -c) for be in range(n) if (c := g.c[mu][lam][be])),
         ])
 
     # [Tinv_{mu nu}, xhat_lam] = sum_al C_{lam al nu} Tinv_{mu al}
     def tinv_x(mu, nu, lam):
         return sum_of_products([
-            *_bracket_items(Tinv[mu, nu], real.phi.entries[lam]),
+            *_bracket_items(Tinv[mu, nu], phi.entries[lam]),
             *((Tinv[mu, al], one, -c) for al in range(n) if (c := g.c[lam][al][nu])),
         ])
 

@@ -16,7 +16,7 @@ from itertools import product
 
 from .lie import LieAlgebra, dual_algebra
 from .pbw import PBWElement, pbw_mul
-from .poly import Polynomial, linear_form, mi_degree, product_terms
+from .poly import Polynomial, linear_form, product_terms
 from .realization import (
     Realization,
     check,
@@ -86,7 +86,7 @@ def _omega_mono(ctx: StarContext, which: str, exps) -> tuple:
     if hit is not None:
         return hit
     n = ctx.algebra.n
-    if mi_degree(exps) == 0:
+    if sum(exps) == 0:
         out = 1, ((exps, 1, 0),)
     else:
         mu = next(i for i, e in enumerate(exps) if e)
@@ -121,9 +121,9 @@ def _omega_inv_mono(ctx: StarContext, which: str, exps) -> tuple:
     if hit is not None:
         return hit
     den, r = _omega_mono(ctx, which, exps)
-    d = mi_degree(exps)
+    d = sum(exps)
     # the form is reduced, so the coefficient 1 of x^a is the row (a, den, 0)
-    if (exps, den, 0) not in r or any(mi_degree(k) >= d for k, _, _ in r if k != exps):
+    if (exps, den, 0) not in r or any(sum(k) >= d for k, _, _ in r if k != exps):
         raise ValueError(f"omega(X^{list(exps)}) is not x^a plus terms of lower degree")
     out = linear_form(
         [(1, 0, 1, (1, ((exps, 1, 0),)))]

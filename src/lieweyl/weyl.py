@@ -10,12 +10,14 @@ factors B_k, so no product needs reordering, (x^a d^b)(d^e) = x^a d^(b+e).
 It runs the kernel `poly.product_terms` on each operator's numerator form,
 with its keys packed into ints.  Its valid order is the least valid order
 of all the factors and of an optional cap, as if the products were formed
-one by one and added.  `A * B` is its one-pair case, and `A + B` and
-`A - B` its two-item case with the unit as right factor, so every sum of
-operators keeps that one valid-order rule; it is the one place a product
-is cut.  `matrix_series` takes matrices linear in d and reads their
-powers, homogeneous and uncut, from the chain an `OpMatrix` keeps
-(`OpMatrix.powers`), each formed once and extended on demand.  `deriv_d`
+one by one and added; it is the one place a product is cut, and `A * B`
+is its one-pair case.  `A + B` and `A - B` are the term map's sums, cut at
+the lower valid order of the two operands.  Keys, constructors, JSON and
+term order all come from `poly.TermMap`; an operator adds only its valid
+order, its products and its action.  `matrix_series` takes matrices
+linear in d and reads their powers, homogeneous and uncut, from the chain
+an `OpMatrix` keeps (`OpMatrix.powers`), each formed once and extended on
+demand.  `deriv_d`
 forms the derivatives from the packed keys and keeps them as their layout;
 `apply` reads only the d-parts b <= e of each row x^e of the polynomial.
 `deriv_d` lowers the order by one, so the commutators with x formed from it
@@ -32,9 +34,8 @@ from itertools import product
 from math import perm, prod
 from operator import add, le, sub
 
-from .poly import (Polynomial, TermMap, _derivatives, linear_form, mi_degree,
-                   product_terms, reduce_form)
-from .scalars import MINUS_ONE, Scalar, numerators
+from .poly import Polynomial, TermMap, _derivatives, linear_form, product_terms, reduce_form
+from .scalars import numerators
 from .series import TruncSeries
 
 __all__ = [
@@ -71,7 +72,7 @@ class WeylOp(TermMap):
     def __init__(self, n: int, terms=None, valid_order=INF):
         self.valid_order = valid_order
         if terms and valid_order < INF:
-            terms = {k: c for k, c in terms.items() if mi_degree(k[1]) <= valid_order}
+            terms = {k: c for k, c in terms.items() if sum(k[1]) <= valid_order}
         super().__init__(n, terms)
 
     def _like(self, form, valid_order=None):
@@ -87,49 +88,15 @@ class WeylOp(TermMap):
     def _join(fields, n):
         return fields[:n], fields[n:]
 
-    @staticmethod
-    def _sort_key(item):
-        a, b = item[0]
-        return (mi_degree(b), b, a)
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n, valid_order=INF):
-        return cls(n, valid_order=valid_order)
-
-    @classmethod
-    def one(cls, n):
-        z = (0,) * n
-        return cls(n, {(z, z): Scalar(1)})
-
-    @classmethod
     def x(cls, n, mu):
-        z = (0,) * n
-        a = z[:mu] + (1,) + z[mu + 1 :]
-        return cls(n, {(a, z): Scalar(1)})
+        return cls._monomial(n, 1, mu)
 
     @classmethod
     def d(cls, n, mu):
-        z = (0,) * n
-        b = z[:mu] + (1,) + z[mu + 1 :]
-        return cls(n, {(z, b): Scalar(1)})
-
-    @classmethod
-    def constant(cls, n, c):
-        z = (0,) * n
-        return cls(n, {(z, z): Scalar.coerce(c)})
-
-    @classmethod
-    def from_json(cls, n, data, valid_order=INF):
-        return cls(
-            n,
-            {
-                (tuple(t["x"]), tuple(t["d"])): Scalar.parse(t["coeff"])
-                for t in data
-            },
-            valid_order=valid_order,
-        )
+        return cls._monomial(n, 1, n + mu)
 
     # -- structure ---------------------------------------------------------
 
@@ -138,27 +105,21 @@ class WeylOp(TermMap):
         return max([sum(a) + sum(b) for (a, b), _, _ in self.form[1]], default=-1)
 
     def xdeg(self) -> int:
-        return max((mi_degree(a) for (a, _), _, _ in self.form[1]), default=0)
+        return max((sum(a) for (a, _), _, _ in self.form[1]), default=0)
 
     def truncate(self, order) -> "WeylOp":
         den, rows = self.form
-        return self._like(reduce_form(den, [r for r in rows if mi_degree(r[0][1]) <= order]),
+        return self._like(reduce_form(den, [r for r in rows if sum(r[0][1]) <= order]),
                           min(self.valid_order, order))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        """self + other, valid through the lower valid order of the two."""
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        one = WeylOp.one(self.n)
-        return sum_of_products(((self, one), (other, one)))
+        """self + other, cut at the lower valid order of the two."""
+        return TermMap.__add__(self, other).truncate(min(self.valid_order, other.valid_order))
 
     def __sub__(self, other):
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        one = WeylOp.one(self.n)
-        return sum_of_products(((self, one), (other, one, MINUS_ONE)))
+        return TermMap.__sub__(self, other).truncate(min(self.valid_order, other.valid_order))
 
     def __mul__(self, other):
         """Product by an x-free right factor, or by a scalar."""
@@ -279,7 +240,8 @@ def sum_of_products(pairs, valid_order=INF) -> WeylOp:
     (x^a d^b)(d^e) = x^a d^(b+e); a right factor with x raises ValueError.
     Formed by the kernel `poly.product_terms`.  The result is valid through
     the least valid order of every factor and of `valid_order`, and keeps no
-    term beyond it.
+    term beyond it.  Every product of operators is formed here, `A * B` as
+    the one-pair case; sums of operators are not (`A + B` is a term-map sum).
     """
     pairs = list(pairs)
     if not pairs:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import comb, perm
 
 from lieweyl import Scalar, WeylOp
-from lieweyl.poly import mi_degree
 
 
 def merge(dst: dict, key, coeff):
@@ -45,7 +44,7 @@ def product(A: WeylOp, B: WeylOp) -> WeylOp:
     for (a, b), ca in A.terms.items():
         for (c, e), cb in B.terms.items():
             # every term of the pair has derivative degree at least this
-            if mi_degree(b) + mi_degree(e) - mi_degree(c) > vo:
+            if sum(b) + sum(e) - sum(c) > vo:
                 continue
             terms = [((), (), 1)]
             for p, q, r, s in zip(a, b, c, e):
@@ -55,7 +54,7 @@ def product(A: WeylOp, B: WeylOp) -> WeylOp:
                     for j in range(min(q, r) + 1)
                 ]
             for x, d, k in terms:
-                if mi_degree(d) <= vo:
+                if sum(d) <= vo:
                     merge(out, (x, d), ca * cb * k)
     return WeylOp(A.n, out, valid_order=vo)
 
@@ -69,7 +68,7 @@ def added(A: WeylOp, B: WeylOp, sign=1) -> WeylOp:
     acc = {}
     for op, s in ((A, 1), (B, sign)):
         for (a, b), c in op.terms.items():
-            if mi_degree(b) <= vo:
+            if sum(b) <= vo:
                 re, im = acc.get((a, b), (Fraction(0), Fraction(0)))
                 acc[a, b] = (re + s * c.re, im + s * c.im)
     terms = {k: Scalar(re, im) for k, (re, im) in acc.items() if re or im}

@@ -361,6 +361,30 @@ def _write_phi(capsys, tmp_path, corrupt):
     return str(path)
 
 
+def test_validate_kappa_needs_kappa_b(capsys):
+    code, out, err = run(capsys, "validate", "kappa")
+    assert code == 2 and "builtin 'kappa' needs --kappa-b" in err and not out
+
+
+def test_verify_phi_file_for_another_dimension_exits_2(capsys, tmp_path):
+    path = _write_phi(capsys, tmp_path, lambda phi: None)
+    code, _, err = run(capsys, "verify", "su2", "--suite", "closure", "--phi-file", path)
+    assert code == 2 and "phi file is for n=2, algebra has n=3" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda phi: phi.pop(), lambda phi: phi[1].pop(), lambda phi: phi[0].append([])],
+    ids=["row-missing", "entry-missing", "entry-extra"],
+)
+def test_verify_phi_matrix_not_n_by_n_exits_2(capsys, tmp_path, corrupt):
+    path = _write_phi(capsys, tmp_path, corrupt)
+    code, _, err = run(
+        capsys, "verify", "g2", "--suite", "closure", "--order", "4", "--phi-file", path
+    )
+    assert code == 2 and "phi file matrix is not n x n" in err
+
+
 def test_huge_order_rejected_before_building(capsys, tmp_path, monkeypatch):
     phi = _write_phi(capsys, tmp_path, lambda phi: None)
 

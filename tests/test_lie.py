@@ -209,6 +209,8 @@ def test_load_algebra_file(tmp_path):
     )
     g = load_algebra(str(path))
     assert g.c == g2_algebra().c
+    with open(path) as fh:
+        assert load_algebra(fh).c == g.c
 
 
 def test_load_algebra_rejects():

@@ -112,6 +112,8 @@ def test_parse():
 
 
 def test_parse_rejects():
+    with pytest.raises(ValueError, match="empty polynomial"):
+        parse_polynomial("  ", 2)
     with pytest.raises(ValueError):
         parse_polynomial("x5", 2)
     with pytest.raises(ValueError):
@@ -219,3 +221,21 @@ def test_product_terms_rejects_factors_of_another_type():
             product_terms(items)
     with pytest.raises(TypeError):
         x1 + X1
+
+
+@pytest.mark.parametrize("kind", [Polynomial, PBWElement, WeylOp])
+def test_term_map_constructors_and_json_share_one_key_shape(kind):
+    # zero, one, constant and from_json come from TermMap for every key shape
+    n, half = 2, Scalar(1) / 2
+    z = (0,) * (n * len(kind.KEY_PARTS))
+    key = kind._join(z, n)
+    assert kind.zero(n).form == (1, ()) and kind.one(n).terms == {key: ONE}
+    assert kind.constant(n, half).terms == {key: half}
+    unit = kind._monomial(n, 3, n * len(kind.KEY_PARTS) - 1)
+    assert unit.terms == {kind._join(z[:-1] + (1,), n): Scalar(3)}
+    f = unit + kind.constant(n, half)
+    assert kind.from_json(n, f.to_json()) == f
+    assert [t["coeff"] for t in f.to_json()] == ["1/2", "3"]
+    if kind is WeylOp:
+        assert WeylOp.zero(n, 3).valid_order == 3
+        assert WeylOp.from_json(n, f.to_json(), valid_order=0) == f.truncate(0)

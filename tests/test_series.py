@@ -25,6 +25,17 @@ def test_bernoulli_odd_vanish():
         assert not bernoulli(k)
 
 
+def test_guards():
+    with pytest.raises(ValueError, match="non-negative"):
+        bernoulli(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        series_coeffs("psi", -1)
+    with pytest.raises(ValueError, match="unknown series kind 'nosuch'"):
+        series_coeffs("nosuch", 3)
+    with pytest.raises(ValueError, match="constant term"):
+        TruncSeries([])
+
+
 def test_psi_vs_psi_tilde():
     # psi(t) e^{-t} = psi_tilde(t)
     order = 12

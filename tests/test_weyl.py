@@ -72,6 +72,11 @@ def test_apply():
     assert (d(0) * d(0)).apply(cube) == f.scale(Scalar(6))
 
 
+def test_apply_checks_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        d(0).apply(Polynomial.one(3))
+
+
 def test_apply_insufficient_order():
     op = WeylOp.x(2, 0).truncate(1)
     f = Polynomial.variable(2, 0)
