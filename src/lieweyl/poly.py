@@ -288,7 +288,7 @@ class TermMap:
         return cls._monomial(n, c)
 
     @classmethod
-    def from_json(cls, n, data, *rest, **kw):
+    def from_json(cls, n, data, **kw):
         """The map that `to_json` wrote, read one tuple per key part: the parts are
         never flattened, so a part of the wrong length stays visible."""
         one_part = len(cls.KEY_PARTS) == 1
@@ -296,7 +296,7 @@ class TermMap:
             parts[0] if one_part else parts: Scalar.parse(t["coeff"])
             for t in data
             for parts in [tuple(tuple(t[field]) for field, _, _ in cls.KEY_PARTS)]
-        }, *rest, **kw)
+        }, **kw)
 
     def _like(self, form):
         """A map of the same kind and dimension holding the reduced `form`."""

@@ -255,13 +255,10 @@ def test_str_brackets_gaussian_coefficients():
     assert str(X) == "3+1i + (-1i)*X2 + (1+2i)*X1"
 
 
-def test_pbw_mul_checks_dimension():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        pbw_mul(g2_algebra(), PBWElement.generator(2, 0), PBWElement.generator(3, 0))
-
-
 def test_add_sub_check_dimension():
     with pytest.raises(ValueError, match="dimension mismatch"):
         PBWElement.generator(2, 0) + PBWElement.generator(3, 0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         PBWElement.generator(2, 0) - PBWElement.generator(3, 0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pbw_mul(g2_algebra(), PBWElement.generator(2, 0), PBWElement.generator(3, 0))

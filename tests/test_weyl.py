@@ -70,9 +70,6 @@ def test_apply():
     assert d(0).apply(Polynomial.one(2)).is_zero()
     cube = f * f * f
     assert (d(0) * d(0)).apply(cube) == f.scale(Scalar(6))
-
-
-def test_apply_checks_dimension():
     with pytest.raises(ValueError, match="dimension mismatch"):
         d(0).apply(Polynomial.one(3))
 
