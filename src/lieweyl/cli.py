@@ -108,10 +108,8 @@ def _load_phi(path: str, n: int) -> OpMatrix:
         order = _spec_int(data["order"])
         if not 1 <= order <= MAX_ORDER:
             raise InputError(f"phi file order {order} is outside 1..{MAX_ORDER}")
-        rows = [
-            [WeylOp.from_json(n, entry, valid_order=order) for entry in row]
-            for row in data["phi"]
-        ]
+        # read at no order, so that a term past the order is checked before the cut
+        rows = [[WeylOp.from_json(n, entry) for entry in row] for row in data["phi"]]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"cannot load phi file {path!r}: {exc}") from exc
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -122,7 +120,7 @@ def _load_phi(path: str, n: int) -> OpMatrix:
             raise InputError(f"phi file exponents must be {n} non-negative integers")
         if any(a):
             raise InputError("phi file entries must be x-free")
-    return OpMatrix(n, rows)
+    return OpMatrix(n, rows).truncate(order)
 
 
 # -- report rendering --------------------------------------------------------

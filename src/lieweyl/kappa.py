@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .lie import KappaAlgebra
-from .poly import Polynomial, linear_form, mi_unit, product_terms
+from .poly import Polynomial, linear_form, product_terms
 from .realization import (
     Realization,
     adjoint_matrix,
@@ -59,11 +59,9 @@ def _function_of_c(g: KappaAlgebra, f: TruncSeries) -> OpMatrix:
     in the algebra's cache, so every series in it reads one power chain, as
     every series in C does (`adjoint_matrix`).
     """
-    n, z = g.n, (0,) * g.n
-    memo = g.cache("kappa")
+    n, memo = g.n, g.cache("kappa")
     if "-A" not in memo:
-        a = WeylOp(n, {(z, mi_unit(n, mu)): c for mu, c in enumerate(g.b)})
-        memo["-A"] = OpMatrix(1, [[-a]])
+        memo["-A"] = OpMatrix(1, [[-WeylOp._linear(n, g.b, n)]])
     h = matrix_series(TruncSeries(f.coeffs[1:]), memo["-A"])[0, 0]
     C, f0 = adjoint_matrix(g), [(WeylOp.constant(n, f[0]), WeylOp.one(n))]
     return OpMatrix(n, [[sum_of_products([(C[mu, nu], h)] + f0 * (mu == nu)) for nu in range(n)]
@@ -125,8 +123,8 @@ def _weights(order: int) -> tuple:
     product of x-free operators in u = d_1 and v = d_2.
     """
     u, v = WeylOp.d(2, 0), WeylOp.d(2, 1)
-    # written out, since the suites form no pairwise operator sum
-    u_plus_v = WeylOp(2, {((0, 0), (1, 0)): 1, ((0, 0), (0, 1)): 1})
+    # one linear form, since the suites form no pairwise operator sum
+    u_plus_v = WeylOp._linear(2, [1, 1], 2)
     powers = []
     for f, inverse, var in (("psi_tilde", "dexp", u), ("psi", "dexp_neg", v)):
         ratio = series_in_op(series_coeffs(f, order), u_plus_v) * series_in_op(

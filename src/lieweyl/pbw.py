@@ -27,7 +27,7 @@ class PBWElement(TermMap):
 
     @classmethod
     def generator(cls, n, mu):
-        return cls._monomial(n, 1, mu)
+        return cls._linear(n, [1], mu)
 
     @classmethod
     def monomial(cls, n, exps, coeff=1):

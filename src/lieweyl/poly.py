@@ -8,8 +8,9 @@ terms: den > 0, gcd(den, every numerator) = 1, no zero row, den = 1 for
 the zero map.  The star path's memos store the same forms, and `.terms`
 builds a {key: Scalar} dict on demand, for the edges.  A key is a
 multi-index (a tuple of ints), or a pair of them for operators; `TermMap`
-alone builds, reads and orders keys, from a type's KEY_PARTS, `_split` and
-`_join`.
+builds, reads and orders keys from a type's KEY_PARTS, `_split` and
+`_join`.  Every constant, unit and linear form is one `TermMap._linear`,
+and the product by one variable is one relabel, `TermMap._raise`.
 
 Every producer works on the ints and ends in the one gcd reduction,
 `reduce_form`.  `linear_form` forms every sum of scaled forms in one pass;
@@ -30,7 +31,6 @@ from struct import Struct, error as struct_error
 from .scalars import MINUS_ONE, ONE, Scalar, as_scalar, from_numerators, numerators
 
 __all__ = [
-    "mi_unit",
     "reduce_form",
     "linear_form",
     "product_terms",
@@ -38,11 +38,6 @@ __all__ = [
     "Polynomial",
     "parse_polynomial",
 ]
-
-
-def mi_unit(n: int, mu: int):
-    """The exponent vector of x_mu (0-based)."""
-    return tuple(1 if k == mu else 0 for k in range(n))
 
 
 def reduce_form(den, rows) -> tuple:
@@ -267,36 +262,37 @@ class TermMap:
         self._packed = None
 
     @classmethod
-    def _monomial(cls, n, c, field=None, *rest):
-        """c times the key whose flat fields are all 0 but a 1 at `field`; `rest`
+    def _linear(cls, n, coeffs, field=None, *rest):
+        """sum_k coeffs[k] times the key whose flat fields are all 0 but a 1 at
+        field + k, or coeffs[0] times the zero key when `field` is None; `rest`
         goes to the constructor (an operator's valid order)."""
-        fields = [0] * (n * len(cls.KEY_PARTS))
-        if field is not None:
-            fields[field] = 1
-        return cls(n, {cls._join(tuple(fields), n): c}, *rest)
+        size = n * len(cls.KEY_PARTS)  # field None counts from past the last field
+        return cls(n, {cls._join(tuple([int(k == f) for k in range(size)]), n): c
+                       for f, c in enumerate(coeffs, size if field is None else field)}, *rest)
 
     @classmethod
     def zero(cls, n, *rest):
-        return cls._monomial(n, 0, None, *rest)
+        return cls._linear(n, [0], None, *rest)
 
     @classmethod
     def one(cls, n):
-        return cls._monomial(n, 1)
+        return cls._linear(n, [1])
 
     @classmethod
     def constant(cls, n, c):
-        return cls._monomial(n, c)
+        return cls._linear(n, [c])
 
     @classmethod
     def from_json(cls, n, data, **kw):
         """The map that `to_json` wrote, read one tuple per key part: the parts are
-        never flattened, so a part of the wrong length stays visible."""
-        one_part = len(cls.KEY_PARTS) == 1
-        return cls(n, {
-            parts[0] if one_part else parts: Scalar.parse(t["coeff"])
-            for t in data
-            for parts in [tuple(tuple(t[field]) for field, _, _ in cls.KEY_PARTS)]
-        }, **kw)
+        never flattened, so a part of the wrong length stays visible, and a key
+        listed twice raises ValueError (`to_json` writes each once)."""
+        keys = [tuple(tuple(t[field]) for field, _, _ in cls.KEY_PARTS) for t in data]
+        terms = dict(zip(keys if cls.KEY_PARTS[1:] else [k[0] for k in keys],
+                         [Scalar.parse(t["coeff"]) for t in data]))
+        if len(terms) < len(keys):
+            raise ValueError("a key is listed twice")
+        return cls(n, terms, **kw)
 
     def _like(self, form):
         """A map of the same kind and dimension holding the reduced `form`."""
@@ -326,6 +322,17 @@ class TermMap:
         then that part, then the rest."""
         *rest, last = self._split(item[0])
         return sum(last), last, *rest
+
+    def _raise(self, field, cut=inf):
+        """The product by the variable at flat key field `field` (of the x-part, if
+        first), keeping the keys whose last part has degree <= cut.  An operator
+        keeps its valid order: a caller that cuts below it sets the order."""
+        den, rows = self.form
+        split, join, n = self._split, self._join, self.n
+        return self._like(reduce_form(den, [
+            (join(f[:field] + (f[field] + 1,) + f[field + 1 :], n), p, q)
+            for k, p, q in rows if sum(split(k)[-1]) <= cut for f in [sum(split(k), ())]
+        ]))
 
     # -- structure ---------------------------------------------------------
 
@@ -438,7 +445,7 @@ class Polynomial(TermMap):
 
     @classmethod
     def variable(cls, n, mu):
-        return cls._monomial(n, 1, mu)
+        return cls._linear(n, [1], mu)
 
     # -- structure and arithmetic --------------------------------------------
 

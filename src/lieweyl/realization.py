@@ -16,7 +16,7 @@ from functools import partial
 from itertools import combinations, product
 
 from .lie import LieAlgebra, asymmetric_triples
-from .poly import Polynomial, linear_form, mi_unit
+from .poly import Polynomial, linear_form
 from .scalars import MINUS_ONE, ONE, Q, Scalar, numerators
 from .series import series_coeffs
 from .weyl import INF, InsufficientOrder, OpMatrix, WeylOp, matrix_series, sum_of_products
@@ -65,10 +65,9 @@ def adjoint_matrix(g: LieAlgebra) -> OpMatrix:
     algebra and kept in its cache, so every series in C reads one power chain."""
     memo = g.cache("adjoint_matrix")
     if "C" not in memo:
-        n, z = g.n, (0,) * g.n
-        units = [mi_unit(n, al) for al in range(n)]
-        memo["C"] = OpMatrix(n, [[WeylOp(n, {(z, e): c[al][nu] for al, e in enumerate(units)})
-                                  for nu in range(n)] for c in g.c])
+        n = g.n
+        memo["C"] = OpMatrix(n, [[WeylOp._linear(n, [r[nu] for r in c], n) for nu in range(n)]
+                                 for c in g.c])
     return memo["C"]
 
 
@@ -87,12 +86,10 @@ def series_matrix(g: LieAlgebra, kind: str, order: int) -> OpMatrix:
 
 def _contract_x(row, valid_order) -> WeylOp:
     """sum_al x_al * row[al] for x-free row[al], valid through at most
-    valid_order: each term d^b of row[al] becomes x_al d^b, and no two meet."""
+    valid_order: each term d^b of row[al] becomes x_al d^b (`_raise`), and no two meet."""
     vo = min([valid_order, *(op.valid_order for op in row)])
-    units = [mi_unit(row[0].n, al) for al in range(len(row))]
     return row[0]._like(linear_form(
-        (1, 0, 1, (den, [((e, b), p, q) for (_, b), p, q in rows if sum(b) <= vo]))
-        for e, (den, rows) in zip(units, (op.form for op in row))
+        (1, 0, 1, op._raise(al, vo).form) for al, op in enumerate(row)
     ), vo)
 
 
@@ -247,7 +244,7 @@ def verify_symmetrization(g: LieAlgebra, order, m_max, trials, rng) -> dict:
     for trial in range(trials):
         ks = [random_rational(rng) for _ in range(n)]
         op = sum_of_products([(xhat, one, k) for xhat, k in zip(real.xhat, ks)], m_max)
-        lin = Polynomial(n, {mi_unit(n, mu): k for mu, k in enumerate(ks)})
+        lin = Polynomial._linear(n, ks, 0)
         acted = expected = Polynomial.one(n)
         for _ in range(m_max):
             acted, expected = op.apply(acted), expected * lin

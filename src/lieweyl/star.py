@@ -171,13 +171,8 @@ def poisson_first_order(g: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomi
     nonzero = [(al, be, rho, c) for al, be, rho in product(range(n), repeat=3)
                if (c := g.c[al][be][rho])]
     df = {al: f.partial(al) for al in {t[0] for t in nonzero}}
-    xdh = {}
-    for be in {t[1] for t in nonzero}:
-        den, rows = h.partial(be).form
-        for rho in {t[2] for t in nonzero if t[1] == be}:
-            xdh[rho, be] = f._like((den, tuple([
-                (k[:rho] + (k[rho] + 1,) + k[rho + 1 :], p, q) for k, p, q in rows
-            ])))
+    dh = {be: h.partial(be) for be in {t[1] for t in nonzero}}
+    xdh = {(rho, be): dh[be]._raise(rho) for be, rho in {t[1:3] for t in nonzero}}
     return f._like(product_terms(
         (df[al], xdh[rho, be], c) for al, be, rho, c in nonzero
     ))

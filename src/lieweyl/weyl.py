@@ -92,11 +92,11 @@ class WeylOp(TermMap):
 
     @classmethod
     def x(cls, n, mu):
-        return cls._monomial(n, 1, mu)
+        return cls._linear(n, [1], mu)
 
     @classmethod
     def d(cls, n, mu):
-        return cls._monomial(n, 1, n + mu)
+        return cls._linear(n, [1], n + mu)
 
     # -- structure ---------------------------------------------------------
 

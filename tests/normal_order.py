@@ -1,7 +1,7 @@
 """Test oracles: the normal-ordered product of Weyl operators, a one-add-
 per-term `merge`, the sum of two operators over `Fraction` pairs, the PBW
-product by straightening generator words over `Fraction` pairs, and
-polynomials as sympy expressions.
+product by straightening generator words over `Fraction` pairs, the unit
+exponent vectors `mi_unit`, and polynomials as sympy expressions.
 
 The library multiplies only by x-free right factors and takes every
 commutator with x from derivatives (`x_free_bracket`, `x_linear_bracket`).
@@ -18,6 +18,12 @@ from fractions import Fraction
 from math import comb, perm
 
 from lieweyl import Scalar, WeylOp
+
+
+def mi_unit(n: int, mu: int):
+    """The exponent vector of x_mu (0-based), spelled here so that the oracles
+    build their keys without the library's `TermMap._linear`."""
+    return tuple(1 if k == mu else 0 for k in range(n))
 
 
 def merge(dst: dict, key, coeff):

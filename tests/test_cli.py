@@ -430,6 +430,11 @@ def test_verify_corrupted_phi(capsys, tmp_path):
         ({"x": [1, 0], "d": [0, 0], "coeff": "1"}, "x-free"),
         ({"x": [0, 0], "d": [1, 0], "coeff": 1}, "not a string"),
         ({"x": [0, 0], "d": [1, 0], "coeff": None}, "not a string"),
+        # past the file's order 4: every term is checked before the cut
+        ({"x": [0, 0], "d": [-1, 9], "coeff": "1"}, "exponents must be"),
+        ({"x": [1, 0], "d": [0, 9], "coeff": "1"}, "x-free"),
+        ({"x": [0, 0], "d": [0.5, 9], "coeff": "1"}, "exponents must be"),
+        ({"x": [0, 0], "d": [True, 9], "coeff": "1"}, "exponents must be"),
     ],
     ids=[
         "x-too-long",
@@ -439,6 +444,10 @@ def test_verify_corrupted_phi(capsys, tmp_path):
         "x-dependent",
         "coeff-int",
         "coeff-null",
+        "d-negative-past-order",
+        "x-dependent-past-order",
+        "d-float-past-order",
+        "d-bool-past-order",
     ],
 )
 def test_verify_malformed_phi_exits_2(capsys, tmp_path, term, message):
@@ -447,6 +456,18 @@ def test_verify_malformed_phi_exits_2(capsys, tmp_path, term, message):
         capsys, "verify", "g2", "--suite", "closure", "--order", "4", "--phi-file", path
     )
     assert code == 2 and message in err
+
+
+def test_verify_phi_with_a_repeated_key_exits_2(capsys, tmp_path):
+    # the identity term twice, the first with another coefficient: read into a
+    # dict, the last copy would win and closure would pass
+    path = _write_phi(
+        capsys, tmp_path, lambda phi: phi[0][0].insert(0, {**phi[0][0][0], "coeff": "5"})
+    )
+    code, _, err = run(
+        capsys, "verify", "g2", "--suite", "closure", "--order", "4", "--phi-file", path
+    )
+    assert code == 2 and "listed twice" in err
 
 
 @pytest.mark.parametrize(

@@ -17,9 +17,8 @@ from lieweyl import (
     tinv_action,
     y_action,
 )
-from lieweyl.poly import mi_unit
 from conftest import random_monomial, standard_algebras
-from normal_order import constants, pbw_product
+from normal_order import constants, mi_unit, pbw_product
 
 
 def test_straighten_g2():

@@ -231,9 +231,18 @@ def test_term_map_constructors_and_json_share_one_key_shape(kind):
     key = kind._join(z, n)
     assert kind.zero(n).form == (1, ()) and kind.one(n).terms == {key: ONE}
     assert kind.constant(n, half).terms == {key: half}
-    unit = kind._monomial(n, 3, n * len(kind.KEY_PARTS) - 1)
+    unit = kind._linear(n, [3], n * len(kind.KEY_PARTS) - 1)
     assert unit.terms == {kind._join(z[:-1] + (1,), n): Scalar(3)}
+    # a form linear in each key part, and its product by the first variable,
+    # cut at degree 0 of the last part
+    for start in range(0, len(z), n):
+        units = [z[:start] + e + z[start + n :] for e in ((1, 0), (0, 1))]
+        assert kind._linear(n, [3, half], start).terms == {
+            kind._join(units[0], n): Scalar(3), kind._join(units[1], n): half
+        }
     f = unit + kind.constant(n, half)
+    assert f._raise(0) == unit._raise(0) + kind._linear(n, [half], 0)
+    assert f._raise(0, 0) == kind._linear(n, [half], 0)
     assert kind.from_json(n, f.to_json()) == f
     assert [t["coeff"] for t in f.to_json()] == ["1/2", "3"]
     if kind is WeylOp:

@@ -39,11 +39,10 @@ from lieweyl import (
     y_action,
 )
 from lieweyl import pbw, poly
-from lieweyl.poly import mi_unit
 from lieweyl.realization import random_polynomial
 from lieweyl.star import first_order_matches
 from conftest import random_monomial, standard_algebras
-from normal_order import constants, pbw_product
+from normal_order import constants, mi_unit, pbw_product
 
 
 def test_g2_star_examples():
