@@ -266,9 +266,11 @@ class TermMap:
         """sum_k coeffs[k] times the key whose flat fields are all 0 but a 1 at
         field + k, or coeffs[0] times the zero key when `field` is None; `rest`
         goes to the constructor (an operator's valid order)."""
-        size = n * len(cls.KEY_PARTS)  # field None counts from past the last field
-        return cls(n, {cls._join(tuple([int(k == f) for k in range(size)]), n): c
-                       for f, c in enumerate(coeffs, size if field is None else field)}, *rest)
+        z = (0,) * (n * len(cls.KEY_PARTS))
+        if field is None:
+            return cls(n, {cls._join(z, n): coeffs[0]}, *rest)
+        return cls(n, {cls._join(z[:f] + (1,) + z[f + 1 :], n): c
+                       for f, c in enumerate(coeffs, field)}, *rest)
 
     @classmethod
     def zero(cls, n, *rest):
@@ -323,16 +325,18 @@ class TermMap:
         *rest, last = self._split(item[0])
         return sum(last), last, *rest
 
-    def _raise(self, field, cut=inf):
-        """The product by the variable at flat key field `field` (of the x-part, if
-        first), keeping the keys whose last part has degree <= cut.  An operator
-        keeps its valid order: a caller that cuts below it sets the order."""
+    def _raise(self, mu, cut=inf):
+        """The map times the variable at field mu of the first key part, keeping the
+        keys whose last part has degree <= cut; an operator keeps its valid order."""
         den, rows = self.form
-        split, join, n = self._split, self._join, self.n
-        return self._like(reduce_form(den, [
-            (join(f[:field] + (f[field] + 1,) + f[field + 1 :], n), p, q)
-            for k, p, q in rows if sum(split(k)[-1]) <= cut for f in [sum(split(k), ())]
-        ]))
+        if self.KEY_PARTS[1:]:  # an (x, d) key
+            kept = [((a[:mu] + (a[mu] + 1,) + a[mu + 1 :], b), p, q)
+                    for (a, b), p, q in rows if sum(b) <= cut]
+        else:
+            kept = [(k[:mu] + (k[mu] + 1,) + k[mu + 1 :], p, q)
+                    for k, p, q in rows if sum(k) <= cut]
+        # a form that lost no key is still reduced
+        return self._like(reduce_form(den, kept) if len(kept) < len(rows) else (den, tuple(kept)))
 
     # -- structure ---------------------------------------------------------
 

@@ -65,9 +65,8 @@ def adjoint_matrix(g: LieAlgebra) -> OpMatrix:
     algebra and kept in its cache, so every series in C reads one power chain."""
     memo = g.cache("adjoint_matrix")
     if "C" not in memo:
-        n = g.n
-        memo["C"] = OpMatrix(n, [[WeylOp._linear(n, [r[nu] for r in c], n) for nu in range(n)]
-                                 for c in g.c])
+        memo["C"] = OpMatrix(g.n, [[WeylOp._linear(g.n, [r[nu] for r in c], g.n)
+                                    for nu in range(g.n)] for c in g.c])
     return memo["C"]
 
 

@@ -458,6 +458,17 @@ def test_verify_malformed_phi_exits_2(capsys, tmp_path, term, message):
     assert code == 2 and message in err
 
 
+def test_phi_file_is_cut_at_its_order_after_the_checks(capsys, tmp_path):
+    # psi(C) written through order 6 under a header of order 4 reads as psi(C)
+    # through 4: every term is checked at no order, then the matrix is cut
+    _, out, _ = run(capsys, "realize", "g2", "--order", "6", "--format", "json")
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({**json.loads(out), "order": 4}))
+    phi = cli._load_phi(str(path), 2)
+    assert phi == realization.series_matrix(lie.g2_algebra(), "psi", 4)
+    assert phi.valid_order() == 4
+
+
 def test_verify_phi_with_a_repeated_key_exits_2(capsys, tmp_path):
     # the identity term twice, the first with another coefficient: read into a
     # dict, the last copy would win and closure would pass
