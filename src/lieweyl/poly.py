@@ -329,8 +329,9 @@ class TermMap:
         """The map times the variable at field mu of the first key part, keeping the
         keys whose last part has degree <= cut; an operator keeps its valid order."""
         den, rows = self.form
-        if self.KEY_PARTS[1:]:  # an (x, d) key
-            kept = [((a[:mu] + (a[mu] + 1,) + a[mu + 1 :], b), p, q)
+        if self.KEY_PARTS[1:]:  # an (x, d) key; rows of one x-part share its raised one
+            up = {}
+            kept = [((up.get(a) or up.setdefault(a, a[:mu] + (a[mu] + 1,) + a[mu + 1 :]), b), p, q)
                     for (a, b), p, q in rows if sum(b) <= cut]
         else:
             kept = [(k[:mu] + (k[mu] + 1,) + k[mu + 1 :], p, q)
