@@ -114,11 +114,10 @@ def _load_phi(path: str, n: int) -> OpMatrix:
         raise InputError(f"cannot load phi file {path!r}: {exc}") from exc
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("phi file matrix is not n x n")
-    for a, b in (key for row in rows for op in row for key in op.terms):
-        bad = (len(a), len(b)) != (n, n)
-        if bad or any(type(e) is not int or e < 0 for e in a + b):
+    for key in (key for row in rows for op in row for key, _, _ in op.form[1]):
+        if any(type(e) is not int or e < 0 for e in key):
             raise InputError(f"phi file exponents must be {n} non-negative integers")
-        if any(a):
+        if any(key[:n]):
             raise InputError("phi file entries must be x-free")
     return OpMatrix(n, rows).truncate(order)
 

@@ -139,7 +139,7 @@ def _weights(order: int) -> tuple:
     for m, r1 in enumerate(powers[0]):
         for k, r2 in enumerate(powers[1][: order - m + 1]):
             den, rows = sum_of_products([(r1, r2)], order - m - k).form
-            for (_, (s, t)), p, q in rows:
+            for (_, _, s, t), p, q in rows:
                 w = primal[s, m, t, k] = from_numerators(p, q, den)
                 dual[s, m, t, k] = from_numerators(-p, -q, den) if (s + t) % 2 else w
     return primal, dual

@@ -34,6 +34,12 @@ class PBWElement(TermMap):
         return cls(n, {tuple(exps): Scalar.coerce(coeff)})
 
 
+def _peel(exps) -> tuple:
+    """(mu, rest) with X^exps = X_mu X^rest, X_mu the first generator of X^exps."""
+    mu = next(i for i, e in enumerate(exps) if e)
+    return mu, exps[:mu] + (exps[mu] - 1,) + exps[mu + 1 :]
+
+
 def _word_of(exps):
     word = []
     for mu, e in enumerate(exps):
@@ -106,8 +112,7 @@ def _shift_mono(g: LieAlgebra, inverse: bool, mu: int, nu: int, exps) -> tuple:
     if sum(exps) == 0:
         out = (1, ((exps, 1, 0),) if mu == nu else ())
     else:
-        al = next(i for i, e in enumerate(exps) if e)
-        rest = exps[:al] + (exps[al] - 1,) + exps[al + 1 :]
+        al, rest = _peel(exps)
         dr, rows = _shift_mono(g, inverse, mu, nu, rest)
         items = [(p, q, dr, _straighten(g, (al,) + _word_of(k))) for k, p, q in rows]
         # the inverse's constants enter negated, as numerators (-u, -v)

@@ -6,11 +6,11 @@ PBW monomials in U(g).  A `TermMap` stores one thing, its numerator form
 (den, ((key, re, im), ...)) with coefficients (re + im i)/den, in lowest
 terms: den > 0, gcd(den, every numerator) = 1, no zero row, den = 1 for
 the zero map.  The star path's memos store the same forms, and `.terms`
-builds a {key: Scalar} dict on demand, for the edges.  A key is a
-multi-index (a tuple of ints), or a pair of them for operators; `TermMap`
-builds, reads and orders keys from a type's KEY_PARTS, `_split` and
-`_join`.  Every constant, unit and linear form is one `TermMap._linear`,
-and the product by one variable is one relabel, `TermMap._raise`.
+builds a {key: Scalar} dict on demand, for the edges.  A stored key is one
+flat tuple, n ints per part of the type's KEY_PARTS (x, then d for an
+operator); an operator's (a, b) pair exists only at the edges, cut by
+`TermMap._split`.  Every constant, unit and linear form is one
+`TermMap._linear`, and the product by one variable is one `TermMap._raise`.
 
 Every producer works on the ints and ends in the one gcd reduction,
 `reduce_form`.  `linear_form` forms every sum of scaled forms in one pass;
@@ -99,12 +99,9 @@ def _packed(M, width=8):
         return packed
     den, rows = M.form
     pack, from_bytes = _fields(M.n * len(M.KEY_PARTS), width).pack, int.from_bytes
+    last = M.n * (len(M.KEY_PARTS) - 1)  # the degree is of the last key part
     try:
-        if M.KEY_PARTS[1:]:  # the x fields lead; the degree is of the d fields
-            rows = sorted([(sum(b), from_bytes(pack(*a, *b), "little"), p, q)
-                           for (a, b), p, q in rows])
-        else:
-            rows = sorted([(sum(k), from_bytes(pack(*k), "little"), p, q) for k, p, q in rows])
+        rows = sorted([(sum(k[last:]), from_bytes(pack(*k), "little"), p, q) for k, p, q in rows])
     except struct_error:  # an exponent past the width
         return _packed(M, 2 * width)
     if rows and rows[-1][0] * 2 >> width:
@@ -125,12 +122,12 @@ def _derivatives(M, *like):
     becomes (degree - 1, key - unit, e p, e q), still in degree order, and the
     rows are kept as the derivative's layout beside the form unpacked from them."""
     width, den, rows, _ = _packed(M)
-    s, join, n, mask = _fields(M.n * len(M.KEY_PARTS), width), M._join, M.n, (1 << width) - 1
+    s, n, mask = _fields(M.n * len(M.KEY_PARTS), width), M.n, (1 << width) - 1
     out = []
     for shift in range((len(M.KEY_PARTS) - 1) * n * width, len(M.KEY_PARTS) * n * width, width):
         drows = [(d - 1, k - (1 << shift), p * e, q * e) for d, k, p, q in rows
                  if (e := k >> shift & mask)]
-        form = reduce_form(den, [(join(s.unpack(k.to_bytes(s.size, "little")), n), p, q)
+        form = reduce_form(den, [(s.unpack(k.to_bytes(s.size, "little")), p, q)
                                  for _, k, p, q in drows])
         if form[0] != den:
             g = den // form[0]
@@ -198,11 +195,10 @@ def product_terms(items, cap=inf) -> tuple:
                 else:
                     t[0] += p * r - q * s
                     t[1] += p * s + q * r
-    join, s = first._join, _fields(n * len(first.KEY_PARTS), width)
+    s = _fields(n * len(first.KEY_PARTS), width)
     unpack, size = s.unpack, s.size
     return reduce_form(den, [
-        (join(unpack(k.to_bytes(size, "little")), n), p, q)
-        for k, (p, q) in acc.items() if p or q
+        (unpack(k.to_bytes(size, "little")), p, q) for k, (p, q) in acc.items() if p or q
     ])
 
 
@@ -239,13 +235,18 @@ _TEXT = (_text_scalar, "{}{}", "^{}", "*")
 _LATEX = (_latex_scalar, "{}_{{{}}}", "^{{{}}}", " ")
 
 
+def _edge(parts):
+    """A key as the edges show it: its one part, or the tuple of its parts."""
+    return parts if parts[1:] else parts[0]
+
+
 class TermMap:
     """Sparse map {key: nonzero Gaussian rational} in n variables, stored as its
     reduced numerator form `form` = (den, ((key, re, im), ...)).
 
-    A key is one exponent tuple, or a tuple of them for operators; subclasses
-    describe each part of a key in KEY_PARTS as (JSON field, text symbol,
-    LaTeX symbol) and split a key into those parts with `_split`.
+    Subclasses describe each part of a key in KEY_PARTS as (JSON field, text
+    symbol, LaTeX symbol).  This constructor takes flat keys, n ints per part;
+    the edges show a key of two parts as the tuple of its parts (`_split`).
     """
 
     __slots__ = ("n", "form", "_packed")
@@ -262,19 +263,18 @@ class TermMap:
         self._packed = None
 
     @classmethod
-    def _linear(cls, n, coeffs, field=None, *rest):
+    def _linear(cls, n, coeffs, field=None):
         """sum_k coeffs[k] times the key whose flat fields are all 0 but a 1 at
-        field + k, or coeffs[0] times the zero key when `field` is None; `rest`
-        goes to the constructor (an operator's valid order)."""
+        field + k, or coeffs[0] times the zero key when `field` is None."""
         z = (0,) * (n * len(cls.KEY_PARTS))
-        if field is None:
-            return cls(n, {cls._join(z, n): coeffs[0]}, *rest)
-        return cls(n, {cls._join(z[:f] + (1,) + z[f + 1 :], n): c
-                       for f, c in enumerate(coeffs, field)}, *rest)
+        terms = {z: coeffs[0]} if field is None else {
+            z[:f] + (1,) + z[f + 1 :]: c for f, c in enumerate(coeffs, field)}
+        # a plain TermMap takes the flat keys of any type
+        return cls(n)._like(TermMap(n, terms).form)
 
     @classmethod
     def zero(cls, n, *rest):
-        return cls._linear(n, [0], None, *rest)
+        return cls(n, None, *rest)
 
     @classmethod
     def one(cls, n):
@@ -286,12 +286,11 @@ class TermMap:
 
     @classmethod
     def from_json(cls, n, data, **kw):
-        """The map that `to_json` wrote, read one tuple per key part: the parts are
-        never flattened, so a part of the wrong length stays visible, and a key
-        listed twice raises ValueError (`to_json` writes each once)."""
-        keys = [tuple(tuple(t[field]) for field, _, _ in cls.KEY_PARTS) for t in data]
-        terms = dict(zip(keys if cls.KEY_PARTS[1:] else [k[0] for k in keys],
-                         [Scalar.parse(t["coeff"]) for t in data]))
+        """The map that `to_json` wrote, read one tuple per key part and given to
+        the constructor, which checks an operator's parts; a key listed twice
+        raises ValueError (`to_json` writes each once)."""
+        keys = [_edge(tuple(tuple(t[field]) for field, _, _ in cls.KEY_PARTS)) for t in data]
+        terms = dict(zip(keys, [Scalar.parse(t["coeff"]) for t in data]))
         if len(terms) < len(keys):
             raise ValueError("a key is listed twice")
         return cls(n, terms, **kw)
@@ -306,43 +305,36 @@ class TermMap:
 
     @property
     def terms(self) -> dict:
-        """A new {key: Scalar} dict of the map."""
+        """A new {key: Scalar} dict of the map, each key as the edges show it."""
         den, rows = self.form
-        return {k: from_numerators(p, q, den) for k, p, q in rows}
+        return {_edge(self._split(k)): from_numerators(p, q, den) for k, p, q in rows}
+
+    def _split(self, key):
+        """The flat key's parts, one equal slice per entry of KEY_PARTS."""
+        m = len(key) // len(self.KEY_PARTS)
+        return tuple([key[i * m : i * m + m] for i in range(len(self.KEY_PARTS))])
 
     @staticmethod
-    def _split(key):
-        return (key,)
-
-    @staticmethod
-    def _join(fields, n):
-        """The key whose `_split` parts, concatenated, are the tuple `fields`."""
-        return fields
-
-    def _sort_key(self, item):
-        """A (key, coefficient) item's place: the degree of the key's last part,
-        then that part, then the rest."""
-        *rest, last = self._split(item[0])
+    def _sort_key(item):
+        """A (key parts, coefficient) item's place: the degree of the key's last
+        part, then that part, then the rest."""
+        *rest, last = item[0]
         return sum(last), last, *rest
 
     def _raise(self, mu, cut=inf):
         """The map times the variable at field mu of the first key part, keeping the
         keys whose last part has degree <= cut; an operator keeps its valid order."""
         den, rows = self.form
-        if self.KEY_PARTS[1:]:  # an (x, d) key; rows of one x-part share its raised one
-            up = {}
-            kept = [((up.get(a) or up.setdefault(a, a[:mu] + (a[mu] + 1,) + a[mu + 1 :]), b), p, q)
-                    for (a, b), p, q in rows if sum(b) <= cut]
-        else:
-            kept = [(k[:mu] + (k[mu] + 1,) + k[mu + 1 :], p, q)
-                    for k, p, q in rows if sum(k) <= cut]
+        last = self.n * (len(self.KEY_PARTS) - 1)
+        kept = [(k[:mu] + (k[mu] + 1,) + k[mu + 1 :], p, q)
+                for k, p, q in rows if sum(k[last:]) <= cut]
         # a form that lost no key is still reduced
         return self._like(reduce_form(den, kept) if len(kept) < len(rows) else (den, tuple(kept)))
 
     # -- structure ---------------------------------------------------------
 
     def degree(self) -> int:
-        """Total degree of the (one-part) keys; -1 for the zero map."""
+        """Total degree of the keys, all parts summed; -1 for the zero map."""
         return max([sum(r[0]) for r in self.form[1]], default=-1)
 
     def is_zero(self) -> bool:
@@ -393,8 +385,15 @@ class TermMap:
 
     # -- rendering ---------------------------------------------------------
 
+    def _sorted(self):
+        """(key parts, Scalar) items in term order (`_sort_key`)."""
+        den, rows = self.form
+        return sorted([(self._split(k), from_numerators(p, q, den)) for k, p, q in rows],
+                      key=self._sort_key)
+
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=self._sort_key)
+        """The items of `.terms` in term order."""
+        return [(_edge(key_parts), c) for key_parts, c in self._sorted()]
 
     def render(self, latex: bool = False) -> str:
         """Sum of "coefficient factors" terms in sorted order, as text or LaTeX."""
@@ -402,11 +401,11 @@ class TermMap:
             return "0"
         coeff, factor, power, sep = _LATEX if latex else _TEXT
         parts = []
-        for k, c in self.sorted_terms():
+        for key_parts, c in self._sorted():
             factors = sep.join(
                 factor.format(latex_sym if latex else sym, mu + 1)
                 + (power.format(e) if e > 1 else "")
-                for (_, sym, latex_sym), exps in zip(self.KEY_PARTS, self._split(k))
+                for (_, sym, latex_sym), exps in zip(self.KEY_PARTS, key_parts)
                 for mu, e in enumerate(exps)
                 if e
             )
@@ -427,8 +426,8 @@ class TermMap:
 
     def to_json(self):
         out = []
-        for k, c in self.sorted_terms():
-            parts = zip(self.KEY_PARTS, self._split(k))
+        for key_parts, c in self._sorted():
+            parts = zip(self.KEY_PARTS, key_parts)
             term = {field: list(exps) for (field, _, _), exps in parts}
             term["coeff"] = str(c)
             out.append(term)
@@ -504,7 +503,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
     if depth:
         raise ValueError(f"unbalanced parentheses in {text!r}")
     terms.append(buf)
-    out = Polynomial.zero(n)
+    acc = {}  # exponents -> the sum of their coefficients, in one pass
     for term in terms:
         coeff = Scalar(1)
         exps = [0] * n
@@ -527,5 +526,6 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                 coeff = coeff * Scalar.parse(factor)
             if neg:
                 coeff = -coeff
-        out = out + Polynomial(n, {tuple(exps): coeff})
-    return out
+        key = tuple(exps)
+        acc[key] = acc[key] + coeff if key in acc else coeff
+    return Polynomial(n, acc)

@@ -15,7 +15,7 @@ from functools import partial
 from itertools import product
 
 from .lie import LieAlgebra, dual_algebra
-from .pbw import PBWElement, pbw_mul
+from .pbw import PBWElement, _peel, pbw_mul
 from .poly import Polynomial, linear_form, product_terms
 from .realization import (
     Realization,
@@ -89,8 +89,7 @@ def _omega_mono(ctx: StarContext, which: str, exps) -> tuple:
     if sum(exps) == 0:
         out = 1, ((exps, 1, 0),)
     else:
-        mu = next(i for i, e in enumerate(exps) if e)
-        rest = exps[:mu] + (exps[mu] - 1,) + exps[mu + 1 :]
+        mu, rest = _peel(exps)
         f = Polynomial(n)._like(_omega_mono(ctx, which, rest))
         out = ctx.route(which)[0].xhat[mu].apply(f).form
     ctx._omega_cache[key] = out

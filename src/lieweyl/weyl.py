@@ -13,11 +13,13 @@ of all the factors and of an optional cap, as if the products were formed
 one by one and added; it is the one place a product is cut, and `A * B`
 is its one-pair case.  `A + B` and `A - B` are the term map's sums, cut at
 the lower valid order of the two operands.  Keys, constructors, JSON and
-term order all come from `poly.TermMap`; an operator adds only its valid
-order, its products and its action.  `matrix_series` takes matrices
-linear in d and reads their powers, homogeneous and uncut, from the chain
-an `OpMatrix` keeps (`OpMatrix.powers`), each formed once and extended on
-demand.  `deriv_d`
+term order all come from `poly.TermMap`: x^a d^b is stored under the flat
+key a + b, and the pair (a, b) exists only at the edges, where the
+constructor checks that a and b each hold n exponents.  An operator adds
+only its valid order, its products and its action.  `matrix_series` takes
+matrices linear in d and reads their powers, homogeneous and uncut, from
+the chain an `OpMatrix` keeps (`OpMatrix.powers`), each formed once and
+extended on demand.  `deriv_d`
 forms the derivatives from the packed keys and keeps them as their layout;
 `apply` reads only the d-parts b <= e of each row x^e of the polynomial.
 `deriv_d` lowers the order by one, so the commutators with x formed from it
@@ -70,23 +72,20 @@ class WeylOp(TermMap):
     KEY_PARTS = (("x", "x", "x"), ("d", "d", "\\partial"))
 
     def __init__(self, n: int, terms=None, valid_order=INF):
+        """{(a, b): coeff} through |b| <= valid_order; a, b must hold n ints each."""
         self.valid_order = valid_order
-        if terms and valid_order < INF:
-            terms = {k: c for k, c in terms.items() if sum(k[1]) <= valid_order}
-        super().__init__(n, terms)
+        flat = {}
+        for (a, b), c in (terms or {}).items():
+            if len(a) != n or len(b) != n:
+                raise ValueError(f"exponents must be {n} per key part, not {len(a)} and {len(b)}")
+            if valid_order == INF or sum(b) <= valid_order:
+                flat[(*a, *b)] = c
+        super().__init__(n, flat)
 
     def _like(self, form, valid_order=None):
         out = TermMap._like(self, form)
         out.valid_order = self.valid_order if valid_order is None else valid_order
         return out
-
-    @staticmethod
-    def _split(key):
-        return key
-
-    @staticmethod
-    def _join(fields, n):
-        return fields[:n], fields[n:]
 
     # -- constructors ------------------------------------------------------
 
@@ -100,16 +99,12 @@ class WeylOp(TermMap):
 
     # -- structure ---------------------------------------------------------
 
-    def degree(self) -> int:
-        """Total degree in x and d; -1 for the zero operator."""
-        return max([sum(a) + sum(b) for (a, b), _, _ in self.form[1]], default=-1)
-
     def xdeg(self) -> int:
-        return max((sum(a) for (a, _), _, _ in self.form[1]), default=0)
+        return max((sum(k[: self.n]) for k, _, _ in self.form[1]), default=0)
 
     def truncate(self, order) -> "WeylOp":
-        den, rows = self.form
-        return self._like(reduce_form(den, [r for r in rows if sum(r[0][1]) <= order]),
+        (den, rows), n = self.form, self.n
+        return self._like(reduce_form(den, [r for r in rows if sum(r[0][n:]) <= order]),
                           min(self.valid_order, order))
 
     # -- arithmetic --------------------------------------------------------
@@ -153,9 +148,9 @@ class WeylOp(TermMap):
         try:
             by_b = self._by_b
         except AttributeError:
-            by_b = {}
+            by_b, n = {}, self.n
             for row in self.form[1]:
-                by_b.setdefault(row[0][1], []).append(row)
+                by_b.setdefault(row[0][n:], []).append(row)
             by_b = self._by_b = {b: tuple(rows) for b, rows in by_b.items()}
         (den, _), (fden, frows) = self.form, f.form
         acc = {}  # key -> [re, im] numerators over den fden
@@ -168,8 +163,9 @@ class WeylOp(TermMap):
             for b in bs:
                 m, c = prod(map(perm, e, b)), tuple(map(sub, e, b))
                 u, v = r * m, s * m
-                for (a, _), p, q in by_b[b]:
-                    t = setdefault(tuple(map(add, a, c)), [0, 0])
+                for k, p, q in by_b[b]:
+                    # map stops at c's n fields, so it adds c to k's x part
+                    t = setdefault(tuple(map(add, k, c)), [0, 0])
                     t[0] += p * u - q * v
                     t[1] += p * v + q * u
         return f._like(reduce_form(den * fden, [(k, p, q) for k, (p, q) in acc.items() if p or q]))
@@ -259,8 +255,8 @@ def matrix_series(f: TruncSeries, M: OpMatrix) -> OpMatrix:
     order(f).  An entry is valid through order(f), or less where a power it
     sums is.
     """
-    keys = (k for row in M.entries for op in row for k, _, _ in op.form[1])
-    if any(any(a) or sum(b) != 1 for a, b in keys):
+    if any(any(k[: op.n]) or sum(k[op.n :]) != 1
+           for row in M.entries for op in row for k, _, _ in op.form[1]):
         raise ValueError("matrix_series requires x-free entries linear in d")
     order = f.order
     last = max((k for k in range(order + 1) if f[k]), default=-1)

@@ -63,6 +63,10 @@ def assert_canonical(M):
     assert gcd(den, *(x for _, p, q in rows for x in (p, q))) == 1
     assert all(p or q for _, p, q in rows)
     assert len({k for k, _, _ in rows}) == len(rows)
+    # every stored key is flat: n ints per key part, an operator's x then d
+    width = M.n * len(M.KEY_PARTS)
+    assert all(type(k) is tuple and len(k) == width and all(type(e) is int for e in k)
+               for k, _, _ in rows)
     assert type(M)(M.n, M.terms) == M
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lieweyl import ONE, PBWElement, Polynomial, Scalar, WeylOp, parse_polynomial
+from lieweyl import ONE, PBWElement, Polynomial, Scalar, WeylOp, parse_polynomial, poly
 from lieweyl.poly import linear_form, product_terms
 from lieweyl.scalars import from_numerators, numerators
 from normal_order import merge, sympy_poly
@@ -124,6 +124,30 @@ def test_parse_rejects():
             parse_polynomial(text, 2)
 
 
+def test_parse_reads_each_term_once(monkeypatch):
+    # the terms are summed in one pass: the maps that parse_polynomial forms
+    # read one row per term in all, where re-adding the partial sum per term
+    # read about N^2 / 2; a repeated key still adds, and a sum of 0 cancels
+    read = [0]
+
+    def counting(fn, rows):
+        def wrapped(arg):
+            arg = list(arg)
+            read[0] += sum(map(rows, arg))
+            return fn(arg)
+        return wrapped
+
+    monkeypatch.setattr(poly, "linear_form", counting(poly.linear_form, lambda t: len(t[3][1])))
+    monkeypatch.setattr(poly, "numerators", counting(poly.numerators, lambda c: 1))
+    count = 400
+    text = " + ".join(f"{k}*x1^{k}" for k in range(1, count + 1)) + " - 200*x1^200 + x1"
+    f = parse_polynomial(text, 1)
+    assert read[0] <= count
+    monkeypatch.undo()
+    terms = {(k,): Scalar(k) for k in range(1, count + 1) if k != 200}
+    assert f == Polynomial(1, {**terms, (1,): Scalar(2)})
+
+
 @given(polys())
 def test_str_roundtrip(f):
     assert parse_polynomial(str(f), N) == f
@@ -225,26 +249,34 @@ def test_product_terms_rejects_factors_of_another_type():
 
 @pytest.mark.parametrize("kind", [Polynomial, PBWElement, WeylOp])
 def test_term_map_constructors_and_json_share_one_key_shape(kind):
-    # zero, one, constant and from_json come from TermMap for every key shape
+    # zero, one, constant and from_json come from TermMap for every key shape;
+    # a stored key is one flat tuple, and `.terms` shows an operator's as (a, b)
     n, half = 2, Scalar(1) / 2
     z = (0,) * (n * len(kind.KEY_PARTS))
-    key = kind._join(z, n)
-    assert kind.zero(n).form == (1, ()) and kind.one(n).terms == {key: ONE}
-    assert kind.constant(n, half).terms == {key: half}
+
+    def edge(key):
+        return (key[:n], key[n:]) if kind is WeylOp else key
+
+    def stored(den, *rows):
+        return kind(n)._like((den, rows))
+
+    assert kind.zero(n).form == (1, ()) and kind.one(n).form == (1, ((z, 1, 0),))
+    assert kind.one(n).terms == {edge(z): ONE}
+    assert kind.constant(n, half) == stored(2, (z, 1, 0))
     unit = kind._linear(n, [3], n * len(kind.KEY_PARTS) - 1)
-    assert unit.terms == {kind._join(z[:-1] + (1,), n): Scalar(3)}
+    assert unit == stored(1, (z[:-1] + (1,), 3, 0))
+    assert unit.terms == {edge(z[:-1] + (1,)): Scalar(3)}
     # a form linear in each key part, and its product by the first variable,
     # cut at degree 0 of the last part
     for start in range(0, len(z), n):
         units = [z[:start] + e + z[start + n :] for e in ((1, 0), (0, 1))]
-        assert kind._linear(n, [3, half], start).terms == {
-            kind._join(units[0], n): Scalar(3), kind._join(units[1], n): half
-        }
+        assert kind._linear(n, [3, half], start) == stored(2, (units[0], 6, 0), (units[1], 1, 0))
     f = unit + kind.constant(n, half)
     assert f._raise(0) == unit._raise(0) + kind._linear(n, [half], 0)
     assert f._raise(0, 0) == kind._linear(n, [half], 0)
     assert kind.from_json(n, f.to_json()) == f
     assert [t["coeff"] for t in f.to_json()] == ["1/2", "3"]
+    assert [k for k, _ in f.sorted_terms()] == [edge(z), edge(z[:-1] + (1,))]
     if kind is WeylOp:
         assert WeylOp.zero(n, 3).valid_order == 3
         assert WeylOp.from_json(n, f.to_json(), valid_order=0) == f.truncate(0)

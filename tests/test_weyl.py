@@ -568,6 +568,22 @@ def test_series_in_op_rejects_bad_operator(A):
         series_in_op(series_coeffs("exp", 3), A)
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [((0, 0, 0), (1, 0)), ((0,), (1, 0)), ((0, 0), (1, 0, 0)), ((0, 0), (1,)),
+     ((0, 0, 0), (1,))],
+    ids=["x-too-long", "x-too-short", "d-too-long", "d-too-short", "x-d-shifted"],
+)
+def test_a_key_part_of_the_wrong_length_raises(a, b):
+    # each part is checked before the key is flattened: the shifted key has
+    # the 2n fields of a valid one
+    for vo in (INF, 3):
+        with pytest.raises(ValueError, match="exponents must be 2 per key part"):
+            WeylOp(2, {(a, b): Scalar(1)}, vo)
+        with pytest.raises(ValueError, match="exponents must be 2 per key part"):
+            WeylOp.from_json(2, [{"x": list(a), "d": list(b), "coeff": "1"}], valid_order=vo)
+
+
 def test_op_str_and_json():
     op = x(0) * d(1) - WeylOp.one(2).scale(Scalar(1) / 2)
     assert str(op) == "-1/2 + x1*d2"
